@@ -1,7 +1,8 @@
 // Checkpoint codec + A/B store tests (DESIGN.md §5.12): field-exact round
 // trips, hostile-byte rejection (every single-byte flip and every truncation
-// surfaces as a typed SnapshotError), and the crash-fallback guarantee of the
-// CheckpointStore slot pair.
+// surfaces as a typed SnapshotError), the crash-fallback guarantee of the
+// CheckpointStore slot pair, and byte-exact decoding of v3/v4 checkpoints
+// written by older clrtool builds (tests/io/fixtures/).
 
 #include "io/checkpoint.hpp"
 
@@ -507,6 +508,45 @@ TEST(CheckpointCodec, Version1DatabasesStillLoad) {
   EXPECT_FALSE(snap.view().has_checkpoint());
   const LoadedSnapshot loaded = materialize(snap.view());
   expect_db_equal(loaded.db, db);
+}
+
+// Checkpoints written by older clrtool builds (tests/io/fixtures/README.md).
+std::string read_fixture(const std::string& name) {
+  return read_file(std::string(CLR_IO_FIXTURES) + "/" + name);
+}
+
+TEST(CheckpointFixtures, RunnerV4ReserializesToItsOwnBytes) {
+  const std::string bytes = read_fixture("runner_v4.clrdb");
+  const Snapshot snap = Snapshot::from_bytes(std::string(bytes));
+  ASSERT_EQ(snap.view().version(), 4u);
+  const RunnerCheckpoint c = decode_runner_checkpoint(snap.view());
+  EXPECT_EQ(c.done, (std::vector<std::uint8_t>{1, 0, 0}));
+  EXPECT_EQ(serialize_runner_checkpoint(c), bytes);
+}
+
+TEST(CheckpointFixtures, RunnerV3ReserializesToTheV4Bytes) {
+  const Snapshot snap = Snapshot::from_bytes(read_fixture("runner_v3.clrdb"));
+  ASSERT_EQ(snap.view().version(), 3u);
+  const RunnerCheckpoint c = decode_runner_checkpoint(snap.view());
+  EXPECT_EQ(c.done, (std::vector<std::uint8_t>{1, 0, 0}));
+  EXPECT_EQ(serialize_runner_checkpoint(c), read_fixture("runner_v3_as_v4.clrdb"));
+}
+
+TEST(CheckpointFixtures, FleetV4ReserializesToItsOwnBytes) {
+  const std::string bytes = read_fixture("fleet_v4.clrdb");
+  const Snapshot snap = Snapshot::from_bytes(std::string(bytes));
+  ASSERT_EQ(snap.view().version(), 4u);
+  const FleetCheckpoint c = decode_fleet_checkpoint(snap.view());
+  EXPECT_EQ(c.progress.done, (std::vector<std::uint8_t>{1, 1, 0}));
+  EXPECT_EQ(serialize_fleet_checkpoint(c), bytes);
+}
+
+TEST(CheckpointFixtures, FleetV3ReserializesToTheV4Bytes) {
+  const Snapshot snap = Snapshot::from_bytes(read_fixture("fleet_v3.clrdb"));
+  ASSERT_EQ(snap.view().version(), 3u);
+  const FleetCheckpoint c = decode_fleet_checkpoint(snap.view());
+  EXPECT_EQ(c.progress.done, (std::vector<std::uint8_t>{1, 1, 0}));
+  EXPECT_EQ(serialize_fleet_checkpoint(c), read_fixture("fleet_v3_as_v4.clrdb"));
 }
 
 }  // namespace
