@@ -52,30 +52,6 @@ std::string read_text_file(const std::string& path) {
   return ss.str();
 }
 
-bool summary_identical(const util::Summary& a, const util::Summary& b) {
-  return a.count == b.count && a.mean == b.mean && a.stddev == b.stddev && a.ci95 == b.ci95 &&
-         a.min == b.min && a.max == b.max;
-}
-
-/// Bit-exact comparison of every replicated axis (the determinism contract).
-bool stats_identical(const exp::ReplicatedStats& a, const exp::ReplicatedStats& b) {
-  return a.replications == b.replications && summary_identical(a.num_events, b.num_events) &&
-         summary_identical(a.num_reconfigs, b.num_reconfigs) &&
-         summary_identical(a.num_infeasible_events, b.num_infeasible_events) &&
-         summary_identical(a.avg_energy, b.avg_energy) &&
-         summary_identical(a.total_reconfig_cost, b.total_reconfig_cost) &&
-         summary_identical(a.avg_reconfig_cost, b.avg_reconfig_cost) &&
-         summary_identical(a.max_drc, b.max_drc) &&
-         summary_identical(a.qos_violation_time, b.qos_violation_time) &&
-         summary_identical(a.downtime, b.downtime) &&
-         summary_identical(a.availability, b.availability) &&
-         summary_identical(a.reconfig_stall_time, b.reconfig_stall_time) &&
-         summary_identical(a.prefetch_hidden_time, b.prefetch_hidden_time) &&
-         summary_identical(a.prefetch_hits, b.prefetch_hits) &&
-         summary_identical(a.prefetch_misses, b.prefetch_misses) &&
-         summary_identical(a.service_availability, b.service_availability);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -229,12 +205,10 @@ int main(int argc, char** argv) {
   const std::vector<exp::CellResult> pair_j8 = run_drift_pair(8);
   bool bit_identical = grid.size() == grid_j8.size() && pair.size() == pair_j8.size();
   for (std::size_t i = 0; bit_identical && i < grid.size(); ++i) {
-    bit_identical = grid[i].label == grid_j8[i].label &&
-                    stats_identical(grid[i].stats, grid_j8[i].stats);
+    bit_identical = grid[i].label == grid_j8[i].label && grid[i].stats == grid_j8[i].stats;
   }
   for (std::size_t i = 0; bit_identical && i < pair.size(); ++i) {
-    bit_identical = pair[i].label == pair_j8[i].label &&
-                    stats_identical(pair[i].stats, pair_j8[i].stats);
+    bit_identical = pair[i].label == pair_j8[i].label && pair[i].stats == pair_j8[i].stats;
   }
 
   // --- Regret: QoS-unavailable fraction (violation + downtime + stalled

@@ -71,6 +71,8 @@ struct Summary {
   double ci95 = 0.0;
   double min = 0.0;
   double max = 0.0;
+
+  bool operator==(const Summary&) const = default;
 };
 
 /// Summarize a finished replication stream.

@@ -91,9 +91,16 @@ rt::RuntimeStats evaluate_policy_with(const dse::DesignDb& db, const rt::DrcMatr
                                       const RuntimeEvalParams& params, std::uint64_t seed,
                                       const rel::ClrSpace* clr_space,
                                       const rt::MdpTable* mdp_table) {
-  rt::QosProcess qos(ranges, params.qos);
-  rt::RuntimeSimulator sim(params.sim);
+  const rt::QosProcess qos(ranges, params.qos);
+  const rt::RuntimeSimulator sim(params.sim);
+  return evaluate_policy_on(db, drc, qos, sim, params, seed, clr_space, mdp_table);
+}
 
+rt::RuntimeStats evaluate_policy_on(const dse::DesignDb& db, const rt::DrcMatrix& drc,
+                                    const rt::QosProcess& qos, const rt::RuntimeSimulator& sim,
+                                    const RuntimeEvalParams& params, std::uint64_t seed,
+                                    const rel::ClrSpace* clr_space,
+                                    const rt::MdpTable* mdp_table) {
   util::SplitMix64 mix(seed);
   util::Rng pretrain_rng(mix.next());
   util::Rng eval_rng(mix.next());
@@ -149,15 +156,15 @@ rt::RuntimeStats evaluate_policy_with(const dse::DesignDb& db, const rt::DrcMatr
       // snapshot-loaded tables) — yields bit-identical runs.
       rt::MdpTable built;
       if (mdp_table == nullptr) {
-        built = rt::build_mdp_table(db, drc, ranges, params.p_rc, params.qos, params.faults,
-                                    params.mdp);
+        built = rt::build_mdp_table(db, drc, qos.ranges(), params.p_rc, params.qos,
+                                    params.faults, params.mdp);
         mdp_table = &built;
       }
       rt::MdpPolicy policy(db, drc, *mdp_table);
       return run_with(policy);
     }
   }
-  throw std::logic_error("evaluate_policy_with: unknown policy kind");
+  throw std::logic_error("evaluate_policy_on: unknown policy kind");
 }
 
 }  // namespace clr::exp

@@ -111,4 +111,15 @@ rt::RuntimeStats evaluate_policy_with(const dse::DesignDb& db, const rt::DrcMatr
                                       const rel::ClrSpace* clr_space = nullptr,
                                       const rt::MdpTable* mdp_table = nullptr);
 
+/// The evaluation itself, against a caller-owned QosProcess and
+/// RuntimeSimulator. Both are stateless across runs, so fleet workers build
+/// them once and reuse them for every device, bit-identically;
+/// evaluate_policy_with builds them from `ranges` and `params`. A plan built
+/// here for PolicyKind::Mdp uses qos.ranges().
+rt::RuntimeStats evaluate_policy_on(const dse::DesignDb& db, const rt::DrcMatrix& drc,
+                                    const rt::QosProcess& qos, const rt::RuntimeSimulator& sim,
+                                    const RuntimeEvalParams& params, std::uint64_t seed,
+                                    const rel::ClrSpace* clr_space = nullptr,
+                                    const rt::MdpTable* mdp_table = nullptr);
+
 }  // namespace clr::exp

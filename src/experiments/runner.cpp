@@ -42,56 +42,17 @@ void hash_value(std::uint64_t& h, T v) {
 }  // namespace
 
 ReplicatedStats replicate_stats(const std::vector<rt::RuntimeStats>& runs) {
-  util::RunningStats events, reconfigs, infeasible, energy, total_cost, avg_cost, max_drc;
-  util::RunningStats violation_time, transients, unrecovered, permanents, evacuations,
-      safe_entries, downtime, availability, mttr;
-  util::RunningStats stall, hidden, hits, misses, service_avail;
-  for (const auto& r : runs) {
-    events.add(static_cast<double>(r.num_events));
-    reconfigs.add(static_cast<double>(r.num_reconfigs));
-    infeasible.add(static_cast<double>(r.num_infeasible_events));
-    energy.add(r.avg_energy);
-    total_cost.add(r.total_reconfig_cost);
-    avg_cost.add(r.avg_reconfig_cost);
-    max_drc.add(r.max_drc);
-    violation_time.add(r.qos_violation_time);
-    transients.add(static_cast<double>(r.num_transient_faults));
-    unrecovered.add(static_cast<double>(r.num_unrecovered_failures));
-    permanents.add(static_cast<double>(r.num_permanent_faults));
-    evacuations.add(static_cast<double>(r.num_evacuations));
-    safe_entries.add(static_cast<double>(r.num_safe_mode_entries));
-    downtime.add(r.downtime);
-    availability.add(r.availability);
-    mttr.add(r.mttr);
-    stall.add(r.reconfig_stall_time);
-    hidden.add(r.prefetch_hidden_time);
-    hits.add(static_cast<double>(r.prefetch_hits));
-    misses.add(static_cast<double>(r.prefetch_misses));
-    service_avail.add(r.service_availability);
-  }
+  const auto summarize_runs = [&](auto rt::RuntimeStats::*field) {
+    util::RunningStats acc;
+    for (const auto& r : runs) acc.add(static_cast<double>(r.*field));
+    return util::summarize(acc);
+  };
   ReplicatedStats s;
   s.replications = runs.size();
-  s.num_events = util::summarize(events);
-  s.num_reconfigs = util::summarize(reconfigs);
-  s.num_infeasible_events = util::summarize(infeasible);
-  s.avg_energy = util::summarize(energy);
-  s.total_reconfig_cost = util::summarize(total_cost);
-  s.avg_reconfig_cost = util::summarize(avg_cost);
-  s.max_drc = util::summarize(max_drc);
-  s.qos_violation_time = util::summarize(violation_time);
-  s.num_transient_faults = util::summarize(transients);
-  s.num_unrecovered_failures = util::summarize(unrecovered);
-  s.num_permanent_faults = util::summarize(permanents);
-  s.num_evacuations = util::summarize(evacuations);
-  s.num_safe_mode_entries = util::summarize(safe_entries);
-  s.downtime = util::summarize(downtime);
-  s.availability = util::summarize(availability);
-  s.mttr = util::summarize(mttr);
-  s.reconfig_stall_time = util::summarize(stall);
-  s.prefetch_hidden_time = util::summarize(hidden);
-  s.prefetch_hits = util::summarize(hits);
-  s.prefetch_misses = util::summarize(misses);
-  s.service_availability = util::summarize(service_avail);
+#define CLR_REPLICATE(stat, fold, since, device, block, mean, replicated) \
+  CLR_STAT_IF(replicated)(s.replicated = summarize_runs(&rt::RuntimeStats::stat);)
+  CLR_RUNTIME_STATS(CLR_REPLICATE)
+#undef CLR_REPLICATE
   return s;
 }
 
@@ -349,32 +310,15 @@ io::Json grid_report(const std::string& experiment, const RunnerConfig& config,
         {"p_rc", io::Json(res.params.p_rc)},
         {"seed", io::Json(res.seed)},
         {"replications", io::Json(res.stats.replications)},
-        {"num_events", summary_json(res.stats.num_events)},
-        {"num_reconfigs", summary_json(res.stats.num_reconfigs)},
-        {"num_infeasible_events", summary_json(res.stats.num_infeasible_events)},
-        {"avg_energy", summary_json(res.stats.avg_energy)},
-        {"total_reconfig_cost", summary_json(res.stats.total_reconfig_cost)},
-        {"avg_reconfig_cost", summary_json(res.stats.avg_reconfig_cost)},
-        {"max_drc", summary_json(res.stats.max_drc)},
         {"fault_rate", io::Json(res.params.faults.transient_rate)},
         {"pe_mtbf", io::Json(res.params.faults.pe_mtbf)},
-        {"qos_violation_time", summary_json(res.stats.qos_violation_time)},
-        {"num_transient_faults", summary_json(res.stats.num_transient_faults)},
-        {"num_unrecovered_failures", summary_json(res.stats.num_unrecovered_failures)},
-        {"num_permanent_faults", summary_json(res.stats.num_permanent_faults)},
-        {"num_evacuations", summary_json(res.stats.num_evacuations)},
-        {"num_safe_mode_entries", summary_json(res.stats.num_safe_mode_entries)},
-        {"downtime", summary_json(res.stats.downtime)},
-        {"availability", summary_json(res.stats.availability)},
-        {"mttr", summary_json(res.stats.mttr)},
         {"prefetch", io::Json(res.params.prefetch)},
-        {"reconfig_stall_time", summary_json(res.stats.reconfig_stall_time)},
-        {"prefetch_hidden_time", summary_json(res.stats.prefetch_hidden_time)},
-        {"prefetch_hits", summary_json(res.stats.prefetch_hits)},
-        {"prefetch_misses", summary_json(res.stats.prefetch_misses)},
-        {"service_availability", summary_json(res.stats.service_availability)},
-        {"wall_ms", io::Json(res.wall_ms)},
     };
+#define CLR_SUMMARY_KEY(stat, fold, since, device, block, mean, replicated) \
+  CLR_STAT_IF(replicated)(cell.emplace_back(#replicated, summary_json(res.stats.replicated));)
+    CLR_RUNTIME_STATS(CLR_SUMMARY_KEY)
+#undef CLR_SUMMARY_KEY
+    cell.emplace_back("wall_ms", io::Json(res.wall_ms));
     cells.emplace_back(std::move(cell));
   }
 

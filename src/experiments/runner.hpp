@@ -49,6 +49,7 @@ struct ReplicatedStats {
   // cell ran without a fault scenario).
   util::Summary qos_violation_time;
   util::Summary num_transient_faults;
+  util::Summary num_recovered_transients;
   util::Summary num_unrecovered_failures;
   util::Summary num_permanent_faults;
   util::Summary num_evacuations;
@@ -63,7 +64,16 @@ struct ReplicatedStats {
   util::Summary prefetch_hits;
   util::Summary prefetch_misses;
   util::Summary service_availability;
+
+  bool operator==(const ReplicatedStats&) const = default;
 };
+
+// Every summary has a row in runtime/stat_table.hpp.
+#define CLR_SUMMARY_BYTES(stat, fold, since, device, block, mean, replicated) \
+  CLR_STAT_IF(replicated)(+sizeof(ReplicatedStats::replicated))
+static_assert(sizeof(ReplicatedStats) ==
+              sizeof(std::size_t) CLR_RUNTIME_STATS(CLR_SUMMARY_BYTES));
+#undef CLR_SUMMARY_BYTES
 
 /// Aggregate a finished replication set (in replication order — callers that
 /// need bit-for-bit reproducibility must not reorder `runs`).

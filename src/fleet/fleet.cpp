@@ -14,7 +14,6 @@
 #include "common/rng.hpp"
 #include "fleet/spsc_queue.hpp"
 #include "io/checkpoint.hpp"
-#include "runtime/policy.hpp"
 #include "runtime/qos_process.hpp"
 #include "runtime/simulator.hpp"
 
@@ -44,30 +43,12 @@ void hash_value(std::uint64_t& h, T v) {
   hash_bytes(h, &v, sizeof v);
 }
 
-DeviceResult to_result(std::uint64_t device, const rt::RuntimeStats& s) {
+DeviceResult to_result(std::uint64_t id, const rt::RuntimeStats& s) {
   DeviceResult r;
-  r.device = device;
-  r.events = s.num_events;
-  r.reconfigs = s.num_reconfigs;
-  r.infeasible_events = s.num_infeasible_events;
-  r.transient_faults = s.num_transient_faults;
-  r.recovered_transients = s.num_recovered_transients;
-  r.unrecovered_failures = s.num_unrecovered_failures;
-  r.permanent_faults = s.num_permanent_faults;
-  r.evacuations = s.num_evacuations;
-  r.safe_mode_entries = s.num_safe_mode_entries;
-  r.prefetch_hits = s.prefetch_hits;
-  r.prefetch_misses = s.prefetch_misses;
-  r.avg_energy = s.avg_energy;
-  r.total_reconfig_cost = s.total_reconfig_cost;
-  r.qos_violation_time = s.qos_violation_time;
-  r.downtime = s.downtime;
-  r.availability = s.availability;
-  r.mttr = s.mttr;
-  r.max_drc = s.max_drc;
-  r.reconfig_stall_time = s.reconfig_stall_time;
-  r.prefetch_hidden_time = s.prefetch_hidden_time;
-  r.service_availability = s.service_availability;
+  r.device = id;
+#define CLR_COPY(stat, fold, since, device, ...) CLR_STAT_IF(device)(r.device = s.stat;)
+  CLR_RUNTIME_STATS(CLR_COPY)
+#undef CLR_COPY
   return r;
 }
 
@@ -179,67 +160,9 @@ DeviceResult simulate_device(const dse::DesignDb& db, const rt::DrcMatrix& drc,
                              const exp::RuntimeEvalParams& params,
                              const rel::ClrSpace* clr_space, std::uint64_t device,
                              std::uint64_t fleet_seed, const rt::MdpTable* mdp_table) {
-  // Mirrors exp::evaluate_policy_with field by field: same SplitMix64 stream
-  // discipline (pretrain, eval, then the fault seed only when faults are
-  // enabled), same policy construction, same pre-training. That makes every
-  // fleet device bit-identical to a standalone evaluate_policy_with call —
-  // pinned by tests/fleet/test_fleet_determinism.cpp.
-  util::SplitMix64 mix(device_seed(fleet_seed, device));
-  util::Rng pretrain_rng(mix.next());
-  util::Rng eval_rng(mix.next());
-
-  flt::FaultScenario scenario;
-  const flt::FaultScenario* active_scenario = nullptr;
-  if (params.faults.enabled()) {
-    params.faults.validate();
-    scenario.params = params.faults;
-    scenario.profiles = params.fault_profiles;
-    scenario.seed = mix.next();
-    scenario.clr_space = clr_space;
-    active_scenario = &scenario;
-  }
-
-  // Prefetch wrapping mirrors evaluate_policy_with: selection-transparent,
-  // so the wrapper only fills the stall/hidden split of the result.
-  const auto run_with = [&](rt::AdaptationPolicy& policy) {
-    if (params.prefetch) {
-      rt::PrefetchPolicy wrapped(policy, db, drc, params.prefetch_params);
-      return to_result(device, sim.run(db, wrapped, qos, eval_rng, active_scenario));
-    }
-    return to_result(device, sim.run(db, policy, qos, eval_rng, active_scenario));
-  };
-
-  switch (params.kind) {
-    case exp::PolicyKind::Baseline: {
-      rt::BaselinePolicy policy(db, drc);
-      return run_with(policy);
-    }
-    case exp::PolicyKind::Ura: {
-      rt::UraPolicy policy(db, drc, params.p_rc);
-      return run_with(policy);
-    }
-    case exp::PolicyKind::Aura: {
-      rt::AuraPolicy policy(db, drc, params.p_rc, params.aura);
-      if (params.pretrain) {
-        rt::pretrain_aura(policy, db, qos, params.pretrain_cycles, params.pretrain_sweeps,
-                          pretrain_rng);
-      }
-      return run_with(policy);
-    }
-    case exp::PolicyKind::Mdp: {
-      rt::MdpTable built;
-      if (mdp_table == nullptr) {
-        // Per-device rebuild: bit-identical to the fleet-shared table (the
-        // offline solve is RNG-free), only slower. run_fleet always shares.
-        built = rt::build_mdp_table(db, drc, qos.ranges(), params.p_rc, params.qos,
-                                    params.faults, params.mdp);
-        mdp_table = &built;
-      }
-      rt::MdpPolicy policy(db, drc, *mdp_table);
-      return run_with(policy);
-    }
-  }
-  throw std::logic_error("fleet: unknown policy kind");
+  return to_result(device, exp::evaluate_policy_on(db, drc, qos, sim, params,
+                                                   device_seed(fleet_seed, device), clr_space,
+                                                   mdp_table));
 }
 
 FleetSummary summarize(const FleetProgress& progress) {
@@ -249,15 +172,10 @@ FleetSummary summarize(const FleetProgress& progress) {
   }
   const double n = static_cast<double>(s.totals.devices);
   if (s.totals.devices > 0) {
-    s.mean_energy = s.totals.energy_sum / n;
-    s.mean_reconfig_cost = s.totals.reconfig_cost_sum / n;
-    s.mean_violation_time = s.totals.violation_time_sum / n;
-    s.mean_downtime = s.totals.downtime_sum / n;
-    s.mean_availability = s.totals.availability_sum / n;
-    s.mean_mttr = s.totals.mttr_sum / n;
-    s.mean_stall_time = s.totals.stall_time_sum / n;
-    s.mean_hidden_time = s.totals.hidden_time_sum / n;
-    s.mean_service_availability = s.totals.service_availability_sum / n;
+#define CLR_MEAN(stat, fold, since, device, block, mean, ...) \
+  CLR_STAT_IF(mean)(s.mean = s.totals.block / n;)
+    CLR_RUNTIME_STATS(CLR_MEAN)
+#undef CLR_MEAN
   }
   return s;
 }

@@ -84,6 +84,12 @@ struct FleetSummary {
   double mean_service_availability = 1.0;  ///< totals.service_availability_sum / devices
 };
 
+// Every mean has a row in runtime/stat_table.hpp.
+#define CLR_MEAN_BYTES(stat, fold, since, device, block, mean, ...) \
+  CLR_STAT_IF(mean)(+rt::stat_bytes<rt::Fold::fold, decltype(FleetSummary::mean)>())
+static_assert(sizeof(FleetSummary) == sizeof(BlockSum) CLR_RUNTIME_STATS(CLR_MEAN_BYTES));
+#undef CLR_MEAN_BYTES
+
 /// One shard's aggregate (fold of its block range, in block order).
 struct ShardSummary {
   std::size_t shard = 0;
@@ -143,9 +149,10 @@ std::uint64_t fleet_num_blocks(const FleetConfig& config);
 std::pair<std::uint64_t, std::uint64_t> shard_block_range(std::uint64_t num_blocks,
                                                           std::size_t shards, std::size_t s);
 
-/// Simulate one device exactly as the fleet pipeline does: the per-device
-/// slice of exp::evaluate_policy_with against a shared QosProcess +
-/// RuntimeSimulator. Exposed so tests can pin fleet-vs-reference equality
+/// Simulate one device exactly as the fleet pipeline does:
+/// exp::evaluate_policy_on against the worker's shared QosProcess +
+/// RuntimeSimulator, seeded with device_seed(fleet_seed, device), converted
+/// to a DeviceResult. Exposed so tests can pin fleet-vs-reference equality
 /// device by device. `mdp_table` supplies the fleet-shared offline plan for
 /// PolicyKind::Mdp (nullptr rebuilds it per device — bit-identical, since the
 /// offline solve is deterministic, just slower).

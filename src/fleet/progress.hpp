@@ -25,6 +25,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "runtime/stat_table.hpp"
+
 namespace clr::fleet {
 
 /// Streamed per-device outcome: the mergeable slice of rt::RuntimeStats
@@ -90,56 +92,46 @@ struct BlockSum {
   /// block — the SPSC FIFO guarantees arrival order).
   void add(const DeviceResult& r) {
     devices += 1;
-    events += r.events;
-    reconfigs += r.reconfigs;
-    infeasible_events += r.infeasible_events;
-    transient_faults += r.transient_faults;
-    recovered_transients += r.recovered_transients;
-    unrecovered_failures += r.unrecovered_failures;
-    permanent_faults += r.permanent_faults;
-    evacuations += r.evacuations;
-    safe_mode_entries += r.safe_mode_entries;
-    prefetch_hits += r.prefetch_hits;
-    prefetch_misses += r.prefetch_misses;
-    energy_sum += r.avg_energy;
-    reconfig_cost_sum += r.total_reconfig_cost;
-    violation_time_sum += r.qos_violation_time;
-    downtime_sum += r.downtime;
-    availability_sum += r.availability;
-    mttr_sum += r.mttr;
-    stall_time_sum += r.reconfig_stall_time;
-    hidden_time_sum += r.prefetch_hidden_time;
-    service_availability_sum += r.service_availability;
-    if (r.max_drc > max_drc) max_drc = r.max_drc;
+#define CLR_ADD(stat, fold, since, device, block, ...) \
+  CLR_STAT_IF(block)(rt::fold_stat<rt::Fold::fold>(block, r.device);)
+    CLR_RUNTIME_STATS(CLR_ADD)
+#undef CLR_ADD
   }
 
   /// Fold a whole later block in (must be called in ascending block-index
   /// order for the double sums to have their one canonical grouping).
   void merge(const BlockSum& b) {
     devices += b.devices;
-    events += b.events;
-    reconfigs += b.reconfigs;
-    infeasible_events += b.infeasible_events;
-    transient_faults += b.transient_faults;
-    recovered_transients += b.recovered_transients;
-    unrecovered_failures += b.unrecovered_failures;
-    permanent_faults += b.permanent_faults;
-    evacuations += b.evacuations;
-    safe_mode_entries += b.safe_mode_entries;
-    prefetch_hits += b.prefetch_hits;
-    prefetch_misses += b.prefetch_misses;
-    energy_sum += b.energy_sum;
-    reconfig_cost_sum += b.reconfig_cost_sum;
-    violation_time_sum += b.violation_time_sum;
-    downtime_sum += b.downtime_sum;
-    availability_sum += b.availability_sum;
-    mttr_sum += b.mttr_sum;
-    stall_time_sum += b.stall_time_sum;
-    hidden_time_sum += b.hidden_time_sum;
-    service_availability_sum += b.service_availability_sum;
-    if (b.max_drc > max_drc) max_drc = b.max_drc;
+#define CLR_MERGE(stat, fold, since, device, block, ...) \
+  CLR_STAT_IF(block)(rt::fold_stat<rt::Fold::fold>(block, b.block);)
+    CLR_RUNTIME_STATS(CLR_MERGE)
+#undef CLR_MERGE
   }
 };
+
+// Every stat member of DeviceResult and BlockSum has a row in
+// runtime/stat_table.hpp.
+#define CLR_DEVICE_BYTES(stat, fold, since, device, ...) \
+  CLR_STAT_IF(device)(+rt::stat_bytes<rt::Fold::fold, decltype(DeviceResult::device)>())
+#define CLR_BLOCK_BYTES(stat, fold, since, device, block, ...) \
+  CLR_STAT_IF(block)(+rt::stat_bytes<rt::Fold::fold, decltype(BlockSum::block)>())
+static_assert(sizeof(DeviceResult) == sizeof(std::uint64_t) CLR_RUNTIME_STATS(CLR_DEVICE_BYTES));
+static_assert(sizeof(BlockSum) == sizeof(std::uint64_t) CLR_RUNTIME_STATS(CLR_BLOCK_BYTES));
+#undef CLR_DEVICE_BYTES
+#undef CLR_BLOCK_BYTES
+
+/// Calls visit(name, since, member) for every BlockSum stat in FleetState
+/// wire order: the counts, then the sums, then the max, each group in table
+/// order. `member` points to the BlockSum member, `name` is its name.
+template <typename Visit>
+void for_each_block_stat(Visit&& visit) {
+  for (const rt::Fold group : rt::kFoldOrder) {
+#define CLR_VISIT(stat, fold, since, device, block, ...) \
+  CLR_STAT_IF(block)(if (group == rt::Fold::fold) visit(#block, since, &BlockSum::block);)
+    CLR_RUNTIME_STATS(CLR_VISIT)
+#undef CLR_VISIT
+  }
+}
 
 /// Restartable fleet state at block granularity: which blocks are fully
 /// accumulated, and their sums. Blocks in flight when a run stops are simply

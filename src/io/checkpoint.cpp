@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 namespace clr::io {
 
@@ -42,11 +43,12 @@ class Cursor {
   explicit Cursor(std::span<const std::uint8_t> bytes)
       : p_(bytes.data()), end_(bytes.data() + bytes.size()) {}
 
+  /// `what` + `name` label the field in the error.
   template <typename T>
-  T take(const char* what) {
+  T take(const char* what, const char* name = "") {
     if (remaining() < sizeof(T)) {
       fail(SnapshotError::Kind::Truncated,
-           std::string("checkpoint payload ends inside ") + what);
+           std::string("checkpoint payload ends inside ") + what + name);
     }
     T v;
     std::memcpy(&v, p_, sizeof v);
@@ -188,79 +190,35 @@ dse::DesignDb decode_design_db(Cursor& cursor) {
   return db;
 }
 
-/// RuntimeStats without the trace. Version 4 appends the reconfiguration-port
-/// fields (23 fixed fields, 184 bytes per job); versions <= 3 carried 18
-/// fields in 144 bytes — decode_stats reconstructs the new fields exactly for
-/// those (see below), so pre-v4 checkpoints resume bit-identically.
+// A row first stored in a version this build cannot write would be encoded
+// under an older header and then skipped by the decoder.
+#define CLR_SINCE(stat, fold, since, ...) \
+  static_assert(since <= kSnapshotVersion, "bump kSnapshotVersion for " #stat);
+CLR_RUNTIME_STATS(CLR_SINCE)
+#undef CLR_SINCE
+
+/// RuntimeStats without the trace, in table order (runtime/stat_table.hpp).
+/// Versions <= 3 stored the 18 stats that predate the reconfiguration port
+/// (144 bytes per job); version 4 stores all 23 (184 bytes).
 void encode_stats(std::string& out, const rt::RuntimeStats& s) {
-  append_scalar<double>(out, s.total_cycles);
-  append_scalar<std::uint64_t>(out, s.num_events);
-  append_scalar<std::uint64_t>(out, s.num_reconfigs);
-  append_scalar<std::uint64_t>(out, s.num_infeasible_events);
-  append_scalar<double>(out, s.avg_energy);
-  append_scalar<double>(out, s.total_reconfig_cost);
-  append_scalar<double>(out, s.avg_reconfig_cost);
-  append_scalar<double>(out, s.max_drc);
-  append_scalar<double>(out, s.qos_violation_time);
-  append_scalar<std::uint64_t>(out, s.num_transient_faults);
-  append_scalar<std::uint64_t>(out, s.num_recovered_transients);
-  append_scalar<std::uint64_t>(out, s.num_unrecovered_failures);
-  append_scalar<std::uint64_t>(out, s.num_permanent_faults);
-  append_scalar<std::uint64_t>(out, s.num_evacuations);
-  append_scalar<std::uint64_t>(out, s.num_safe_mode_entries);
-  append_scalar<double>(out, s.downtime);
-  append_scalar<double>(out, s.availability);
-  append_scalar<double>(out, s.mttr);
-  append_scalar<double>(out, s.reconfig_stall_time);
-  append_scalar<double>(out, s.prefetch_hidden_time);
-  append_scalar<std::uint64_t>(out, s.prefetch_hits);
-  append_scalar<std::uint64_t>(out, s.prefetch_misses);
-  append_scalar<double>(out, s.service_availability);
+#define CLR_ENCODE(stat, fold, ...) append_scalar<rt::StatValue<rt::Fold::fold>>(out, s.stat);
+  CLR_RUNTIME_STATS(CLR_ENCODE)
+#undef CLR_ENCODE
 }
 
 rt::RuntimeStats decode_stats(Cursor& cursor, std::uint32_t version) {
   rt::RuntimeStats s;
-  s.total_cycles = cursor.take<double>("stats total_cycles");
-  s.num_events = static_cast<std::size_t>(cursor.take<std::uint64_t>("stats num_events"));
-  s.num_reconfigs = static_cast<std::size_t>(cursor.take<std::uint64_t>("stats num_reconfigs"));
-  s.num_infeasible_events =
-      static_cast<std::size_t>(cursor.take<std::uint64_t>("stats num_infeasible_events"));
-  s.avg_energy = cursor.take<double>("stats avg_energy");
-  s.total_reconfig_cost = cursor.take<double>("stats total_reconfig_cost");
-  s.avg_reconfig_cost = cursor.take<double>("stats avg_reconfig_cost");
-  s.max_drc = cursor.take<double>("stats max_drc");
-  s.qos_violation_time = cursor.take<double>("stats qos_violation_time");
-  s.num_transient_faults =
-      static_cast<std::size_t>(cursor.take<std::uint64_t>("stats num_transient_faults"));
-  s.num_recovered_transients =
-      static_cast<std::size_t>(cursor.take<std::uint64_t>("stats num_recovered_transients"));
-  s.num_unrecovered_failures =
-      static_cast<std::size_t>(cursor.take<std::uint64_t>("stats num_unrecovered_failures"));
-  s.num_permanent_faults =
-      static_cast<std::size_t>(cursor.take<std::uint64_t>("stats num_permanent_faults"));
-  s.num_evacuations =
-      static_cast<std::size_t>(cursor.take<std::uint64_t>("stats num_evacuations"));
-  s.num_safe_mode_entries =
-      static_cast<std::size_t>(cursor.take<std::uint64_t>("stats num_safe_mode_entries"));
-  s.downtime = cursor.take<double>("stats downtime");
-  s.availability = cursor.take<double>("stats availability");
-  s.mttr = cursor.take<double>("stats mttr");
-  if (version >= 4) {
-    s.reconfig_stall_time = cursor.take<double>("stats reconfig_stall_time");
-    s.prefetch_hidden_time = cursor.take<double>("stats prefetch_hidden_time");
-    s.prefetch_hits = static_cast<std::size_t>(cursor.take<std::uint64_t>("stats prefetch_hits"));
-    s.prefetch_misses =
-        static_cast<std::size_t>(cursor.take<std::uint64_t>("stats prefetch_misses"));
-    s.service_availability = cursor.take<double>("stats service_availability");
-  } else {
+#define CLR_DECODE(stat, fold, since, ...) \
+  if (version >= since) s.stat = cursor.take<rt::StatValue<rt::Fold::fold>>("stats " #stat);
+  CLR_RUNTIME_STATS(CLR_DECODE)
+#undef CLR_DECODE
+  if (version < 4) {
     // Pre-v4 runs had no reconfiguration port model: every reconfiguration
     // stalled in full, so the split is reconstructible exactly — stall equals
-    // the folded cost, nothing was hidden, and service availability is the
-    // same clamp the simulator applies (bit-identical inputs, same formula).
+    // the folded cost, nothing was hidden or prefetched (those stats keep
+    // their zero defaults), and service availability is the same clamp the
+    // simulator applies (bit-identical inputs, same formula).
     s.reconfig_stall_time = s.total_reconfig_cost;
-    s.prefetch_hidden_time = 0.0;
-    s.prefetch_hits = 0;
-    s.prefetch_misses = 0;
     s.service_availability =
         s.total_cycles > 0.0
             ? std::clamp(1.0 - (s.downtime + s.reconfig_stall_time) / s.total_cycles, 0.0, 1.0)
@@ -269,73 +227,34 @@ rt::RuntimeStats decode_stats(Cursor& cursor, std::uint32_t version) {
   return s;
 }
 
-/// fleet::BlockSum. Version 4 appends the reconfiguration-port aggregates
-/// (12 counters + 10 doubles, 176 bytes per block); versions <= 3 carried
-/// 10 counters + 7 doubles in 136 bytes — decode_block_sum reconstructs the
-/// exact pre-port equivalents for those.
+/// fleet::BlockSum in FleetState order (fleet::for_each_block_stat): devices,
+/// then the counts, the sums and the max. Versions <= 3 stored 10 counters +
+/// 7 doubles (136 bytes per block); version 4 stores 12 + 10 (176 bytes).
 void encode_block_sum(std::string& out, const fleet::BlockSum& b) {
   append_scalar<std::uint64_t>(out, b.devices);
-  append_scalar<std::uint64_t>(out, b.events);
-  append_scalar<std::uint64_t>(out, b.reconfigs);
-  append_scalar<std::uint64_t>(out, b.infeasible_events);
-  append_scalar<std::uint64_t>(out, b.transient_faults);
-  append_scalar<std::uint64_t>(out, b.recovered_transients);
-  append_scalar<std::uint64_t>(out, b.unrecovered_failures);
-  append_scalar<std::uint64_t>(out, b.permanent_faults);
-  append_scalar<std::uint64_t>(out, b.evacuations);
-  append_scalar<std::uint64_t>(out, b.safe_mode_entries);
-  append_scalar<std::uint64_t>(out, b.prefetch_hits);
-  append_scalar<std::uint64_t>(out, b.prefetch_misses);
-  append_scalar<double>(out, b.energy_sum);
-  append_scalar<double>(out, b.reconfig_cost_sum);
-  append_scalar<double>(out, b.violation_time_sum);
-  append_scalar<double>(out, b.downtime_sum);
-  append_scalar<double>(out, b.availability_sum);
-  append_scalar<double>(out, b.mttr_sum);
-  append_scalar<double>(out, b.stall_time_sum);
-  append_scalar<double>(out, b.hidden_time_sum);
-  append_scalar<double>(out, b.service_availability_sum);
-  append_scalar<double>(out, b.max_drc);
+  fleet::for_each_block_stat([&](const char*, std::uint32_t, auto member) {
+    append_scalar(out, b.*member);
+  });
 }
 
 fleet::BlockSum decode_block_sum(Cursor& cursor, std::uint32_t version) {
   fleet::BlockSum b;
   b.devices = cursor.take<std::uint64_t>("block devices");
-  b.events = cursor.take<std::uint64_t>("block events");
-  b.reconfigs = cursor.take<std::uint64_t>("block reconfigs");
-  b.infeasible_events = cursor.take<std::uint64_t>("block infeasible_events");
-  b.transient_faults = cursor.take<std::uint64_t>("block transient_faults");
-  b.recovered_transients = cursor.take<std::uint64_t>("block recovered_transients");
-  b.unrecovered_failures = cursor.take<std::uint64_t>("block unrecovered_failures");
-  b.permanent_faults = cursor.take<std::uint64_t>("block permanent_faults");
-  b.evacuations = cursor.take<std::uint64_t>("block evacuations");
-  b.safe_mode_entries = cursor.take<std::uint64_t>("block safe_mode_entries");
-  if (version >= 4) {
-    b.prefetch_hits = cursor.take<std::uint64_t>("block prefetch_hits");
-    b.prefetch_misses = cursor.take<std::uint64_t>("block prefetch_misses");
-  }
-  b.energy_sum = cursor.take<double>("block energy_sum");
-  b.reconfig_cost_sum = cursor.take<double>("block reconfig_cost_sum");
-  b.violation_time_sum = cursor.take<double>("block violation_time_sum");
-  b.downtime_sum = cursor.take<double>("block downtime_sum");
-  b.availability_sum = cursor.take<double>("block availability_sum");
-  b.mttr_sum = cursor.take<double>("block mttr_sum");
-  if (version >= 4) {
-    b.stall_time_sum = cursor.take<double>("block stall_time_sum");
-    b.hidden_time_sum = cursor.take<double>("block hidden_time_sum");
-    b.service_availability_sum = cursor.take<double>("block service_availability_sum");
-  } else {
+  fleet::for_each_block_stat([&](const char* name, std::uint32_t since, auto member) {
+    if (version >= since) {
+      b.*member = cursor.take<std::remove_reference_t<decltype(b.*member)>>("block ", name);
+    }
+  });
+  if (version < 4) {
     // Pre-v4 fleets never prefetched, so every device stalled its full dRC:
     // the stall fold is bit-identical to the cost fold (same addends, same
-    // block order), nothing was hidden, and no stages were consumed. The
+    // block order), and nothing was hidden or prefetched (zero defaults). The
     // per-device service-availability clamp is not recoverable from a folded
     // sum; fault availability is its exact value whenever no device stalled
     // and its upper bound otherwise — the closest reconstruction available.
     b.stall_time_sum = b.reconfig_cost_sum;
-    b.hidden_time_sum = 0.0;
     b.service_availability_sum = b.availability_sum;
   }
-  b.max_drc = cursor.take<double>("block max_drc");
   return b;
 }
 

@@ -34,6 +34,7 @@
 #include "faults/fault_model.hpp"
 #include "runtime/policy.hpp"
 #include "runtime/qos_process.hpp"
+#include "runtime/stat_table.hpp"
 
 namespace clr::rt {
 
@@ -121,6 +122,12 @@ struct RuntimeStats {
 
   std::vector<EventRecord> trace;
 };
+
+// Every stat member has a row in runtime/stat_table.hpp (the trace is no stat).
+#define CLR_STAT_BYTES(stat, fold, ...) +stat_bytes<Fold::fold, decltype(RuntimeStats::stat)>()
+static_assert(sizeof(RuntimeStats) ==
+              sizeof(std::vector<EventRecord>) CLR_RUNTIME_STATS(CLR_STAT_BYTES));
+#undef CLR_STAT_BYTES
 
 /// The run-time adaptation loop of Fig. 3 (right half).
 class RuntimeSimulator {

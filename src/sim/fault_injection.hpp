@@ -16,7 +16,6 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "schedule/scheduler.hpp"
-#include "sim/des.hpp"
 
 namespace clr::sim {
 

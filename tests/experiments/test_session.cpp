@@ -261,28 +261,11 @@ void add_policy_grid(Runner& runner, const dse::DesignDb& db, const rt::DrcMatri
   }
 }
 
-void expect_summary_equal(const util::Summary& a, const util::Summary& b, const char* what) {
-  EXPECT_DOUBLE_EQ(a.mean, b.mean) << what;
-  EXPECT_DOUBLE_EQ(a.stddev, b.stddev) << what;
-  EXPECT_DOUBLE_EQ(a.ci95, b.ci95) << what;
-  EXPECT_DOUBLE_EQ(a.min, b.min) << what;
-  EXPECT_DOUBLE_EQ(a.max, b.max) << what;
-}
-
 void expect_results_equal(const std::vector<CellResult>& a, const std::vector<CellResult>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].label, b[i].label);
-    EXPECT_EQ(a[i].stats.replications, b[i].stats.replications);
-    expect_summary_equal(a[i].stats.num_events, b[i].stats.num_events, "num_events");
-    expect_summary_equal(a[i].stats.num_reconfigs, b[i].stats.num_reconfigs, "num_reconfigs");
-    expect_summary_equal(a[i].stats.avg_energy, b[i].stats.avg_energy, "avg_energy");
-    expect_summary_equal(a[i].stats.avg_reconfig_cost, b[i].stats.avg_reconfig_cost,
-                         "avg_reconfig_cost");
-    expect_summary_equal(a[i].stats.max_drc, b[i].stats.max_drc, "max_drc");
-    expect_summary_equal(a[i].stats.qos_violation_time, b[i].stats.qos_violation_time,
-                         "qos_violation_time");
-    expect_summary_equal(a[i].stats.availability, b[i].stats.availability, "availability");
+    EXPECT_EQ(a[i].stats, b[i].stats) << "cell " << i;
   }
 }
 

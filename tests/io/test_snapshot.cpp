@@ -477,24 +477,8 @@ TEST(SnapshotRunner, GridResultsBitIdenticalToJsonPathAtAnyJobCount) {
       results.push_back(runner.run().front().stats);
     }
   }
-  const auto expect_same = [](const util::Summary& a, const util::Summary& b,
-                              const char* field) {
-    EXPECT_EQ(a.mean, b.mean) << field;
-    EXPECT_EQ(a.stddev, b.stddev) << field;
-    EXPECT_EQ(a.ci95, b.ci95) << field;
-  };
   for (std::size_t i = 1; i < results.size(); ++i) {
-    expect_same(results[0].num_events, results[i].num_events, "num_events");
-    expect_same(results[0].num_reconfigs, results[i].num_reconfigs, "num_reconfigs");
-    expect_same(results[0].num_infeasible_events, results[i].num_infeasible_events,
-                "num_infeasible_events");
-    expect_same(results[0].avg_energy, results[i].avg_energy, "avg_energy");
-    expect_same(results[0].total_reconfig_cost, results[i].total_reconfig_cost,
-                "total_reconfig_cost");
-    expect_same(results[0].avg_reconfig_cost, results[i].avg_reconfig_cost,
-                "avg_reconfig_cost");
-    expect_same(results[0].max_drc, results[i].max_drc, "max_drc");
-    expect_same(results[0].availability, results[i].availability, "availability");
+    EXPECT_EQ(results[0], results[i]) << "run " << i;
   }
 }
 

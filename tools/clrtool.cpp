@@ -686,18 +686,27 @@ int cmd_fleet(const Args& args) {
   if (args.has("report")) {
     io::JsonArray shard_rows;
     for (const fleet::ShardSummary& sh : result.shards) {
-      shard_rows.push_back(io::Json(io::JsonObject{
+      io::JsonObject row{
           {"shard", io::Json(static_cast<std::uint64_t>(sh.shard))},
           {"first_device", io::Json(sh.first_device)},
           {"num_devices", io::Json(sh.num_devices)},
           {"devices_done", io::Json(sh.totals.devices)},
-          {"events", io::Json(sh.totals.events)},
-          {"reconfigs", io::Json(sh.totals.reconfigs)},
-          {"infeasible_events", io::Json(sh.totals.infeasible_events)},
-          {"unrecovered_failures", io::Json(sh.totals.unrecovered_failures)},
-          {"energy_sum", io::Json(sh.totals.energy_sum)},
-          {"availability_sum", io::Json(sh.totals.availability_sum)},
-      }));
+      };
+      fleet::for_each_block_stat([&](const char* name, std::uint32_t, auto member) {
+        row.emplace_back(name, io::Json(sh.totals.*member));
+      });
+      shard_rows.push_back(io::Json(std::move(row)));
+    }
+    // Each count and the max as its fleet total, each sum as its per-device
+    // mean, in FleetState order.
+    io::JsonObject summary;
+    for (const rt::Fold group : rt::kFoldOrder) {
+#define CLR_SUMMARY_KEY(stat, fold, since, device, block, mean, replicated)             \
+  CLR_STAT_IF(block)(if (group == rt::Fold::fold && group != rt::Fold::Sum)             \
+                         summary.emplace_back(#block, io::Json(s.totals.block));)       \
+  CLR_STAT_IF(mean)(if (group == rt::Fold::fold) summary.emplace_back(#mean, io::Json(s.mean));)
+      CLR_RUNTIME_STATS(CLR_SUMMARY_KEY)
+#undef CLR_SUMMARY_KEY
     }
     const io::Json report(io::JsonObject{
         {"experiment", io::Json("clrtool_fleet")},
@@ -716,30 +725,7 @@ int cmd_fleet(const Args& args) {
         {"devices_done", io::Json(result.devices_done)},
         {"devices_per_second", io::Json(result.devices_per_second)},
         {"wall_seconds", io::Json(result.wall_seconds)},
-        {"summary",
-         io::Json(io::JsonObject{
-             {"events", io::Json(s.totals.events)},
-             {"reconfigs", io::Json(s.totals.reconfigs)},
-             {"infeasible_events", io::Json(s.totals.infeasible_events)},
-             {"transient_faults", io::Json(s.totals.transient_faults)},
-             {"recovered_transients", io::Json(s.totals.recovered_transients)},
-             {"unrecovered_failures", io::Json(s.totals.unrecovered_failures)},
-             {"permanent_faults", io::Json(s.totals.permanent_faults)},
-             {"evacuations", io::Json(s.totals.evacuations)},
-             {"safe_mode_entries", io::Json(s.totals.safe_mode_entries)},
-             {"mean_energy", io::Json(s.mean_energy)},
-             {"mean_reconfig_cost", io::Json(s.mean_reconfig_cost)},
-             {"mean_violation_time", io::Json(s.mean_violation_time)},
-             {"mean_downtime", io::Json(s.mean_downtime)},
-             {"mean_availability", io::Json(s.mean_availability)},
-             {"mean_mttr", io::Json(s.mean_mttr)},
-             {"prefetch_hits", io::Json(s.totals.prefetch_hits)},
-             {"prefetch_misses", io::Json(s.totals.prefetch_misses)},
-             {"mean_stall_time", io::Json(s.mean_stall_time)},
-             {"mean_hidden_time", io::Json(s.mean_hidden_time)},
-             {"mean_service_availability", io::Json(s.mean_service_availability)},
-             {"max_drc", io::Json(s.totals.max_drc)},
-         })},
+        {"summary", io::Json(std::move(summary))},
         {"shard_aggregates", io::Json(std::move(shard_rows))},
     });
     util::write_file(args.str("report"), report.dump(2) + "\n");
