@@ -5,22 +5,19 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/hash.hpp"
+
 namespace clr::dse {
 
 std::uint64_t hash_configuration(const sched::Configuration& config) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  const auto mix = [&h](std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (word >> (8 * byte)) & 0xffULL;
-      h *= 0x100000001b3ULL;  // FNV-1a prime
-    }
-  };
+  util::WordHasher h(4 * config.size());
   for (const auto& t : config.tasks) {
-    mix((static_cast<std::uint64_t>(t.pe) << 32) | t.impl_index);
-    mix((static_cast<std::uint64_t>(t.clr_index) << 32) |
-        static_cast<std::uint32_t>(t.priority));
+    h.add(t.pe);
+    h.add(t.impl_index);
+    h.add(t.clr_index);
+    h.add(static_cast<std::uint32_t>(t.priority));
   }
-  return h;
+  return h.finish();
 }
 
 std::size_t DesignDb::add(DesignPoint point) {

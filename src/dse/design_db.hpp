@@ -94,15 +94,16 @@ class DesignDb {
 
  private:
   std::vector<DesignPoint> points_;
-  /// FNV-1a(configuration) -> stored indices with that hash. Dedup in add()
+  /// hash_configuration -> stored indices with that hash. Dedup in add()
   /// probes the bucket with full Configuration equality (a collision degrades
   /// to an extra comparison, never a wrong match), turning the archive-wide
   /// duplicate scan from O(n) per insert into O(1) amortized.
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> index_;
 };
 
-/// Deterministic 64-bit FNV-1a over a configuration's decision variables
-/// (same idiom as moea::hash_genes; shared by the DesignDb dedup index).
+/// In-memory 64-bit hash of a configuration's decision variables for the
+/// DesignDb dedup index: util::WordHasher over (pe, impl, clr, priority) per
+/// task, the same helper as moea::hash_genes. Never persisted.
 std::uint64_t hash_configuration(const sched::Configuration& config);
 
 }  // namespace clr::dse

@@ -11,28 +11,37 @@
 
 namespace clr::dse {
 
-RedProblem::RedProblem(const MappingProblem& mapping, const recfg::ReconfigModel& reconfig,
-                       std::vector<sched::Configuration> base_configs, const DesignPoint& seed,
-                       const MetricRanges& base_ranges, const DseConfig& cfg,
-                       moea::GenomeCache<double>* drc_cache)
+RedProblem::RedProblem(const MappingProblem& mapping, const recfg::DrcTable& drc_table,
+                       const DesignPoint& seed, const MetricRanges& base_ranges,
+                       const DseConfig& cfg)
     : mapping_(&mapping),
-      reconfig_(&reconfig),
-      base_configs_(std::move(base_configs)),
+      drc_table_(&drc_table),
       seed_(seed),
       base_ranges_(base_ranges),
-      cfg_(&cfg),
-      drc_cache_(drc_cache) {
-  if (base_configs_.empty()) throw std::invalid_argument("RedProblem: empty base set");
+      cfg_(&cfg) {
+  if (drc_table.num_targets() == 0) throw std::invalid_argument("RedProblem: empty base set");
+}
+
+double RedProblem::average_drc(const std::vector<int>& genes) const {
+  thread_local sched::Configuration decoded;  // warm after the first genome
+  mapping_->decode_into(genes, &decoded);
+  return drc_table_->average_drc(decoded);
 }
 
 moea::Evaluation RedProblem::evaluate(const std::vector<int>& genes) const {
-  const ScheduleMetrics res = mapping_->evaluate_metrics(genes);
-  double avg_drc = 0.0;
-  if (drc_cache_ == nullptr || !drc_cache_->lookup(genes, &avg_drc)) {
-    avg_drc = reconfig_->average_drc(mapping_->decode(genes), base_configs_);
-    if (drc_cache_ != nullptr) drc_cache_->store(genes, avg_drc);
-  }
+  return evaluation_of(genes, mapping_->evaluate_metrics(genes));
+}
 
+void RedProblem::evaluate_batch(std::span<moea::Individual* const> batch) const {
+  const std::span<const ScheduleMetrics> metrics = mapping_->stage_metrics(batch);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    batch[i]->eval = evaluation_of(batch[i]->genes, metrics[i]);
+  }
+}
+
+moea::Evaluation RedProblem::evaluation_of(const std::vector<int>& genes,
+                                           const ScheduleMetrics& res) const {
+  const double avg_drc = average_drc(genes);
   moea::Evaluation eval;
   eval.objectives = {avg_drc, res.energy};
 
@@ -60,18 +69,6 @@ moea::Evaluation RedProblem::evaluate(const std::vector<int>& genes) const {
 
   eval.violation = violation;
   return eval;
-}
-
-void RedProblem::evaluate_batch(std::span<moea::Individual* const> batch) const {
-  // Stage the whole batch's schedule metrics through the SoA kernel; the
-  // evaluate() calls below then hit the memo and only pay for the dRC and
-  // constraint tail, which is not scheduler-bound.
-  std::vector<const std::vector<int>*> genes;
-  genes.reserve(batch.size());
-  for (const moea::Individual* ind : batch) genes.push_back(&ind->genes);
-  std::vector<ScheduleMetrics> metrics(batch.size());
-  mapping_->evaluate_metrics_batch({genes.data(), genes.size()}, metrics.data());
-  for (moea::Individual* ind : batch) ind->eval = evaluate(ind->genes);
 }
 
 DesignTimeDse::DesignTimeDse(const MappingProblem& problem, const recfg::ReconfigModel& reconfig,
@@ -227,7 +224,7 @@ StageOutcome DesignTimeDse::run_red_resumable(const DesignDb& base, util::Rng& r
                                               const RedControl& control) const {
   if (base.empty()) throw std::invalid_argument("run_red: empty BaseD database");
   CLR_TRACE_SPAN(red_span, trace::Category::Dse, "dse.red", {{"base_points", base.size()}});
-  const auto base_configs = base.configurations();
+  const recfg::DrcTable drc_table(*reconfig_, base.configurations());
 
   DesignDb red;
   std::size_t start_pos = 0;
@@ -250,22 +247,20 @@ StageOutcome DesignTimeDse::run_red_resumable(const DesignDb& base, util::Rng& r
     seed_idx.push_back(i * n / want);
   }
 
-  // One pool for all per-seed runs; the average-dRC memo is valid across
-  // seeds (the base set is fixed), but each run gets a FRESH Evaluation memo
-  // because RedProblem's constraint violations are seed-relative. Cross-seed
-  // schedule sharing still happens in the problem's schedule cache.
+  // One pool for all per-seed runs. Each run gets a FRESH Evaluation memo
+  // because RedProblem's constraint violations are seed-relative; cross-seed
+  // schedule sharing happens in the problem's schedule cache. The average
+  // dRC is recomputed from the flat table, which is cheaper than a memo.
   util::ThreadPool pool(cfg_.threads);
-  moea::GenomeCache<double> drc_cache(cfg_.eval_cache_capacity);
 
   moea::Nsga2 nsga(cfg_.red_ga);
   for (std::size_t pos = start_pos; pos < seed_idx.size(); ++pos) {
     const std::size_t si = seed_idx[pos];
     CLR_TRACE_SPAN(seed_span, trace::Category::Dse, "dse.red_seed", {{"seed_index", si}});
     const DesignPoint& seed = base.point(si);
-    const double seed_avg_drc = reconfig_->average_drc(seed.config, base_configs);
+    const double seed_avg_drc = drc_table.average_drc(seed.config);
 
-    RedProblem red_problem(*problem_, *reconfig_, base_configs, seed, base.ranges(), cfg_,
-                           &drc_cache);
+    RedProblem red_problem(*problem_, drc_table, seed, base.ranges(), cfg_);
     // Seed the secondary GA with the seed point, the *other* front points,
     // and mutated copies of the seed. Crossover can then blend a cheap
     // point's task binding with the seed's CLR configuration — CLR/priority
@@ -307,10 +302,6 @@ StageOutcome DesignTimeDse::run_red_resumable(const DesignDb& base, util::Rng& r
     moea::EvalCache eval_cache(cfg_.eval_cache_capacity);
     const auto result = nsga.run(red_problem, rng, seeds, {&pool, &eval_cache, cfg_.batched_eval},
                                  &ga_control);
-    CLR_TRACE_COUNTER(trace::Category::Dse, "dse.red_drc_cache.hits",
-                      static_cast<double>(drc_cache.hits()));
-    CLR_TRACE_COUNTER(trace::Category::Dse, "dse.red_drc_cache.misses",
-                      static_cast<double>(drc_cache.misses()));
 
     if (!result.complete) {
       // Stopped mid-seed: the boundary callback already reported the

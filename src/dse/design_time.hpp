@@ -78,31 +78,34 @@ struct DseConfig {
 /// tolerances.
 class RedProblem : public moea::Problem {
  public:
-  /// @param drc_cache optional genome -> average-dRC memo shared across the
-  ///        per-seed ReD runs (valid for one fixed base_configs set).
-  RedProblem(const MappingProblem& mapping, const recfg::ReconfigModel& reconfig,
-             std::vector<sched::Configuration> base_configs, const DesignPoint& seed,
-             const MetricRanges& base_ranges, const DseConfig& cfg,
-             moea::GenomeCache<double>* drc_cache = nullptr);
+  /// @param drc_table average dRC to the BaseD set (a DrcTable over its
+  ///        configurations, shared by every seed's run); throws
+  ///        std::invalid_argument when it is empty.
+  RedProblem(const MappingProblem& mapping, const recfg::DrcTable& drc_table,
+             const DesignPoint& seed, const MetricRanges& base_ranges, const DseConfig& cfg);
 
   std::size_t num_genes() const override { return mapping_->num_genes(); }
   int domain_size(std::size_t locus) const override { return mapping_->domain_size(locus); }
   std::size_t num_objectives() const override { return 2; }
   moea::Evaluation evaluate(const std::vector<int>& genes) const override;
 
-  /// Primes the mapping problem's schedule memo through the SIMD batch
-  /// kernel, then runs the per-genome tail (dRC memo + tolerance
-  /// constraints). Bit-identical to sequential evaluate() calls.
+  /// Stages the batch's schedule metrics through the SIMD batch kernel
+  /// (MappingProblem::stage_metrics), then builds each Evaluation from them
+  /// with the per-genome tail (dRC table + tolerance constraints) — no second
+  /// schedule-memo lookup. Bit-identical to sequential evaluate() calls.
   void evaluate_batch(std::span<moea::Individual* const> batch) const override;
 
  private:
+  /// Average dRC of a genome, decoded into thread-local scratch.
+  double average_drc(const std::vector<int>& genes) const;
+  /// The shared tail of evaluate() and evaluate_batch().
+  moea::Evaluation evaluation_of(const std::vector<int>& genes, const ScheduleMetrics& res) const;
+
   const MappingProblem* mapping_;
-  const recfg::ReconfigModel* reconfig_;
-  std::vector<sched::Configuration> base_configs_;
+  const recfg::DrcTable* drc_table_;
   DesignPoint seed_;
   MetricRanges base_ranges_;
   const DseConfig* cfg_;
-  moea::GenomeCache<double>* drc_cache_;
 };
 
 /// Restartable state of the BaseD stage at a GA generation boundary

@@ -30,6 +30,13 @@ ThreadEvalState& thread_eval_state() {
   return state;
 }
 
+/// A gene read as an index modulo `n`; genes already in the domain (the
+/// common case) skip the division.
+std::size_t wrap(int gene, std::size_t n) {
+  const auto u = static_cast<std::size_t>(gene);
+  return u < n ? u : u % n;
+}
+
 }  // namespace
 
 MappingProblem::MappingProblem(const sched::EvalContext& ctx, QosSpec spec, ObjectiveMode mode,
@@ -93,12 +100,12 @@ void MappingProblem::decode_into(const std::vector<int>& genes, sched::Configura
     const int g_clr = genes[4 * t + 2];
     const int g_prio = genes[4 * t + 3];
 
-    const auto slot = static_cast<std::size_t>(g_pe) % allowed_pes_[t].size();
+    const std::size_t slot = wrap(g_pe, allowed_pes_[t].size());
     const auto& compat = compat_impls_[t][slot];
     sched::TaskAssignment& a = cfg[t];
     a.pe = allowed_pes_[t][slot];
-    a.impl_index = static_cast<std::uint32_t>(compat[static_cast<std::size_t>(g_impl) % compat.size()]);
-    a.clr_index = static_cast<std::uint32_t>(static_cast<std::size_t>(g_clr) % ctx_->clr_space->size());
+    a.impl_index = static_cast<std::uint32_t>(compat[wrap(g_impl, compat.size())]);
+    a.clr_index = static_cast<std::uint32_t>(wrap(g_clr, ctx_->clr_space->size()));
     a.priority = g_prio;
   }
 }
@@ -186,15 +193,19 @@ void MappingProblem::evaluate_metrics_batch(std::span<const std::vector<int>* co
   }
 }
 
-void MappingProblem::evaluate_batch(std::span<moea::Individual* const> batch) const {
+std::span<const ScheduleMetrics> MappingProblem::stage_metrics(
+    std::span<moea::Individual* const> batch) const {
   ThreadEvalState& state = thread_eval_state();
   state.gene_ptrs.clear();
   for (const moea::Individual* ind : batch) state.gene_ptrs.push_back(&ind->genes);
   state.metrics.resize(batch.size());
   evaluate_metrics_batch({state.gene_ptrs.data(), state.gene_ptrs.size()}, state.metrics.data());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    batch[i]->eval = evaluation_of(state.metrics[i]);
-  }
+  return {state.metrics.data(), state.metrics.size()};
+}
+
+void MappingProblem::evaluate_batch(std::span<moea::Individual* const> batch) const {
+  const std::span<const ScheduleMetrics> metrics = stage_metrics(batch);
+  for (std::size_t i = 0; i < batch.size(); ++i) batch[i]->eval = evaluation_of(metrics[i]);
 }
 
 moea::Evaluation MappingProblem::evaluate(const std::vector<int>& genes) const {

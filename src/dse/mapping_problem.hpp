@@ -83,6 +83,12 @@ class MappingProblem : public moea::Problem {
   /// at any batch size/partitioning.
   void evaluate_batch(std::span<moea::Individual* const> batch) const override;
 
+  /// Schedule metrics of every individual in `batch`, staged through
+  /// evaluate_metrics_batch into the calling thread's scratch: the shared
+  /// head of this evaluate_batch and RedProblem's. The span stays valid until
+  /// the same thread stages again.
+  std::span<const ScheduleMetrics> stage_metrics(std::span<moea::Individual* const> batch) const;
+
   /// Batched evaluate_metrics: out[i] receives evaluate_metrics(*genes[i]),
   /// with cache misses evaluated in SoA blocks through the SIMD kernel.
   /// Bit-identical to the scalar path; duplicate genomes within one call may

@@ -1,21 +1,17 @@
 #include "moea/eval_cache.hpp"
 
 #include <algorithm>
+#include <unordered_set>
 
+#include "common/hash.hpp"
 #include "common/parallel.hpp"
 
 namespace clr::moea {
 
 std::uint64_t hash_genes(const std::vector<int>& genes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  for (int g : genes) {
-    auto word = static_cast<std::uint64_t>(static_cast<std::uint32_t>(g));
-    for (int byte = 0; byte < 4; ++byte) {
-      h ^= (word >> (8 * byte)) & 0xffULL;
-      h *= 0x100000001b3ULL;  // FNV-1a prime
-    }
-  }
-  return h;
+  util::WordHasher h(genes.size());
+  for (int g : genes) h.add(static_cast<std::uint32_t>(g));
+  return h.finish();
 }
 
 void BatchEvaluator::evaluate(const std::vector<Individual*>& batch) const {
@@ -25,20 +21,27 @@ void BatchEvaluator::evaluate(const std::vector<Individual*>& batch) const {
   std::vector<std::pair<Individual*, Individual*>> copies;  // (dup, source)
   unique.reserve(batch.size());
   {
+    // Keyed by the individuals themselves: hashing and equality read their
+    // genes in place, so no genome is copied.
     struct GenesHash {
-      std::size_t operator()(const std::vector<int>& g) const {
-        return static_cast<std::size_t>(hash_genes(g));
+      std::size_t operator()(const Individual* ind) const {
+        return static_cast<std::size_t>(hash_genes(ind->genes));
       }
     };
-    std::unordered_map<std::vector<int>, Individual*, GenesHash> seen;
+    struct GenesEq {
+      bool operator()(const Individual* a, const Individual* b) const {
+        return a->genes == b->genes;
+      }
+    };
+    std::unordered_set<Individual*, GenesHash, GenesEq> seen;
     seen.reserve(batch.size());
     for (Individual* ind : batch) {
       if (cache_ != nullptr && cache_->lookup(ind->genes, &ind->eval)) continue;
-      const auto [it, inserted] = seen.try_emplace(ind->genes, ind);
+      const auto [it, inserted] = seen.insert(ind);
       if (inserted) {
         unique.push_back(ind);
       } else {
-        copies.emplace_back(ind, it->second);
+        copies.emplace_back(ind, *it);
       }
     }
   }

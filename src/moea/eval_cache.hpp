@@ -1,11 +1,13 @@
 #pragma once
 // Memoizing evaluation cache + parallel batch evaluator for the DSE engines.
 //
-// Crossover and mutation re-produce identical chromosomes constantly (per-gene
-// reset mutation at p = 0.03 leaves most children untouched copies of their
-// parents), and the ReD stage re-seeds every secondary run from the same BaseD
-// front — so a genome-keyed memo table converts a large share of the
-// scheduler-bound evaluations into hash lookups.
+// Crossover and mutation re-produce identical chromosomes (per-gene reset
+// mutation at p = 0.03 leaves short chromosomes untouched), and the ReD stage
+// re-seeds every secondary run from the same BaseD front — so a genome-keyed
+// memo table turns those repeats into hash lookups. On long chromosomes the
+// repeats are rare (about 2% of schedule requests on the 40- and 90-task
+// perfbench apps), so a memo operation must cost little next to a kernel run:
+// one hash per call and one stored copy of each key (DESIGN.md §5.6).
 //
 // The cache is sharded (one mutex + map per shard) so parallel evaluation
 // batches do not serialize on a single lock, and bounded: each shard evicts
@@ -30,26 +32,41 @@ class ThreadPool;
 
 namespace clr::moea {
 
-/// 64-bit FNV-1a over the gene words — deterministic across runs and
-/// platforms (feeds the cache-key scheme documented in DESIGN.md).
+/// In-memory 64-bit hash of a chromosome: util::WordHasher over the genes,
+/// one gene word per step, then a fixed finalizer that mixes the top bits
+/// GenomeCache picks its shard from. Plain fixed-width arithmetic, so memo
+/// counts reproduce across machines. Never persisted (no file, checkpoint or
+/// parameter hash uses it) and never used for equality, so it is free to
+/// change (DESIGN.md §5.6).
 std::uint64_t hash_genes(const std::vector<int>& genes);
 
 /// Bounded, sharded, thread-safe memo table: chromosome -> payload.
 /// Generic over the payload so the DSE layer can reuse it for schedule
-/// results and reconfiguration costs (see MappingProblem / DesignTimeDse).
+/// results (see MappingProblem) as well as the engines' Evaluations.
+///
+/// Each lookup/store hashes its genome once: the hash picks the shard and is
+/// kept in the key, so neither the map nor an eviction re-hashes. Each key is
+/// stored once, in the map node; the shard's FIFO order holds pointers to the
+/// node-stable keys.
 template <typename Value>
 class GenomeCache {
  public:
+  static constexpr std::size_t kShards = 16;
+
   explicit GenomeCache(std::size_t capacity = 1 << 16) : capacity_(capacity) {
     shard_capacity_ = capacity_ / kShards;
     if (shard_capacity_ == 0) shard_capacity_ = 1;
   }
 
+  /// Shard that a genome with hash `hash` lives in (the hash's top bits).
+  static std::size_t shard_of(std::uint64_t hash) { return (hash >> 48) % kShards; }
+
   /// Copy the cached payload for `genes` into *out. Returns false on miss.
   bool lookup(const std::vector<int>& genes, Value* out) const {
-    Shard& shard = shard_for(genes);
+    const Probe probe{hash_genes(genes), &genes};
+    Shard& shard = shards_[shard_of(probe.hash)];
     std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.map.find(genes);
+    const auto it = shard.map.find(probe);
     if (it == shard.map.end()) {
       misses_.fetch_add(1, std::memory_order_relaxed);
       return false;
@@ -62,16 +79,17 @@ class GenomeCache {
   /// Insert (or overwrite) the payload for `genes`, evicting the shard's
   /// oldest entry when it is full.
   void store(const std::vector<int>& genes, const Value& value) {
-    Shard& shard = shard_for(genes);
+    const Probe probe{hash_genes(genes), &genes};
+    Shard& shard = shards_[shard_of(probe.hash)];
     std::lock_guard<std::mutex> lock(shard.mu);
-    const auto [it, inserted] = shard.map.try_emplace(genes, value);
-    if (!inserted) {
+    if (const auto it = shard.map.find(probe); it != shard.map.end()) {
       it->second = value;
       return;
     }
-    shard.order.push_back(genes);
+    const auto it = shard.map.emplace(Key{probe.hash, genes}, value).first;
+    shard.order.push_back(&it->first);
     while (shard.map.size() > shard_capacity_) {
-      shard.map.erase(shard.order.front());
+      shard.map.erase(shard.map.find(*shard.order.front()));
       shard.order.pop_front();
       evictions_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -107,24 +125,42 @@ class GenomeCache {
   }
 
  private:
-  struct GenesHash {
-    std::size_t operator()(const std::vector<int>& g) const {
-      return static_cast<std::size_t>(hash_genes(g));
+  /// A lookup key that borrows the caller's genome instead of copying it.
+  struct Probe {
+    std::uint64_t hash;
+    const std::vector<int>* genes;
+  };
+  /// A stored key: the genome plus its hash, so neither rehashing nor
+  /// eviction hashes the genes again.
+  struct Key {
+    std::uint64_t hash;
+    std::vector<int> genes;
+  };
+  static Probe probe_of(const Probe& p) { return p; }
+  static Probe probe_of(const Key& k) { return {k.hash, &k.genes}; }
+
+  struct KeyHash {
+    using is_transparent = void;
+    template <typename K>
+    std::size_t operator()(const K& k) const {
+      return static_cast<std::size_t>(probe_of(k).hash);
+    }
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      const Probe pa = probe_of(a);
+      const Probe pb = probe_of(b);
+      return pa.genes == pb.genes || (pa.hash == pb.hash && *pa.genes == *pb.genes);
     }
   };
 
-  static constexpr std::size_t kShards = 16;
-
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<std::vector<int>, Value, GenesHash> map;
-    std::deque<std::vector<int>> order;  ///< insertion order for FIFO eviction
+    std::unordered_map<Key, Value, KeyHash, KeyEq> map;
+    std::deque<const Key*> order;  ///< insertion order for FIFO eviction
   };
-
-  Shard& shard_for(const std::vector<int>& genes) const {
-    // Use the high bits for shard selection; the map consumes the low bits.
-    return shards_[(hash_genes(genes) >> 48) % kShards];
-  }
 
   mutable std::array<Shard, kShards> shards_;
   std::size_t capacity_;

@@ -149,7 +149,8 @@ TEST(RedProblem, RejectsEmptyBaseSet) {
   recfg::ReconfigModel reconfig(app->platform(), app->impls());
   DseConfig cfg;
   DesignPoint seed;
-  EXPECT_THROW(RedProblem(prob, reconfig, {}, seed, MetricRanges{}, cfg), std::invalid_argument);
+  const recfg::DrcTable empty_base(reconfig, {});
+  EXPECT_THROW(RedProblem(prob, empty_base, seed, MetricRanges{}, cfg), std::invalid_argument);
 }
 
 TEST(DeriveSpec, ProducesAchievableCorner) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <deque>
+#include <thread>
 
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 
 namespace clr::moea {
 namespace {
@@ -86,6 +89,183 @@ TEST(EvalCache, ClearEmptiesEveryShard) {
   EXPECT_GT(cache.size(), 0u);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
+}
+
+using IntCache = GenomeCache<int>;
+
+std::size_t shard_of(const std::vector<int>& genes) {
+  return IntCache::shard_of(hash_genes(genes));
+}
+
+/// A value only `genes` maps to, so a hit can be checked against its genome.
+int value_of(const std::vector<int>& genes) {
+  std::uint32_t v = 17;
+  for (int g : genes) v = v * 31u + static_cast<std::uint32_t>(g);
+  return static_cast<int>(v);
+}
+
+TEST(GenomeCache, EachOverflowEvictsExactlyTheOldestEntryOfItsShard) {
+  IntCache cache(32);  // 2 entries per shard
+  ASSERT_EQ(cache.capacity(), 32u);
+  std::vector<std::deque<std::vector<int>>> model(IntCache::kShards);
+  for (int i = 0; i < 400; ++i) {
+    const std::vector<int> genes{i, 3 * i, 7};
+    const std::uint64_t evictions_before = cache.evictions();
+    cache.store(genes, value_of(genes));
+    auto& fifo = model[shard_of(genes)];
+    fifo.push_back(genes);
+    std::vector<int> evicted;
+    if (fifo.size() > 2) {
+      evicted = fifo.front();
+      fifo.pop_front();
+    }
+    ASSERT_EQ(cache.evictions() - evictions_before, evicted.empty() ? 0u : 1u) << "store " << i;
+    int out = 0;
+    if (!evicted.empty()) {
+      EXPECT_FALSE(cache.lookup(evicted, &out)) << "store " << i;
+    }
+    for (const auto& kept : fifo) {
+      ASSERT_TRUE(cache.lookup(kept, &out)) << "store " << i;
+      EXPECT_EQ(out, value_of(kept));
+    }
+  }
+  std::size_t resident = 0;
+  for (const auto& fifo : model) resident += fifo.size();
+  EXPECT_EQ(cache.size(), resident);
+  EXPECT_EQ(cache.evictions(), 400u - resident);
+}
+
+TEST(GenomeCache, EvictedGenomesMiss) {
+  IntCache cache(16);  // 1 entry per shard
+  std::vector<std::vector<int>> stored;
+  for (int i = 0; i < 200; ++i) {
+    stored.push_back({i, i, i + 1});
+    cache.store(stored.back(), value_of(stored.back()));
+  }
+  // Per shard only the newest genome survives; every older one must miss.
+  std::vector<int> newest(IntCache::kShards, -1);
+  for (int i = 0; i < 200; ++i) newest[shard_of(stored[i])] = i;
+  for (int i = 0; i < 200; ++i) {
+    int out = -1;
+    const bool hit = cache.lookup(stored[i], &out);
+    EXPECT_EQ(hit, newest[shard_of(stored[i])] == i) << "genome " << i;
+    if (hit) {
+      EXPECT_EQ(out, value_of(stored[i]));
+    }
+  }
+}
+
+TEST(GenomeCache, HitNeverReturnsAnotherGenomesValue) {
+  IntCache cache(64);
+  util::Rng rng(31);
+  std::vector<std::vector<int>> genomes;
+  for (int i = 0; i < 300; ++i) {
+    std::vector<int> g(1 + rng.index(6));
+    for (int& x : g) x = static_cast<int>(rng.index(3));  // many near-duplicates
+    genomes.push_back(g);
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (const auto& g : genomes) {
+      int out = 0;
+      if (cache.lookup(g, &out)) {
+        EXPECT_EQ(out, value_of(g));
+      } else {
+        cache.store(g, value_of(g));
+      }
+    }
+  }
+  EXPECT_GT(cache.hits(), 0u);
+}
+
+TEST(GenomeCache, RestoringAKeyNeitherGrowsNorEnqueuesItTwice) {
+  IntCache cache(32);  // 2 entries per shard
+  const std::vector<int> a{1, 2, 3};
+  for (int i = 0; i < 1000; ++i) cache.store(a, i);
+  EXPECT_EQ(cache.size(), 1u);
+  int out = -1;
+  ASSERT_TRUE(cache.lookup(a, &out));
+  EXPECT_EQ(out, 999);  // the last store wins
+
+  // Three more genomes in a's shard: a re-enqueued key would be evicted
+  // twice, so exactly the two oldest distinct keys must go.
+  std::vector<std::vector<int>> same_shard;
+  for (int i = 0; same_shard.size() < 3; ++i) {
+    std::vector<int> g{i, -i, 42};
+    if (shard_of(g) == shard_of(a)) same_shard.push_back(g);
+  }
+  for (const auto& g : same_shard) cache.store(g, value_of(g));
+  EXPECT_EQ(cache.evictions(), 2u);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_FALSE(cache.lookup(a, &out));
+  EXPECT_FALSE(cache.lookup(same_shard[0], &out));
+  ASSERT_TRUE(cache.lookup(same_shard[1], &out));
+  EXPECT_EQ(out, value_of(same_shard[1]));
+  ASSERT_TRUE(cache.lookup(same_shard[2], &out));
+  EXPECT_EQ(out, value_of(same_shard[2]));
+}
+
+TEST(GenomeCache, ClearThenReuseWorks) {
+  IntCache cache(32);
+  for (int i = 0; i < 100; ++i) cache.store({i, 1}, i);
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  int out = -1;
+  for (int i = 0; i < 100; ++i) EXPECT_FALSE(cache.lookup({i, 1}, &out));
+
+  // Reuse past capacity: eviction must only ever see keys stored after the
+  // clear (a stale FIFO pointer would be a use-after-free under ASan).
+  const std::uint64_t evictions_before = cache.evictions();
+  for (int i = 0; i < 300; ++i) cache.store({i, 2}, value_of({i, 2}));
+  EXPECT_LE(cache.size(), cache.capacity());
+  EXPECT_EQ(cache.evictions() - evictions_before, 300u - cache.size());
+  ASSERT_TRUE(cache.lookup({299, 2}, &out));
+  EXPECT_EQ(out, value_of({299, 2}));
+}
+
+TEST(GenomeCache, ConcurrentStressHitsMatchTheirGenomes) {
+  IntCache cache(32);
+  constexpr int kThreads = 8;
+  std::atomic<std::uint64_t> wrong{0}, hits{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      util::Rng rng(1000 + w);
+      for (int i = 0; i < 4000; ++i) {
+        const std::vector<int> g{static_cast<int>(rng.index(96)),
+                                 static_cast<int>(rng.index(3)), 5};
+        int out = 0;
+        if (cache.lookup(g, &out)) {
+          hits.fetch_add(1, std::memory_order_relaxed);
+          if (out != value_of(g)) wrong.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          cache.store(g, value_of(g));
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(hits.load(), 0u);
+  EXPECT_LE(cache.size(), cache.capacity());
+  EXPECT_EQ(cache.hits() + cache.misses(), static_cast<std::uint64_t>(kThreads) * 4000u);
+}
+
+TEST(HashGenes, SpreadsNinetyTaskGenomesOverEveryShard) {
+  constexpr std::size_t kShards = 16;
+  constexpr std::size_t kGenomes = 10000;
+  util::Rng rng(90);
+  std::vector<std::size_t> per_shard(kShards, 0);
+  for (std::size_t i = 0; i < kGenomes; ++i) {
+    std::vector<int> g(4 * 90);
+    for (std::size_t k = 0; k < g.size(); ++k) {
+      g[k] = static_cast<int>(rng.index(k % 4 == 3 ? 90 : 8));  // PE/impl/CLR/priority genes
+    }
+    ++per_shard[(hash_genes(g) >> 48) % kShards];
+  }
+  for (std::size_t s = 0; s < kShards; ++s) {
+    EXPECT_GT(per_shard[s], 0u) << "shard " << s;
+    EXPECT_LE(per_shard[s], 2 * kGenomes / kShards) << "shard " << s;
+  }
 }
 
 TEST(BatchEvaluator, DeduplicatesIdenticalGenomesWithinABatch) {

@@ -19,6 +19,7 @@
 
 #include "dse/mapping_problem.hpp"
 #include "experiments/app.hpp"
+#include "reconfig/reconfig.hpp"
 #include "schedule/batch.hpp"
 #include "schedule/compiled_graph.hpp"
 #include "schedule/heft.hpp"
@@ -156,6 +157,28 @@ TEST(AllocPinning, CacheHitEvaluateMetricsIsAllocationFree) {
   EXPECT_EQ(delta, 0u) << "memo-cache hit path allocated";
   EXPECT_EQ(m.makespan, first.makespan);
   EXPECT_EQ(problem.schedule_runs(), 1u);  // every counted call was a hit
+}
+
+TEST(AllocPinning, WarmDrcTableEvaluationIsAllocationFree) {
+  const auto app = exp::make_synthetic_app(24, exp::derive_seed(0xA110Cu, 24));
+  const dse::MappingProblem problem(app->context(), {1e9, 0.0}, dse::ObjectiveMode::EnergyQos);
+  const recfg::ReconfigModel model(app->platform(), app->impls());
+  util::Rng rng(11);
+  std::vector<sched::Configuration> targets;
+  for (int i = 0; i < 8; ++i) targets.push_back(problem.decode(problem.random_genes(rng)));
+  const recfg::DrcTable table(model, targets);
+  const sched::Configuration from = problem.decode(problem.random_genes(rng));
+
+  const double first = table.average_drc(from);  // warm this thread's accumulators
+
+  const std::uint64_t before = allocs();
+  double last = 0.0;
+  for (int i = 0; i < 100; ++i) last = table.average_drc(from);
+  const std::uint64_t delta = allocs() - before;
+
+  EXPECT_EQ(delta, 0u) << "warm dRC-table evaluation allocated";
+  EXPECT_EQ(last, first);
+  EXPECT_EQ(first, model.average_drc(from, targets));
 }
 
 }  // namespace
