@@ -38,12 +38,6 @@ double percentile(std::vector<double> values, double q) {
   return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
-double min_max_norm(double x, double lo, double hi) {
-  const double range = hi - lo;
-  if (range <= 0.0) return 0.0;
-  return std::clamp((x - lo) / range, 0.0, 1.0);
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins, 0) {
   if (bins == 0) throw std::invalid_argument("Histogram: bins must be > 0");

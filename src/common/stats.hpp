@@ -83,8 +83,13 @@ double percentile(std::vector<double> values, double q);
 
 /// Min–max normalization of `x` into [0, 1]; returns 0 when the range is
 /// degenerate (all values equal) — the convention Algorithm 1 needs so a
-/// single-candidate feasible set is not penalized.
-double min_max_norm(double x, double lo, double hi);
+/// single-candidate feasible set is not penalized. Inline: the run-time
+/// policies call it per candidate on every decision.
+inline double min_max_norm(double x, double lo, double hi) {
+  const double range = hi - lo;
+  if (range <= 0.0) return 0.0;
+  return std::clamp((x - lo) / range, 0.0, 1.0);
+}
 
 /// Fixed-width histogram over [lo, hi). Out-of-range samples do not land in
 /// any bin (total() counts in-range mass only) but are tallied separately so

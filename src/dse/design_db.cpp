@@ -20,36 +20,68 @@ std::uint64_t hash_configuration(const sched::Configuration& config) {
   return h.finish();
 }
 
+namespace {
+
+double violation(double makespan, double func_rel, const QosSpec& spec) {
+  double v = 0.0;
+  if (makespan > spec.max_makespan) {
+    v += (makespan - spec.max_makespan) / spec.max_makespan;
+  }
+  if (func_rel < spec.min_func_rel) {
+    v += (spec.min_func_rel - func_rel) / std::max(spec.min_func_rel, 1e-9);
+  }
+  return v;
+}
+
+}  // namespace
+
 std::size_t DesignDb::add(DesignPoint point) {
   auto& bucket = index_[hash_configuration(point.config)];
   for (std::size_t i : bucket) {
     if (points_[i].config == point.config) return i;
   }
   bucket.push_back(points_.size());
+  makespan_.push_back(point.makespan);
+  func_rel_.push_back(point.func_rel);
+  energy_.push_back(point.energy);
   points_.push_back(std::move(point));
   return points_.size() - 1;
 }
 
-std::vector<std::size_t> DesignDb::feasible_indices(const QosSpec& spec,
-                                                    const std::vector<bool>* point_alive) const {
-  std::vector<std::size_t> result;
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    if (point_alive != nullptr && !(*point_alive)[i]) continue;
-    if (points_[i].feasible_for(spec)) result.push_back(i);
+void DesignDb::reserve(std::size_t n) {
+  points_.reserve(n);
+  makespan_.reserve(n);
+  func_rel_.reserve(n);
+  energy_.reserve(n);
+}
+
+std::size_t DesignDb::feasible_into(const QosSpec& spec, std::span<std::size_t> out,
+                                    const std::vector<bool>* point_alive) const {
+  const std::size_t n = points_.size();
+  if (out.size() < n) {
+    throw std::invalid_argument("DesignDb::feasible_into: out holds fewer than size() entries");
   }
-  return result;
+  const double* makespan = makespan_.data();
+  const double* func_rel = func_rel_.data();
+  std::size_t* dst = out.data();
+  std::size_t m = 0;
+  if (point_alive == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[m] = i;
+      m += static_cast<std::size_t>(spec.satisfied_by(makespan[i], func_rel[i]));
+    }
+  } else {
+    const std::vector<bool>& alive = *point_alive;
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[m] = i;
+      m += static_cast<std::size_t>(spec.satisfied_by(makespan[i], func_rel[i]) & alive[i]);
+    }
+  }
+  return m;
 }
 
 double DesignDb::violation_of(std::size_t i, const QosSpec& spec) const {
-  const auto& p = points_.at(i);
-  double v = 0.0;
-  if (p.makespan > spec.max_makespan) {
-    v += (p.makespan - spec.max_makespan) / spec.max_makespan;
-  }
-  if (p.func_rel < spec.min_func_rel) {
-    v += (spec.min_func_rel - p.func_rel) / std::max(spec.min_func_rel, 1e-9);
-  }
-  return v;
+  return violation(makespan_.at(i), func_rel_.at(i), spec);
 }
 
 std::size_t DesignDb::least_violating(const QosSpec& spec,
@@ -59,7 +91,7 @@ std::size_t DesignDb::least_violating(const QosSpec& spec,
   double best_violation = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < points_.size(); ++i) {
     if (point_alive != nullptr && !(*point_alive)[i]) continue;
-    const double v = violation_of(i, spec);
+    const double v = violation(makespan_[i], func_rel_[i], spec);
     if (v < best_violation) {
       best_violation = v;
       best = i;

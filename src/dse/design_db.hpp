@@ -5,6 +5,7 @@
 // non-dominant points of §4.2.1 (flagged `extra`).
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -47,18 +48,29 @@ class DesignDb {
   std::size_t add(DesignPoint point);
 
   /// Pre-size the point storage (bulk loaders: snapshot materialization).
-  void reserve(std::size_t n) { points_.reserve(n); }
+  void reserve(std::size_t n);
 
   std::size_t size() const { return points_.size(); }
   bool empty() const { return points_.empty(); }
   const DesignPoint& point(std::size_t i) const { return points_.at(i); }
   const std::vector<DesignPoint>& points() const { return points_; }
 
-  /// Indices of points satisfying `spec` (the FEAS set of Algorithm 1).
-  /// A non-null `point_alive` mask (size() entries; see flt::PlatformHealth)
-  /// additionally drops points that died with a failed PE.
-  std::vector<std::size_t> feasible_indices(const QosSpec& spec,
-                                            const std::vector<bool>* point_alive = nullptr) const;
+  /// Metric columns, index-aligned with points(): makespans()[i] ==
+  /// point(i).makespan, and so on. add() is their only writer. The run-time
+  /// policies scan these instead of the strided DesignPoints.
+  const std::vector<double>& makespans() const { return makespan_; }
+  const std::vector<double>& func_rels() const { return func_rel_; }
+  const std::vector<double>& energies() const { return energy_; }
+
+  /// The FEAS set of Algorithm 1: writes the indices of the points satisfying
+  /// `spec` to the front of `out` in increasing order and returns how many
+  /// there are. A non-null `point_alive` mask (size() entries; see
+  /// flt::PlatformHealth) additionally drops points that died with a failed
+  /// PE. `out` must hold size() entries (std::invalid_argument otherwise):
+  /// the scan is a branch-free compaction that writes every index and
+  /// advances past the feasible ones only. Never allocates.
+  std::size_t feasible_into(const QosSpec& spec, std::span<std::size_t> out,
+                            const std::vector<bool>* point_alive = nullptr) const;
 
   /// Index of the point minimizing total relative QoS violation — the
   /// fallback when no stored point satisfies the new spec. With a mask the
@@ -94,6 +106,9 @@ class DesignDb {
 
  private:
   std::vector<DesignPoint> points_;
+  std::vector<double> makespan_;
+  std::vector<double> func_rel_;
+  std::vector<double> energy_;
   /// hash_configuration -> stored indices with that hash. Dedup in add()
   /// probes the bucket with full Configuration equality (a collision degrades
   /// to an extra comparison, never a wrong match), turning the archive-wide

@@ -22,8 +22,9 @@ struct QosSpec {
   double max_makespan = 0.0;  ///< SSPEC
   double min_func_rel = 0.0;  ///< FSPEC
 
+  /// Branch-free (`&`, not `&&`): DesignDb::feasible_into compacts on it.
   bool satisfied_by(double makespan, double func_rel) const {
-    return makespan <= max_makespan && func_rel >= min_func_rel;
+    return (makespan <= max_makespan) & (func_rel >= min_func_rel);
   }
 };
 

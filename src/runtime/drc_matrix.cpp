@@ -9,11 +9,22 @@
 
 namespace clr::rt {
 
+namespace {
+
+double max_of(const std::vector<double>& costs) {
+  double best = 0.0;
+  for (double c : costs) best = std::max(best, c);
+  return best;
+}
+
+}  // namespace
+
 DrcMatrix::DrcMatrix(std::size_t n, std::vector<double> costs)
     : n_(n), costs_(std::move(costs)) {
   if (costs_.size() != n_ * n_) {
     throw std::invalid_argument("DrcMatrix: cost table must be n*n");
   }
+  max_drc_ = max_of(costs_);
 }
 
 double DrcMatrix::drc(std::size_t from, std::size_t to,
@@ -22,12 +33,6 @@ double DrcMatrix::drc(std::size_t from, std::size_t to,
     return std::numeric_limits<double>::infinity();
   }
   return drc(from, to);
-}
-
-double DrcMatrix::max_drc() const {
-  double best = 0.0;
-  for (double c : costs_) best = std::max(best, c);
-  return best;
 }
 
 DrcMatrix::DrcMatrix(const dse::DesignDb& db, const recfg::ReconfigModel& model)
@@ -49,6 +54,7 @@ DrcMatrix::DrcMatrix(const dse::DesignDb& db, const recfg::ReconfigModel& model,
   } else {
     for (std::size_t i = 0; i < n_; ++i) fill_row(i);
   }
+  max_drc_ = max_of(costs_);
 }
 
 }  // namespace clr::rt

@@ -32,6 +32,10 @@ class DrcMatrix {
   /// dRC of reconfiguring from stored point `from` to stored point `to`.
   double drc(std::size_t from, std::size_t to) const { return costs_[from * n_ + to]; }
 
+  /// The costs out of stored point `from`: row(from)[to] == drc(from, to),
+  /// size() entries, valid as long as the matrix.
+  const double* row(std::size_t from) const { return costs_.data() + from * n_; }
+
   /// dRC with dead-point invalidation: a permanent PE fault retires stored
   /// points (flt::PlatformHealth), and every table entry *into* a dead point
   /// becomes +infinity — a dead target can never win a cost comparison even
@@ -40,14 +44,16 @@ class DrcMatrix {
   /// binaries. nullptr mask keeps the plain lookup.
   double drc(std::size_t from, std::size_t to, const std::vector<bool>* point_alive) const;
 
-  /// Largest pairwise cost in the table (global normalization scale).
-  double max_drc() const;
+  /// Largest pairwise cost in the table (global normalization scale),
+  /// computed once by each constructor.
+  double max_drc() const { return max_drc_; }
 
   std::size_t size() const { return n_; }
 
  private:
   std::size_t n_ = 0;
   std::vector<double> costs_;
+  double max_drc_ = 0.0;
 };
 
 }  // namespace clr::rt

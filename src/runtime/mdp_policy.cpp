@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "common/stats.hpp"
@@ -194,8 +193,11 @@ MdpTable build_mdp_table(const dse::DesignDb& db, const DrcMatrix& drc,
 }
 
 MdpPolicy::MdpPolicy(const dse::DesignDb& db, const DrcMatrix& drc, const MdpTable& table)
-    : db_(&db), drc_(&drc), table_(&table) {
+    : db_(&db), drc_(&drc), table_(&table), feas_(db.size()) {
   if (db.empty()) throw std::invalid_argument("MdpPolicy: empty database");
+  if (drc.size() != db.size()) {
+    throw std::invalid_argument("MdpPolicy: drc size must match db size");
+  }
   if (table.num_points != db.size()) {
     throw std::invalid_argument("MdpPolicy: table was solved for a different database size");
   }
@@ -207,38 +209,33 @@ MdpPolicy::MdpPolicy(const dse::DesignDb& db, const DrcMatrix& drc, const MdpTab
   }
 }
 
-Decision MdpPolicy::decide(std::size_t current, const dse::QosSpec& spec) const {
+Decision MdpPolicy::decide(std::size_t current, const dse::QosSpec& spec) {
   Decision d;
   const auto* mask = alive_mask();
-  const std::size_t points = db_->size();
-  const auto usable = [&](std::size_t k) {
-    return (mask == nullptr || (*mask)[k]) && db_->point(k).feasible_for(spec);
-  };
-
   std::size_t pick = table_->policy[table_->state_of(spec, current)];
-  if (!usable(pick)) {
+  const bool usable = (mask == nullptr || (*mask)[pick]) &&
+                      spec.satisfied_by(db_->makespans()[pick], db_->func_rels()[pick]);
+  if (!usable) {
     // The tabular action was optimal for the bin center, not this concrete
     // requirement (or its PEs died). Fall back to the feasible point the
-    // value function ranks highest in this bin — a linear scan, no
-    // allocation, deterministic tie-break toward the current point.
-    const std::size_t base = table_->bin_of(spec) * points;
-    bool found = false;
-    double best_v = -std::numeric_limits<double>::infinity();
-    std::size_t best_k = 0;
-    for (std::size_t k = 0; k < points; ++k) {
-      if (!usable(k)) continue;
-      const double v = table_->values[base + k];
-      if (!found || v > best_v || (v == best_v && k == current)) {
-        found = true;
-        best_v = v;
-        best_k = k;
-      }
-    }
-    if (found) {
-      pick = best_k;
-    } else {
+    // value function ranks highest in this bin — deterministic tie-break
+    // toward the current point.
+    const std::size_t m = db_->feasible_into(spec, feas_, mask);
+    if (m == 0) {
       d.feasible_set_empty = true;
       pick = db_->least_violating(spec, mask);
+    } else {
+      const double* values = table_->values.data() + table_->bin_of(spec) * db_->size();
+      pick = feas_[0];
+      double best_v = values[pick];
+      for (std::size_t j = 1; j < m; ++j) {
+        const std::size_t k = feas_[j];
+        const double v = values[k];
+        if (v > best_v || (v == best_v && k == current)) {
+          best_v = v;
+          pick = k;
+        }
+      }
     }
   }
   d.point = pick;

@@ -82,20 +82,21 @@ class MdpPolicy : public AdaptationPolicy {
  public:
   MdpPolicy(const dse::DesignDb& db, const DrcMatrix& drc, const MdpTable& table);
 
-  /// Allocation-free on the happy path: a table lookup, a feasibility check
-  /// and (only when the tabular pick misses the concrete spec or died with a
-  /// PE) a linear value-ranked fallback scan.
+  /// Allocation-free: a table lookup, a feasibility check and (only when the
+  /// tabular pick misses the concrete spec or died with a PE) a value-ranked
+  /// fallback over the DesignDb feasibility scan.
   Decision select(std::size_t current, const dse::QosSpec& spec) override;
   Decision peek(std::size_t current, const dse::QosSpec& spec) override;
 
   const MdpTable& table() const { return *table_; }
 
  private:
-  Decision decide(std::size_t current, const dse::QosSpec& spec) const;
+  Decision decide(std::size_t current, const dse::QosSpec& spec);
 
   const dse::DesignDb* db_;
   const DrcMatrix* drc_;
   const MdpTable* table_;
+  std::vector<std::size_t> feas_;  ///< fallback FEAS scratch (db size)
 };
 
 }  // namespace clr::rt

@@ -15,33 +15,42 @@ const std::vector<bool>* AdaptationPolicy::alive_mask() const {
 }
 
 BaselinePolicy::BaselinePolicy(const dse::DesignDb& db, const DrcMatrix& drc)
-    : db_(&db), drc_(&drc) {
+    : db_(&db), drc_(&drc), feas_(db.size()) {
   if (db.empty()) throw std::invalid_argument("BaselinePolicy: empty database");
+  if (drc.size() != db.size()) {
+    throw std::invalid_argument("BaselinePolicy: drc size must match db size");
+  }
+  // Best signed hypervolume w.r.t. the QoS corner in (S, -F, J) space —
+  // scale by the database ranges so units are comparable.
+  const auto r = db.ranges();
+  ref_ = {0.0, 0.0, r.energy_max * 1.05 + 1e-9};
+  scale_ = {1.0 / std::max(r.makespan_max - r.makespan_min, 1e-9),
+            1.0 / std::max(r.func_rel_max - r.func_rel_min, 1e-9),
+            1.0 / std::max(r.energy_max - r.energy_min, 1e-9)};
+  objectives_.assign(3, 0.0);
 }
 
 Decision BaselinePolicy::select(std::size_t current, const dse::QosSpec& spec) {
   Decision d;
   const auto* mask = alive_mask();
-  auto feas = db_->feasible_indices(spec, mask);
-  if (feas.empty()) {
+  const std::size_t m = db_->feasible_into(spec, feas_, mask);
+  if (m == 0) {
     d.feasible_set_empty = true;
     d.point = db_->least_violating(spec, mask);
   } else {
-    // Best signed hypervolume w.r.t. the QoS corner in (S, -F, J) space —
-    // scale by the database ranges so units are comparable.
-    const auto r = db_->ranges();
-    const std::vector<double> ref{spec.max_makespan, -spec.min_func_rel,
-                                  r.energy_max * 1.05 + 1e-9};
-    const std::vector<double> scale{
-        1.0 / std::max(r.makespan_max - r.makespan_min, 1e-9),
-        1.0 / std::max(r.func_rel_max - r.func_rel_min, 1e-9),
-        1.0 / std::max(r.energy_max - r.energy_min, 1e-9)};
+    ref_[0] = spec.max_makespan;
+    ref_[1] = -spec.min_func_rel;
+    const double* makespan = db_->makespans().data();
+    const double* func_rel = db_->func_rels().data();
+    const double* energy = db_->energies().data();
     double best_hv = -std::numeric_limits<double>::infinity();
-    std::size_t best = feas.front();
-    for (std::size_t i : feas) {
-      const auto& p = db_->point(i);
-      const double hv =
-          moea::signed_point_hypervolume({p.makespan, -p.func_rel, p.energy}, ref, scale);
+    std::size_t best = feas_[0];
+    for (std::size_t k = 0; k < m; ++k) {
+      const std::size_t i = feas_[k];
+      objectives_[0] = makespan[i];
+      objectives_[1] = -func_rel[i];
+      objectives_[2] = energy[i];
+      const double hv = moea::signed_point_hypervolume(objectives_, ref_, scale_);
       if (hv > best_hv) {
         best_hv = hv;
         best = i;
@@ -54,8 +63,17 @@ Decision BaselinePolicy::select(std::size_t current, const dse::QosSpec& spec) {
 }
 
 UraPolicy::UraPolicy(const dse::DesignDb& db, const DrcMatrix& drc, double p_rc)
-    : db_(&db), drc_(&drc), p_rc_(p_rc) {
+    : db_(&db),
+      drc_(&drc),
+      p_rc_(p_rc),
+      feas_(db.size()),
+      feas_drc_(db.size()),
+      feas_perf_(db.size()),
+      feas_ret_(db.size()) {
   if (db.empty()) throw std::invalid_argument("UraPolicy: empty database");
+  if (drc.size() != db.size()) {
+    throw std::invalid_argument("UraPolicy: drc size must match db size");
+  }
   if (p_rc < 0.0 || p_rc > 1.0) throw std::invalid_argument("UraPolicy: pRC must be in [0,1]");
   // Database-global scales for the *learning* reward: unlike the per-event
   // FEAS normalization of Algorithm 1 (which ranks candidates), the reward
@@ -72,8 +90,8 @@ Decision UraPolicy::evaluate_and_pick(std::size_t current, const dse::QosSpec& s
                                       double guard) {
   Decision d;
   const auto* mask = alive_mask();
-  auto feas = db_->feasible_indices(spec, mask);
-  if (feas.empty()) {
+  const std::size_t m = db_->feasible_into(spec, feas_, mask);
+  if (m == 0) {
     d.feasible_set_empty = true;
     d.point = db_->least_violating(spec, mask);
     d.drc = drc_->drc(current, d.point);
@@ -86,23 +104,25 @@ Decision UraPolicy::evaluate_and_pick(std::size_t current, const dse::QosSpec& s
   // the FEAS minimum): staying put costs nothing and must rank strictly
   // better than the cheapest actual move, otherwise a value lookahead breaks
   // the artificial tie with paid reconfigurations.
-  std::vector<double> drc(feas.size());
-  std::vector<double> perf(feas.size());  // R(p) = -Japp(p)
+  const std::size_t* feas = feas_.data();
+  const double* from = drc_->row(current);
+  const double* energy = db_->energies().data();
+  double* drc = feas_drc_.data();
+  double* perf = feas_perf_.data();  // R(p) = -Japp(p)
   double drc_hi = 0.0;
   double r_lo = std::numeric_limits<double>::infinity(), r_hi = -r_lo;
-  for (std::size_t k = 0; k < feas.size(); ++k) {
-    const auto& p = db_->point(feas[k]);
-    drc[k] = drc_->drc(current, feas[k]);
-    perf[k] = -p.energy;
+  for (std::size_t k = 0; k < m; ++k) {
+    drc[k] = from[feas[k]];
+    perf[k] = -energy[feas[k]];
     drc_hi = std::max(drc_hi, drc[k]);
     r_lo = std::min(r_lo, perf[k]);
     r_hi = std::max(r_hi, perf[k]);
   }
 
-  std::vector<double> immediate(feas.size());
+  double* immediate = feas_ret_.data();
   double best_imm = -std::numeric_limits<double>::infinity();
   std::size_t best_k = 0;
-  for (std::size_t k = 0; k < feas.size(); ++k) {
+  for (std::size_t k = 0; k < m; ++k) {
     immediate[k] = p_rc_ * util::min_max_norm(perf[k], r_lo, r_hi) -
                    (1.0 - p_rc_) * util::min_max_norm(drc[k], 0.0, drc_hi);
     if (immediate[k] > best_imm || (immediate[k] == best_imm && feas[k] == current)) {
@@ -120,10 +140,11 @@ Decision UraPolicy::evaluate_and_pick(std::size_t current, const dse::QosSpec& s
     // positive band, however small, would admit candidates strictly worse on
     // the immediate objective and break the γ=0/guard=0 uRA subsumption.
     const double band = std::max(guard, 0.0);
+    const double* values = state_values->data();
     double best_ret = -std::numeric_limits<double>::infinity();
-    for (std::size_t k = 0; k < feas.size(); ++k) {
+    for (std::size_t k = 0; k < m; ++k) {
       if (immediate[k] + band < best_imm) continue;
-      const double ret = immediate[k] + gamma * (*state_values)[feas[k]];
+      const double ret = immediate[k] + gamma * values[feas[k]];
       if (ret > best_ret || (ret == best_ret && feas[k] == current)) {
         best_ret = ret;
         best_k = k;
@@ -142,7 +163,7 @@ double UraPolicy::global_reward(std::size_t point, double paid_drc) const {
   // a zero-initialized value function is then *pessimistic* about unvisited
   // states, so the agent does not pay reconfigurations just to explore them.
   const double norm_r =
-      1.0 - util::min_max_norm(db_->point(point).energy, global_energy_lo_, global_energy_hi_);
+      1.0 - util::min_max_norm(db_->energies()[point], global_energy_lo_, global_energy_hi_);
   const double norm_drc = util::min_max_norm(paid_drc, 0.0, global_drc_hi_);
   return p_rc_ * norm_r + (1.0 - p_rc_) * (1.0 - norm_drc);
 }

@@ -14,6 +14,11 @@
 //    returns over fixed-length episodes. gamma = 0 recovers uRA exactly.
 //    Prior knowledge is injected by pre-training V with an offline
 //    Monte-Carlo simulation of the same fixed policy (see RuntimeSimulator).
+//
+// Every policy checks that its DrcMatrix was built for its database and
+// decides into scratch it sized at construction, so a warm decision never
+// allocates. One policy object therefore serves one run (or fleet device) on
+// one thread at a time.
 
 #include <vector>
 
@@ -94,6 +99,11 @@ class BaselinePolicy : public AdaptationPolicy {
  private:
   const dse::DesignDb* db_;
   const DrcMatrix* drc_;
+  std::vector<std::size_t> feas_;  ///< FEAS scratch (db size)
+  /// QoS corner in (S, -F, J) space (the energy term is database-global;
+  /// select() writes the requirement's two terms), the per-dimension scale
+  /// from the database ranges, and one candidate's objective vector.
+  std::vector<double> ref_, scale_, objectives_;
 };
 
 /// Algorithm 1. pRC = 1 maximizes performance (energy reduction); pRC = 0
@@ -123,6 +133,12 @@ class UraPolicy : public AdaptationPolicy {
   double global_energy_lo_ = 0.0;
   double global_energy_hi_ = 0.0;
   double global_drc_hi_ = 0.0;
+
+ private:
+  /// Decision scratch, db size each: FEAS, then per feasible candidate its
+  /// dRC from the current point, R = -energy and the immediate RET.
+  std::vector<std::size_t> feas_;
+  std::vector<double> feas_drc_, feas_perf_, feas_ret_;
 };
 
 /// AuRA (§4.3.2): uRA with learned state-value lookahead.

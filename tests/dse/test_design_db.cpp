@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "io/snapshot.hpp"
+
 namespace clr::dse {
 namespace {
 
@@ -34,17 +36,71 @@ TEST(DesignDb, DeduplicatesByConfiguration) {
   EXPECT_DOUBLE_EQ(db.point(0).energy, 10.0);  // first insert wins
 }
 
+/// FEAS set of `spec` through the compaction scan, as a vector.
+std::vector<std::size_t> feasible(const DesignDb& db, const QosSpec& spec,
+                                  const std::vector<bool>* alive = nullptr) {
+  std::vector<std::size_t> out(db.size());
+  out.resize(db.feasible_into(spec, out, alive));
+  return out;
+}
+
 TEST(DesignDb, FeasibleIndices) {
   DesignDb db;
   db.add(make_point(1, 100, 0.95, 1));
   db.add(make_point(2, 200, 0.99, 2));
   db.add(make_point(3, 50, 0.90, 3));
-  const auto feas = db.feasible_indices(QosSpec{150.0, 0.94});
+  const auto feas = feasible(db, QosSpec{150.0, 0.94});
   EXPECT_EQ(feas, (std::vector<std::size_t>{0}));
-  const auto all = db.feasible_indices(QosSpec{500.0, 0.0});
+  const auto all = feasible(db, QosSpec{500.0, 0.0});
   EXPECT_EQ(all.size(), 3u);
-  const auto none = db.feasible_indices(QosSpec{10.0, 0.999});
+  const auto none = feasible(db, QosSpec{10.0, 0.999});
   EXPECT_TRUE(none.empty());
+}
+
+/// The metric columns hold exactly the stored points' metrics, in order.
+void expect_columns_match_points(const DesignDb& db) {
+  ASSERT_EQ(db.makespans().size(), db.size());
+  ASSERT_EQ(db.func_rels().size(), db.size());
+  ASSERT_EQ(db.energies().size(), db.size());
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    EXPECT_EQ(db.makespans()[i], db.point(i).makespan) << "point " << i;
+    EXPECT_EQ(db.func_rels()[i], db.point(i).func_rel) << "point " << i;
+    EXPECT_EQ(db.energies()[i], db.point(i).energy) << "point " << i;
+  }
+}
+
+TEST(DesignDb, MetricColumnsFollowThePoints) {
+  DesignDb db;
+  db.reserve(6);
+  expect_columns_match_points(db);
+  for (int i = 0; i < 6; ++i) {
+    DesignPoint p = make_point(10.0 + i, 100.0 - i, 0.9 + 0.01 * i, i);
+    p.config.tasks[0].pe = static_cast<plat::PeId>(i % 3);
+    db.add(std::move(p));
+  }
+  // Re-adding stored configurations with other metrics changes nothing.
+  for (int i : {1, 4}) {
+    DesignPoint dup = make_point(999.0, 999.0, 0.1, i);
+    dup.config.tasks[0].pe = static_cast<plat::PeId>(i % 3);
+    EXPECT_EQ(db.add(std::move(dup)), static_cast<std::size_t>(i));
+  }
+  ASSERT_EQ(db.size(), 6u);
+  expect_columns_match_points(db);
+
+  const DesignDb survivors = db.without_pe(1);  // drops the points tagged 1 and 4
+  ASSERT_EQ(survivors.size(), 4u);
+  expect_columns_match_points(survivors);
+
+  const DesignDb copy = db;
+  expect_columns_match_points(copy);
+  EXPECT_EQ(copy.makespans(), db.makespans());
+
+  const rel::ClrSpace space{rel::ClrGranularity::Full};
+  const io::LoadedSnapshot loaded =
+      io::materialize(io::Snapshot::from_bytes(io::serialize_snapshot(db, space)).view());
+  ASSERT_EQ(loaded.db.size(), db.size());
+  expect_columns_match_points(loaded.db);
+  EXPECT_EQ(loaded.db.energies(), db.energies());
 }
 
 TEST(DesignDb, LeastViolatingPrefersFeasible) {

@@ -51,6 +51,13 @@ TEST(ContextualAura, ContextGridCoversTheBox) {
             policy.context_of(dse::QosSpec{120.0, 0.92}));
 }
 
+TEST(ContextualAura, RejectsDrcMatrixOfAnotherDatabase) {
+  const auto db = make_db();
+  const DrcMatrix smaller(2, {0, 1, 1, 0});
+  EXPECT_THROW(ContextualAuraPolicy(db, smaller, 0.5, make_ranges(), default_params()),
+               std::invalid_argument);
+}
+
 TEST(ContextualAura, SingleBucketMatchesPlainAura) {
   const auto db = make_db();
   const auto drc = make_drc();

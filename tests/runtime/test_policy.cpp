@@ -44,6 +44,14 @@ TEST(UraPolicy, RejectsBadArguments) {
   EXPECT_THROW(UraPolicy(empty, empty_drc, 0.5), std::invalid_argument);
 }
 
+// A cost table built for another database would be read past its end (or
+// answer for the wrong points): every policy refuses it at construction.
+TEST(UraPolicy, RejectsDrcMatrixOfAnotherDatabase) {
+  const auto db = make_db();
+  const DrcMatrix smaller(2, {0, 1, 1, 0});
+  EXPECT_THROW(UraPolicy(db, smaller, 0.5), std::invalid_argument);
+}
+
 TEST(UraPolicy, FiltersByFeasibility) {
   const auto db = make_db();
   const auto drc = make_drc();
@@ -298,11 +306,23 @@ TEST(AuraPolicy, ParameterValidation) {
   EXPECT_THROW(AuraPolicy(db, drc, 0.5, params), std::invalid_argument);
 }
 
+TEST(AuraPolicy, RejectsDrcMatrixOfAnotherDatabase) {
+  const auto db = make_db();
+  const DrcMatrix larger(4, std::vector<double>(16, 1.0));
+  EXPECT_THROW(AuraPolicy(db, larger, 0.5), std::invalid_argument);
+}
+
 TEST(AuraPolicy, SetValuesRejectsWrongSize) {
   const auto db = make_db();
   const auto drc = make_drc();
   AuraPolicy aura(db, drc, 0.5);
   EXPECT_THROW(aura.set_values({1.0}), std::invalid_argument);
+}
+
+TEST(BaselinePolicy, RejectsDrcMatrixOfAnotherDatabase) {
+  const auto db = make_db();
+  const DrcMatrix smaller(2, {0, 1, 1, 0});
+  EXPECT_THROW(BaselinePolicy(db, smaller), std::invalid_argument);
 }
 
 TEST(BaselinePolicy, PicksBestHypervolumeEveryEvent) {

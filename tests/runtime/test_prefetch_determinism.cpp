@@ -319,5 +319,15 @@ TEST(MdpPolicyRuntime, TableLookupRespectsFeasibilityAndStaysInRange) {
   EXPECT_EQ(p.point, d.point);
 }
 
+TEST(MdpPolicyRuntime, RejectsDrcMatrixOfAnotherDatabase) {
+  const dse::DesignDb db = make_db();
+  const DrcMatrix drc = make_drc();
+  exp::RuntimeEvalParams params;
+  const MdpTable table =
+      build_mdp_table(db, drc, make_ranges(), 0.5, params.qos, params.faults, params.mdp);
+  const DrcMatrix smaller(2, {0, 1, 1, 0});
+  EXPECT_THROW(MdpPolicy(db, smaller, table), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace clr::rt

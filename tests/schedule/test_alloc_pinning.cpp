@@ -2,9 +2,11 @@
 // §5.9): once a per-thread EvalScratch is warm for a problem shape, a
 // CompiledGraph evaluation must perform *zero* heap allocations, and the
 // MappingProblem steady-state paths (decode_into + cache-hit
-// evaluate_metrics) must stay allocation-free too. The count is enforced by
-// replacing the global operator new/delete with counting versions, which is
-// why this suite lives in its own binary (alloc_tests) — the override is
+// evaluate_metrics) must stay allocation-free too. The run-time decision
+// path has the same contract (DESIGN.md §5.16): warm policy decisions and a
+// warm learning AuRA simulation run allocate nothing. The count is enforced
+// by replacing the global operator new/delete with counting versions, which
+// is why this suite lives in its own binary (alloc_tests) — the override is
 // program-wide.
 
 #include <gtest/gtest.h>
@@ -15,11 +17,18 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "dse/mapping_problem.hpp"
 #include "experiments/app.hpp"
+#include "faults/fault_model.hpp"
 #include "reconfig/reconfig.hpp"
+#include "runtime/contextual_policy.hpp"
+#include "runtime/mdp_policy.hpp"
+#include "runtime/policy.hpp"
+#include "runtime/qos_process.hpp"
+#include "runtime/simulator.hpp"
 #include "schedule/batch.hpp"
 #include "schedule/compiled_graph.hpp"
 #include "schedule/heft.hpp"
@@ -179,6 +188,115 @@ TEST(AllocPinning, WarmDrcTableEvaluationIsAllocationFree) {
   EXPECT_EQ(delta, 0u) << "warm dRC-table evaluation allocated";
   EXPECT_EQ(last, first);
   EXPECT_EQ(first, model.average_drc(from, targets));
+}
+
+// --- Run-time decisions ------------------------------------------------------
+
+/// 90 stored points (the scale of the fleet workloads' databases) on 6 PEs,
+/// with a dense cost table.
+struct DecisionFixture {
+  dse::DesignDb db;
+  rt::DrcMatrix drc{0, {}};
+
+  DecisionFixture() {
+    util::Rng rng(0xDEC1u);
+    constexpr std::size_t kPoints = 90;
+    for (std::size_t i = 0; i < kPoints; ++i) {
+      dse::DesignPoint p;
+      p.makespan = rng.uniform(80.0, 120.0);
+      p.func_rel = rng.uniform(0.92, 0.99);
+      p.energy = rng.uniform(30.0, 80.0);
+      p.config.tasks.resize(2);
+      p.config.tasks[0].pe = static_cast<plat::PeId>(i % 6);
+      p.config.tasks[1].pe = static_cast<plat::PeId>((i / 6) % 6);
+      p.config.tasks[0].priority = static_cast<std::int32_t>(i);
+      db.add(std::move(p));
+    }
+    std::vector<double> costs(kPoints * kPoints, 0.0);
+    for (std::size_t i = 0; i < kPoints; ++i) {
+      for (std::size_t j = 0; j < kPoints; ++j) {
+        if (i != j) costs[i * kPoints + j] = static_cast<double>(1 + (7 * i + 13 * j) % 17);
+      }
+    }
+    drc = rt::DrcMatrix(kPoints, std::move(costs));
+  }
+};
+
+/// Heap allocations of ten passes of select + peek over `specs`, after one
+/// warming pass. Each pass closes the episode, as the simulator does.
+std::uint64_t warm_decision_allocs(rt::AdaptationPolicy& policy,
+                                   const std::vector<dse::QosSpec>& specs) {
+  const auto pass = [&] {
+    std::size_t current = 0;
+    for (const auto& spec : specs) {
+      current = policy.select(current, spec).point;
+      (void)policy.peek(current, spec);
+    }
+    policy.end_episode();
+  };
+  pass();
+  const std::uint64_t before = allocs();
+  for (int i = 0; i < 10; ++i) pass();
+  return allocs() - before;
+}
+
+TEST(AllocPinning, WarmPolicyDecisionsAreAllocationFree) {
+  const DecisionFixture f;
+  const dse::MetricRanges ranges = f.db.ranges();
+  const rt::QosProcess qos(ranges);
+  util::Rng rng(7);
+  std::vector<dse::QosSpec> specs;  // loose, tight and infeasible requirements
+  for (int i = 0; i < 200; ++i) specs.push_back(qos.sample_spec(rng));
+  specs.push_back(dse::QosSpec{0.5 * ranges.makespan_min, 1.0});
+  rt::MdpPolicyParams grid;
+  grid.makespan_bins = 3;
+  grid.func_rel_bins = 3;
+  const rt::MdpTable table = rt::build_mdp_table(f.db, f.drc, ranges, 0.5, rt::QosProcessParams{},
+                                                 flt::FaultParams{}, grid);
+  flt::PlatformHealth health(f.db, 6);
+  health.kill_pe(5);  // retires every point with a task on PE 5
+
+  for (const bool masked : {false, true}) {
+    rt::UraPolicy ura(f.db, f.drc, 0.5);
+    rt::AuraPolicy aura(f.db, f.drc, 0.5);
+    rt::ContextualAuraPolicy contextual(f.db, f.drc, 0.5, ranges, {});
+    rt::BaselinePolicy baseline(f.db, f.drc);
+    rt::MdpPolicy mdp(f.db, f.drc, table);
+    const std::pair<const char*, rt::AdaptationPolicy*> policies[] = {
+        {"uRA", &ura}, {"AuRA", &aura}, {"contextual AuRA", &contextual},
+        {"Baseline", &baseline}, {"MDP", &mdp}};
+    for (const auto& [name, policy] : policies) {
+      if (masked) policy->set_health(&health);
+      EXPECT_EQ(warm_decision_allocs(*policy, specs), 0u)
+          << name << (masked ? " with" : " without") << " an alive mask";
+    }
+  }
+}
+
+TEST(AllocPinning, WarmLearningAuraRunIsAllocationFree) {
+  const DecisionFixture f;
+  const rt::QosProcess qos(f.db.ranges());
+  rt::SimulationParams params;
+  params.total_cycles = 2e4;
+  const rt::RuntimeSimulator sim(params);
+  rt::AuraPolicy policy(f.db, f.drc, 0.5);
+  rt::RuntimeStats stats;
+  // Five fault-free, untraced, learning runs; the warming pass sizes the
+  // episode buffer for these seeds.
+  const auto runs = [&] {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      util::Rng rng(seed);
+      stats = sim.run(f.db, policy, qos, rng);
+    }
+  };
+  runs();
+  const std::uint64_t before = allocs();
+  runs();
+  const std::uint64_t delta = allocs() - before;
+
+  EXPECT_EQ(delta, 0u) << "warm learning AuRA run allocated";
+  EXPECT_GT(stats.num_events, 0u);
+  EXPECT_NE(policy.values(), std::vector<double>(f.db.size(), 0.0));  // the runs learned
 }
 
 }  // namespace
