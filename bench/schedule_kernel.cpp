@@ -1,6 +1,7 @@
 // Schedule-evaluation kernel micro-bench (ISSUE 5+6 / DESIGN.md §5.9-5.10):
 // single-thread throughput of the flat CompiledGraph kernel and the batched
-// SoA kernel vs the pointer-based ReferenceScheduler on the Fig. 5 workload,
+// SoA kernel vs the pointer-based ReferenceScheduler on the Fig. 5 workload
+// (the kernels' differential oracle, tests/schedule/reference_scheduler.*),
 // plus a heap instrumentation that counts allocations per evaluation through
 // a replaced global operator new (both kernel contracts are 0 on warm
 // scratch, including the batched transpose staging).
@@ -49,6 +50,8 @@
 #include "io/json.hpp"
 #include "schedule/batch.hpp"
 #include "schedule/compiled_graph.hpp"
+
+#include "reference_scheduler.hpp"
 
 namespace {
 

@@ -38,31 +38,4 @@ double percentile(std::vector<double> values, double q) {
   return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0) throw std::invalid_argument("Histogram: bins must be > 0");
-  if (!(lo < hi)) throw std::invalid_argument("Histogram: lo must be < hi");
-}
-
-void Histogram::add(double x) {
-  if (x < lo_ || x >= hi_) {
-    ++out_of_range_;  // not binned, but coverage stays visible to callers
-    return;
-  }
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  const auto idx = static_cast<std::size_t>((x - lo_) / width);
-  ++counts_[std::min(idx, counts_.size() - 1)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::bin_high(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i + 1);
-}
-
 }  // namespace clr::util

@@ -91,30 +91,4 @@ inline double min_max_norm(double x, double lo, double hi) {
   return std::clamp((x - lo) / range, 0.0, 1.0);
 }
 
-/// Fixed-width histogram over [lo, hi). Out-of-range samples do not land in
-/// any bin (total() counts in-range mass only) but are tallied separately so
-/// callers can tell "all mass binned" apart from "some mass fell outside".
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  /// In-range samples (the denominator for bin fractions).
-  std::size_t total() const { return total_; }
-  /// Samples that fell outside [lo, hi) and were not binned.
-  std::size_t out_of_range() const { return out_of_range_; }
-  /// Every sample ever offered, binned or not.
-  std::size_t observed() const { return total_ + out_of_range_; }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t out_of_range_ = 0;
-};
-
 }  // namespace clr::util

@@ -14,8 +14,8 @@
 //     design point bound to it — is gone for the rest of the run.
 //
 // This is deliberately a *timeline-level* model, distinct from
-// sim::FaultInjector which dices per-attempt SEUs inside one application
-// execution to validate the analytical Table-2/3 metrics. Here faults strike
+// sim::MonteCarloValidator which dices per-attempt SEUs inside one
+// application execution to validate the analytical Table-2/3 metrics. Here faults strike
 // the platform underneath the adaptation policy, shrinking the feasible
 // design-point set (PlatformHealth) and forcing the simulator's degraded-mode
 // fallback chain (see runtime/simulator.hpp).
@@ -110,7 +110,7 @@ std::vector<PeFaultProfile> uniform_profiles(std::size_t n);
 /// recovered (result still correct): spatial masking by the HW layer,
 /// in-place correction by the ASW layer, or detection by the ASW layer
 /// followed by re-execution when an SSW technique (retry/checkpoint) is
-/// present to act on it. Mirrors the masking chain of sim::FaultInjector.
+/// present to act on it. Mirrors the masking chain of sim::MonteCarloValidator.
 double recovery_probability(const rel::ClrConfig& cfg);
 
 /// Mutable platform/database health state for one simulation run: which PEs

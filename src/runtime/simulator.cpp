@@ -296,18 +296,6 @@ RuntimeStats RuntimeSimulator::run(const dse::DesignDb& db, AdaptationPolicy& po
   return stats;
 }
 
-std::string trace_to_csv(const std::vector<EventRecord>& trace) {
-  std::string out = "time,point,drc,reconfigured,infeasible,fault,violation\n";
-  for (const auto& ev : trace) {
-    out += std::to_string(ev.time) + "," + std::to_string(ev.point) + "," +
-           std::to_string(ev.drc) + "," + (ev.reconfigured ? "1" : "0") + "," +
-           (ev.infeasible ? "1" : "0") + "," +
-           std::to_string(static_cast<int>(ev.fault)) + "," + (ev.violation ? "1" : "0") +
-           "\n";
-  }
-  return out;
-}
-
 std::vector<double> pretrain_aura(AuraPolicy& policy, const dse::DesignDb& db,
                                   const QosProcess& qos, double cycles_per_sweep,
                                   std::size_t sweeps, util::Rng& rng) {

@@ -27,7 +27,6 @@
 // bit-for-bit identical) when no scenario is attached or all rates are 0.
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "dse/design_db.hpp"
@@ -151,11 +150,6 @@ class RuntimeSimulator {
  private:
   SimulationParams params_;
 };
-
-/// Render a recorded event trace as CSV ("time,point,drc,reconfigured,
-/// infeasible,fault,violation") for offline plotting — e.g. regenerating
-/// Fig. 6 graphically. `fault` is 0 none / 1 transient / 2 permanent.
-std::string trace_to_csv(const std::vector<EventRecord>& trace);
 
 /// Offline Monte-Carlo pre-training of an AuRA agent (§4.3.2 "Prior
 /// knowledge"): runs `sweeps` simulations of `cycles_per_sweep` cycles with

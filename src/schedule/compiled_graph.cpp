@@ -21,6 +21,7 @@ void EvalScratch::bind(std::size_t num_tasks, std::size_t num_pes) {
   end.resize(num_tasks);
   pending.resize(num_tasks);
   ready.resize(num_tasks);
+  order.resize(num_tasks);
   events.resize(2 * num_tasks);
   events2.resize(2 * num_tasks);
   run_off.resize(num_pes + 1);
@@ -161,6 +162,21 @@ CompiledGraph::CompiledGraph(const EvalContext& ctx) : ctx_(&ctx) {
   }
 }
 
+inline double CompiledGraph::earliest_start(const Configuration& cfg, tg::TaskId t,
+                                            const EvalScratch& s) const {
+  const plat::PeId pe = cfg[t].pe;
+  double est = s.pe_free[pe];
+  for (std::size_t k = in_off_[t]; k < in_off_[t + 1]; ++k) {
+    const tg::TaskId src = pred_[k];
+    // The product is computed unconditionally so the same-PE test selects
+    // between two ready values (no data-dependent branch); a same-PE edge
+    // still contributes exactly 0.0.
+    const double cross = pred_comm_[k] * comm_factor_[cfg[src].pe * num_pes_ + pe];
+    const double comm = cfg[src].pe != pe ? cross : 0.0;
+    est = std::max(est, s.end[src] + comm);
+  }
+  return est;
+}
 
 KernelMetrics CompiledGraph::evaluate(const Configuration& cfg, EvalScratch& s) const {
   if (cfg.size() != num_tasks_) {
@@ -169,9 +185,10 @@ KernelMetrics CompiledGraph::evaluate(const Configuration& cfg, EvalScratch& s) 
   s.bind(num_tasks_, num_pes_);
 
   // Resolve + validate each task's metric row (same checks, order and
-  // messages as the reference path's task_metrics_for). Task-to-PE counts
-  // are tallied on the side so the power-event runs can be laid out before
-  // scheduling starts.
+  // messages as task_metrics_for in the pointer-based oracle,
+  // tests/schedule/reference_scheduler.cpp). Task-to-PE counts are tallied
+  // on the side so the power-event runs can be laid out before scheduling
+  // starts.
   std::fill(s.run_off.begin(), s.run_off.end(), 0u);
   for (tg::TaskId t = 0; t < num_tasks_; ++t) {
     const TaskAssignment& a = cfg[t];
@@ -222,28 +239,20 @@ KernelMetrics CompiledGraph::evaluate(const Configuration& cfg, EvalScratch& s) 
   bool zero_len = false;
 
   // Schedule one selected task: earliest start on its bound PE after all
-  // predecessor data arrives, then emit its power events into the PE's run.
+  // predecessor data arrives, append it to the dispatch order, then emit its
+  // power events into the PE's run.
   // A PE executes its tasks back to back, so each run stays sorted by
   // (time, delta) — except when a zero-length interval collides with a
   // neighbour at the same time stamp, which drops the Wapp sweep below back
   // to a full sort.
   const auto run_task = [&](tg::TaskId t) {
     const TaskAssignment& a = cfg[t];
-    double est = s.pe_free[a.pe];
-    for (std::size_t k = in_off_[t]; k < in_off_[t + 1]; ++k) {
-      const tg::TaskId src = pred_[k];
-      // The product is computed unconditionally so the same-PE test selects
-      // between two ready values (no data-dependent branch); a same-PE edge
-      // still contributes exactly 0.0, as in the reference.
-      const double cross = pred_comm_[k] * comm_factor_[cfg[src].pe * num_pes_ + a.pe];
-      const double comm = cfg[src].pe != a.pe ? cross : 0.0;
-      est = std::max(est, s.end[src] + comm);
-    }
+    const double est = earliest_start(cfg, t, s);
     const PackedMetrics& tm = kernel_table_[s.metric_row[t]];
     s.start[t] = est;
     s.end[t] = est + tm.avg_ext;
     s.pe_free[a.pe] = s.end[t];
-    ++done;
+    s.order[done++] = t;
 
     const std::uint32_t slot = s.run_pos[a.pe];
     s.run_pos[a.pe] = slot + 2;
@@ -403,6 +412,24 @@ void CompiledGraph::evaluate_batch(std::span<const Configuration> cfgs, BatchScr
     for (std::size_t l = 0; l < lanes; ++l) scratch.genomes.set(l, cfgs[base + l]);
     evaluate_block(scratch.genomes, lanes, scratch, out.data() + base);
   }
+}
+
+double CompiledGraph::retime(const Configuration& cfg, std::span<const double> duration,
+                             EvalScratch& s) const {
+  if (cfg.size() != num_tasks_ || duration.size() != num_tasks_ ||
+      s.order.size() != num_tasks_) {
+    throw std::invalid_argument("CompiledGraph::retime: size mismatch");
+  }
+  std::fill(s.pe_free.begin(), s.pe_free.end(), 0.0);
+  double makespan = 0.0;
+  for (const tg::TaskId t : s.order) {
+    const double est = earliest_start(cfg, t, s);
+    s.start[t] = est;
+    s.end[t] = est + duration[t];
+    s.pe_free[cfg[t].pe] = s.end[t];
+    makespan = std::max(makespan, s.end[t]);
+  }
+  return makespan;
 }
 
 ScheduleResult CompiledGraph::schedule(const Configuration& cfg, EvalScratch& s) const {

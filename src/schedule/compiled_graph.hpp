@@ -20,10 +20,11 @@
 //
 // Steady-state evaluation then runs against a caller-owned EvalScratch arena
 // (one per thread) and performs zero heap allocations. Results are
-// bit-identical to ReferenceScheduler::run at any thread count: the kernel
-// performs the same floating-point operations in the same order (see the
-// determinism contract in DESIGN.md §5.9 and tests/schedule/
-// test_differential.cpp, which proves exact equality over fuzzed graphs).
+// bit-identical to the original pointer-based scheduler at any thread count:
+// the kernel performs the same floating-point operations in the same order
+// (see the determinism contract in DESIGN.md §5.9 and tests/schedule/
+// test_differential.cpp, which proves exact equality over fuzzed graphs
+// against that scheduler, kept as tests/schedule/reference_scheduler.*).
 
 #include <cstdint>
 #include <span>
@@ -67,6 +68,10 @@ struct EvalScratch {
   std::vector<double> end;                ///< per task: SETt of the last evaluation
   std::vector<std::uint32_t> pending;     ///< per task: unfinished predecessors
   std::vector<std::uint32_t> ready;       ///< ready set (first ready_count slots)
+  /// Dispatch order of the last evaluation. It depends only on the graph and
+  /// the priorities, never on durations, so CompiledGraph::retime can replay
+  /// it with other durations.
+  std::vector<tg::TaskId> order;
   /// 2n power events for the Wapp sweep, stored as one time-sorted run per PE
   /// (a PE executes its tasks back to back, so no global sort is needed; the
   /// sweep pairwise-merges the runs through the ping-pong buffer).
@@ -113,9 +118,19 @@ class CompiledGraph {
   /// ListScheduler on incompatible/out-of-range assignments.
   KernelMetrics evaluate(const Configuration& cfg, EvalScratch& scratch) const;
 
-  /// Full ScheduleResult (allocates the per-task vector); semantics and bits
-  /// identical to ReferenceScheduler::run.
+  /// Full ScheduleResult (allocates the per-task vector); the same bits as
+  /// evaluate() plus the per-task windows and Table 2 bundles.
   ScheduleResult schedule(const Configuration& cfg, EvalScratch& scratch) const;
+
+  /// Re-time the dispatch order the last evaluate(cfg, scratch) left in
+  /// scratch.order, with duration[t] in place of each task's AvgExT. The
+  /// order depends only on the graph and the priorities, so the result is
+  /// the list schedule for those durations. Leaves the windows in
+  /// scratch.start/scratch.end and returns the makespan; with each task's
+  /// avg_ext it reproduces evaluate()'s windows bit for bit. `cfg` must be
+  /// the configuration of that evaluation. Allocation-free.
+  double retime(const Configuration& cfg, std::span<const double> duration,
+                EvalScratch& scratch) const;
 
   /// Batched evaluation (DESIGN.md §5.10): cfgs[i] -> out[i], processed in
   /// SoA blocks of BatchGenomes::kLanes through the SIMD kernel. Results are
@@ -206,6 +221,12 @@ class CompiledGraph {
   /// -mavx2 instantiations of batch_kernel.inl) and reads the tables below
   /// through this accessor.
   friend struct detail::BatchKernelAccess;
+
+  /// Earliest start of `t` on its bound PE: the PE is free and every
+  /// predecessor's data has arrived (cross-PE edges pay the edge's
+  /// communication time). The one scalar EST expression; evaluate() and
+  /// retime() share it.
+  double earliest_start(const Configuration& cfg, tg::TaskId t, const EvalScratch& s) const;
 
   const EvalContext* ctx_;
   std::size_t num_tasks_ = 0;

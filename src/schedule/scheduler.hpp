@@ -54,16 +54,6 @@ struct EvalContext {
   void check() const;
 };
 
-/// The original pointer-based list-scheduler implementation, kept verbatim as
-/// the differential oracle for the flat CompiledGraph kernel (DESIGN.md §5.9):
-/// it re-derives per-task metrics through MetricsModel and walks the graph's
-/// edge-id lists on every call. tests/schedule/test_differential.cpp proves
-/// the fast kernel bit-identical to this path over fuzzed graphs.
-class ReferenceScheduler {
- public:
-  ScheduleResult run(const EvalContext& ctx, const Configuration& cfg) const;
-};
-
 /// Priority-driven list scheduler over a fixed task-to-PE binding.
 ///
 /// Semantics: a task becomes ready when all predecessors have finished and
@@ -72,15 +62,16 @@ class ReferenceScheduler {
 /// start on its bound PE. Average execution times (AvgExT) give the average
 /// makespan of Eq. (1).
 ///
-/// This is the one-shot convenience API (it delegates to ReferenceScheduler).
+/// This is the one-shot convenience API: each call builds a CompiledGraph,
+/// which tabulates every (implementation, CLR config) pair of the context.
 /// Hot loops that evaluate many configurations against one context should
-/// build a schedule::CompiledGraph once and reuse a per-thread EvalScratch —
-/// that is what dse::MappingProblem does; results are bit-identical.
+/// build the CompiledGraph once and reuse a per-thread EvalScratch — that is
+/// what dse::MappingProblem does; results are bit-identical.
 class ListScheduler {
  public:
   /// Evaluate configuration `cfg`. Throws std::invalid_argument when an
   /// implementation index is incompatible with its PE's type or any index is
-  /// out of range.
+  /// out of range, and std::logic_error when the graph is cyclic.
   ScheduleResult run(const EvalContext& ctx, const Configuration& cfg) const;
 };
 

@@ -1,10 +1,10 @@
 #pragma once
-// Monte-Carlo fault-injection simulator: executes a CLR-integrated mapping
-// event-by-event with *sampled* SEUs instead of the closed-form expectations
-// of the analytical model (reliability/metrics.hpp). Each run replays the
-// list-scheduling policy with actual (retry-extended) execution times, dices
-// per-attempt upsets through the same masking / detection / correction /
-// re-execution chain, and reports what really happened.
+// Monte-Carlo validator: executes a CLR-integrated mapping with *sampled*
+// SEUs instead of the closed-form expectations of the analytical model
+// (reliability/metrics.hpp). Each run dices per-attempt upsets through the
+// same masking / detection / correction / re-execution chain, replays the
+// list-scheduling policy with the actual (retry-extended) execution times,
+// and reports what really happened.
 //
 // Purpose: validation (the property tests assert that empirical per-task
 // error rates, makespans and energies converge to the Table 2/3 analytical
@@ -15,7 +15,7 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "schedule/scheduler.hpp"
+#include "schedule/compiled_graph.hpp"
 
 namespace clr::sim {
 
@@ -41,15 +41,29 @@ struct InjectionAggregate {
   std::size_t runs = 0;
 };
 
-/// Event-driven stochastic executor for one application context.
-class FaultInjector {
+/// Stochastic executor for one application context, scheduled on the
+/// compiled kernel. The list scheduler's dispatch order depends only on the
+/// graph and the priorities, never on durations. So one kernel evaluation
+/// per configuration validates every assignment (typed errors, before any
+/// draw) and records that order; each run then samples every task's attempt
+/// chain in the order and re-times the order with the sampled durations.
+/// The CompiledGraph snapshots the context's metric tables at construction:
+/// rebuild the validator after mutating the context.
+class MonteCarloValidator {
  public:
-  explicit FaultInjector(const sched::EvalContext& ctx);
+  explicit MonteCarloValidator(const sched::EvalContext& ctx);
 
-  /// Simulate a single application execution.
+  /// The compiled context the runs are scheduled on; its evaluate() gives
+  /// the analytical Table 3 values the empirical ones are checked against.
+  const sched::CompiledGraph& graph() const { return graph_; }
+
+  /// Simulate a single application execution. Throws std::invalid_argument
+  /// like CompiledGraph::evaluate on an invalid configuration, before any
+  /// draw from `rng`.
   RunOutcome run_once(const sched::Configuration& cfg, util::Rng& rng) const;
 
-  /// Simulate `runs` executions and aggregate.
+  /// Simulate `runs` executions and aggregate. Throws like run_once, and
+  /// on runs == 0.
   InjectionAggregate run_many(const sched::Configuration& cfg, std::size_t runs,
                               util::Rng& rng) const;
 
@@ -64,7 +78,12 @@ class FaultInjector {
   };
   AttemptResult execute_task(tg::TaskId t, const sched::TaskAssignment& a, util::Rng& rng) const;
 
-  const sched::EvalContext* ctx_;
+  /// One run over the dispatch order a prior evaluate(cfg, scratch) left in
+  /// scratch.order; `duration` is per-task working memory.
+  RunOutcome sample_run(const sched::Configuration& cfg, sched::EvalScratch& scratch,
+                        std::vector<double>& duration, util::Rng& rng) const;
+
+  sched::CompiledGraph graph_;
 };
 
 }  // namespace clr::sim

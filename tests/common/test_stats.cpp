@@ -104,35 +104,6 @@ TEST(MinMaxNorm, DegenerateRangeIsZero) {
   EXPECT_DOUBLE_EQ(min_max_norm(5.0, 6.0, 5.0), 0.0);
 }
 
-TEST(Histogram, BinsAndCounts) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(1.9);   // bin 0
-  h.add(2.0);   // bin 1
-  h.add(9.99);  // bin 4
-  h.add(10.0);  // out of range, dropped
-  h.add(-0.1);  // out of range, dropped
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_DOUBLE_EQ(h.bin_low(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(1), 4.0);
-}
-
-TEST(Histogram, TracksOutOfRangeMass) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(5.0);
-  EXPECT_EQ(h.out_of_range(), 0u);
-  h.add(10.0);  // hi is exclusive
-  h.add(-0.1);
-  h.add(1e9);
-  EXPECT_EQ(h.out_of_range(), 3u);
-  // total() still counts only binned mass; observed() counts everything seen.
-  EXPECT_EQ(h.total(), 1u);
-  EXPECT_EQ(h.observed(), 4u);
-}
-
 TEST(StudentT95, KnownCriticalValues) {
   EXPECT_NEAR(student_t_95(1), 12.706, 1e-3);
   EXPECT_NEAR(student_t_95(4), 2.776, 1e-3);
@@ -203,12 +174,6 @@ TEST(StudentT95, SmallSampleEdgeCases) {
     EXPECT_GT(t, 1.959) << "df " << df;
     prev = t;
   }
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(2.0, 1.0, 4), std::invalid_argument);
 }
 
 }  // namespace

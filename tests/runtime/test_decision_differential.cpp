@@ -1,9 +1,9 @@
 // Differential test of the run-time decision path (DESIGN.md §5.16): the
 // DesignDb feasibility scan, least_violating, and every policy decision —
-// uRA, AuRA (select / peek / select_initial), contextual AuRA, Baseline and
-// MDP — must equal the reference oracle in reference_policy.cpp, field for
-// field and doubles bitwise, on fuzzed databases and cost tables, with and
-// without an alive mask.
+// uRA, AuRA (select / peek / select_initial), Baseline and MDP — must equal
+// the reference oracle in reference_policy.cpp, field for field and doubles
+// bitwise, on fuzzed databases and cost tables, with and without an alive
+// mask.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "common/rng.hpp"
 #include "faults/fault_model.hpp"
 #include "reference_policy.hpp"
-#include "runtime/contextual_policy.hpp"
 #include "runtime/mdp_policy.hpp"
 #include "runtime/policy.hpp"
 
@@ -155,18 +154,12 @@ TEST(DecisionDifferential, EveryPolicyMatchesTheReferenceOracle) {
     std::vector<double> values(n);
     for (auto& v : values) v = draw(rng, c.grid, 0.0, 1.0);
     aura.set_values(values);
-    ContextualAuraPolicy::Params cp;
-    cp.gamma = c.gamma;
-    cp.guard = c.guard;
-    cp.makespan_buckets = 1 + rng.index(3);
-    cp.func_rel_buckets = 1 + rng.index(3);
-    ContextualAuraPolicy contextual(db, drc, c.p_rc, db.ranges(), cp);
     BaselinePolicy baseline(db, drc);
     const MdpTable table = random_table(rng, c);
     MdpPolicy mdp(db, drc, table);
     if (c.health) {
       for (AdaptationPolicy* p : std::initializer_list<AdaptationPolicy*>{
-               &ura, &aura, &contextual, &baseline, &mdp}) {
+               &ura, &aura, &baseline, &mdp}) {
         p->set_health(&*c.health);
       }
     }
@@ -201,12 +194,6 @@ TEST(DecisionDifferential, EveryPolicyMatchesTheReferenceOracle) {
       expect_same(aura.select_initial(current, spec), aura_want, where + " AuRA select_initial");
       expect_same(aura.select(current, spec), aura_want, where + " AuRA select");
 
-      const auto& ctx_values = contextual.values(contextual.context_of(spec));
-      const Decision ctx_want =
-          oracle.evaluate_and_pick(current, spec, mask, &ctx_values, c.gamma, c.guard);
-      expect_same(contextual.peek(current, spec), ctx_want, where + " contextual peek");
-      expect_same(contextual.select(current, spec), ctx_want, where + " contextual select");
-
       expect_same(baseline.select(current, spec),
                   reference::baseline_select(db, drc, current, spec, mask),
                   where + " Baseline select");
@@ -215,10 +202,7 @@ TEST(DecisionDifferential, EveryPolicyMatchesTheReferenceOracle) {
       expect_same(mdp.select(current, spec), mdp_want, where + " MDP select");
       expect_same(mdp.peek(current, spec), mdp_want, where + " MDP peek");
 
-      if (q % 4 == 3) {
-        aura.end_episode();
-        contextual.end_episode();
-      }
+      if (q % 4 == 3) aura.end_episode();
     }
     if (HasFailure()) return;  // the first diverging case is enough output
   }

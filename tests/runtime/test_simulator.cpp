@@ -315,23 +315,5 @@ TEST_F(SimulatorTest, SimulatorAndQosProcessReuseLeaksNoStateAcrossRuns) {
   EXPECT_EQ(first.max_drc, pristine.max_drc);
 }
 
-TEST_F(SimulatorTest, TraceExportsToCsv) {
-  QosProcess qos(ranges_);
-  UraPolicy policy(db_, drc_, 0.5);
-  SimulationParams params;
-  params.total_cycles = 1e4;
-  params.trace_events = 10;
-  RuntimeSimulator sim(params);
-  util::Rng rng(11);
-  const auto stats = sim.run(db_, policy, qos, rng);
-  const std::string csv = rt::trace_to_csv(stats.trace);
-  EXPECT_EQ(csv.rfind("time,point,drc,reconfigured,infeasible,fault,violation\n", 0), 0u);
-  // Fault-free run: every row carries fault kind 0 (None).
-  EXPECT_EQ(csv.find(",1,1\n"), std::string::npos);
-  // Header + one line per traced event.
-  const auto lines = std::count(csv.begin(), csv.end(), '\n');
-  EXPECT_EQ(static_cast<std::size_t>(lines), stats.trace.size() + 1);
-}
-
 }  // namespace
 }  // namespace clr::rt

@@ -24,7 +24,6 @@
 #include "experiments/app.hpp"
 #include "faults/fault_model.hpp"
 #include "reconfig/reconfig.hpp"
-#include "runtime/contextual_policy.hpp"
 #include "runtime/mdp_policy.hpp"
 #include "runtime/policy.hpp"
 #include "runtime/qos_process.hpp"
@@ -259,12 +258,10 @@ TEST(AllocPinning, WarmPolicyDecisionsAreAllocationFree) {
   for (const bool masked : {false, true}) {
     rt::UraPolicy ura(f.db, f.drc, 0.5);
     rt::AuraPolicy aura(f.db, f.drc, 0.5);
-    rt::ContextualAuraPolicy contextual(f.db, f.drc, 0.5, ranges, {});
     rt::BaselinePolicy baseline(f.db, f.drc);
     rt::MdpPolicy mdp(f.db, f.drc, table);
     const std::pair<const char*, rt::AdaptationPolicy*> policies[] = {
-        {"uRA", &ura}, {"AuRA", &aura}, {"contextual AuRA", &contextual},
-        {"Baseline", &baseline}, {"MDP", &mdp}};
+        {"uRA", &ura}, {"AuRA", &aura}, {"Baseline", &baseline}, {"MDP", &mdp}};
     for (const auto& [name, policy] : policies) {
       if (masked) policy->set_health(&health);
       EXPECT_EQ(warm_decision_allocs(*policy, specs), 0u)

@@ -36,6 +36,8 @@
 #include "schedule/scheduler.hpp"
 #include "taskgraph/generator.hpp"
 
+#include "reference_scheduler.hpp"
+
 namespace clr {
 namespace {
 

@@ -10,7 +10,10 @@
 // mesh, eight-PE three-type mesh) and all three CLR granularities, each
 // evaluated on several random valid configurations. Every case is run in
 // jobs=1 and jobs=8 mode through util::ThreadPool with per-thread scratch
-// arenas, proving results do not depend on the thread count.
+// arenas, proving results do not depend on the thread count. Each cell also
+// re-times the recorded dispatch order with every task's AvgExT
+// (CompiledGraph::retime, the Monte-Carlo validator's timing path), which
+// must reproduce the evaluated windows and makespan bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +30,8 @@
 #include "schedule/heft.hpp"
 #include "schedule/scheduler.hpp"
 #include "taskgraph/generator.hpp"
+
+#include "reference_scheduler.hpp"
 
 namespace clr {
 namespace {
@@ -168,6 +173,8 @@ struct Case {
 struct CellResult {
   sched::KernelMetrics metrics;
   std::vector<double> start, end;
+  double retimed_makespan = 0.0;                ///< retime() with each avg_ext
+  std::vector<double> retimed_start, retimed_end;
 };
 
 void expect_identical(const sched::ScheduleResult& ref, const CellResult& got,
@@ -183,6 +190,9 @@ void expect_identical(const sched::ScheduleResult& ref, const CellResult& got,
     EXPECT_EQ(ref.tasks[t].start, got.start[t]) << "task " << t;
     EXPECT_EQ(ref.tasks[t].end, got.end[t]) << "task " << t;
   }
+  EXPECT_EQ(got.retimed_makespan, got.metrics.makespan);
+  EXPECT_EQ(got.retimed_start, got.start);
+  EXPECT_EQ(got.retimed_end, got.end);
 }
 
 TEST(ScheduleDifferential, KernelBitIdenticalToReferenceAtJobs1And8) {
@@ -215,11 +225,18 @@ TEST(ScheduleDifferential, KernelBitIdenticalToReferenceAtJobs1And8) {
         thread_local sched::EvalScratch scratch;
         const Case& cs = cases[cell / kConfigsPerCase];
         const sched::Configuration& cfg = cs.cfgs[cell % kConfigsPerCase];
+        const std::size_t n = cs.app->graph().num_tasks();
         out[cell].metrics = cs.cg->evaluate(cfg, scratch);
-        out[cell].start.assign(scratch.start.begin(),
-                               scratch.start.begin() + cs.app->graph().num_tasks());
-        out[cell].end.assign(scratch.end.begin(),
-                             scratch.end.begin() + cs.app->graph().num_tasks());
+        out[cell].start.assign(scratch.start.begin(), scratch.start.begin() + n);
+        out[cell].end.assign(scratch.end.begin(), scratch.end.begin() + n);
+
+        std::vector<double> avg_ext(n);
+        for (tg::TaskId t = 0; t < n; ++t) {
+          avg_ext[t] = cs.cg->metrics_for(t, cfg[t].impl_index, cfg[t].clr_index).avg_ext;
+        }
+        out[cell].retimed_makespan = cs.cg->retime(cfg, avg_ext, scratch);
+        out[cell].retimed_start.assign(scratch.start.begin(), scratch.start.begin() + n);
+        out[cell].retimed_end.assign(scratch.end.begin(), scratch.end.begin() + n);
       });
       for (std::size_t cell = 0; cell < cells; ++cell) {
         expect_identical(cases[cell / kConfigsPerCase].ref[cell % kConfigsPerCase], out[cell],

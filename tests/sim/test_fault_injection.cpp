@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "experiments/app.hpp"
 #include "dse/mapping_problem.hpp"
 
@@ -30,9 +34,9 @@ class InjectionTest : public ::testing::Test {
 TEST_F(InjectionTest, ZeroFaultRateMatchesAnalyticalExactly) {
   sched::EvalContext ctx = app_->context();
   ctx.metrics = rel::MetricsModel(rel::FaultModel{0.0});
-  FaultInjector injector(ctx);
+  MonteCarloValidator validator(ctx);
   util::Rng rng(1);
-  const auto one = injector.run_once(cfg_, rng);
+  const auto one = validator.run_once(cfg_, rng);
   const auto analytical = sched::ListScheduler{}.run(ctx, cfg_);
   EXPECT_NEAR(one.makespan, analytical.makespan, 1e-9);
   EXPECT_NEAR(one.energy, analytical.energy, 1e-6);
@@ -42,10 +46,10 @@ TEST_F(InjectionTest, ZeroFaultRateMatchesAnalyticalExactly) {
 }
 
 TEST_F(InjectionTest, EmpiricalErrorRatesMatchAnalytical) {
-  FaultInjector injector(app_->context());
+  MonteCarloValidator validator(app_->context());
   util::Rng rng(2);
   const std::size_t runs = 20000;
-  const auto agg = injector.run_many(cfg_, runs, rng);
+  const auto agg = validator.run_many(cfg_, runs, rng);
   const auto analytical = sched::ListScheduler{}.run(app_->context(), cfg_);
   for (tg::TaskId t = 0; t < app_->graph().num_tasks(); ++t) {
     const double p = analytical.tasks[t].metrics.err_prob;
@@ -58,17 +62,17 @@ TEST_F(InjectionTest, EmpiricalErrorRatesMatchAnalytical) {
 }
 
 TEST_F(InjectionTest, EmpiricalFappMatchesAnalytical) {
-  FaultInjector injector(app_->context());
+  MonteCarloValidator validator(app_->context());
   util::Rng rng(3);
-  const auto agg = injector.run_many(cfg_, 20000, rng);
+  const auto agg = validator.run_many(cfg_, 20000, rng);
   const auto analytical = sched::ListScheduler{}.run(app_->context(), cfg_);
   EXPECT_NEAR(agg.weighted_success.mean(), analytical.func_rel, 2e-3);
 }
 
 TEST_F(InjectionTest, EmpiricalMakespanMatchesAnalyticalAverage) {
-  FaultInjector injector(app_->context());
+  MonteCarloValidator validator(app_->context());
   util::Rng rng(4);
-  const auto agg = injector.run_many(cfg_, 8000, rng);
+  const auto agg = validator.run_many(cfg_, 8000, rng);
   const auto analytical = sched::ListScheduler{}.run(app_->context(), cfg_);
   // Average makespans agree to ~1%: re-execution inflation is the only
   // stochastic term and both sides model it the same way (to first order).
@@ -81,29 +85,68 @@ TEST_F(InjectionTest, EmpiricalMakespanMatchesAnalyticalAverage) {
 }
 
 TEST_F(InjectionTest, EmpiricalEnergyMatchesAnalytical) {
-  FaultInjector injector(app_->context());
+  MonteCarloValidator validator(app_->context());
   util::Rng rng(5);
-  const auto agg = injector.run_many(cfg_, 8000, rng);
+  const auto agg = validator.run_many(cfg_, 8000, rng);
   const auto analytical = sched::ListScheduler{}.run(app_->context(), cfg_);
   EXPECT_NEAR(agg.energy.mean(), analytical.energy, 0.01 * analytical.energy);
 }
 
 TEST_F(InjectionTest, DeterministicPerSeed) {
-  FaultInjector injector(app_->context());
+  MonteCarloValidator validator(app_->context());
   util::Rng a(7), b(7);
-  const auto ra = injector.run_many(cfg_, 200, a);
-  const auto rb = injector.run_many(cfg_, 200, b);
+  const auto ra = validator.run_many(cfg_, 200, a);
+  const auto rb = validator.run_many(cfg_, 200, b);
   EXPECT_DOUBLE_EQ(ra.makespan.mean(), rb.makespan.mean());
   EXPECT_DOUBLE_EQ(ra.energy.mean(), rb.energy.mean());
   EXPECT_EQ(ra.task_error_rate, rb.task_error_rate);
 }
 
 TEST_F(InjectionTest, RejectsBadInputs) {
-  FaultInjector injector(app_->context());
+  MonteCarloValidator validator(app_->context());
   util::Rng rng(8);
   sched::Configuration wrong;
-  EXPECT_THROW(injector.run_once(wrong, rng), std::invalid_argument);
-  EXPECT_THROW(injector.run_many(cfg_, 0, rng), std::invalid_argument);
+  EXPECT_THROW(validator.run_once(wrong, rng), std::invalid_argument);
+  EXPECT_THROW(validator.run_many(cfg_, 0, rng), std::invalid_argument);
+
+  // Out-of-range and incompatible assignments, placed on the task dispatched
+  // last: each throws the kernel's typed error before the first draw.
+  const sched::EvalContext& ctx = app_->context();
+  sched::EvalScratch scratch;
+  validator.graph().evaluate(cfg_, scratch);
+  const tg::TaskId t = scratch.order.back();
+  std::vector<std::pair<sched::Configuration, std::string>> bad(4, {cfg_, ""});
+  bad[0].first[t].pe = 99;
+  bad[0].second = "ListScheduler: PE id out of range";
+  bad[1].first[t].impl_index = static_cast<std::uint32_t>(ctx.impls->for_task(t).size());
+  bad[1].second = "ListScheduler: impl_index out of range";
+  bad[2].first[t].clr_index = static_cast<std::uint32_t>(ctx.clr_space->size());
+  bad[2].second = "ListScheduler: clr_index out of range";
+  const plat::PeTypeId impl_type = ctx.impls->for_task(t)[cfg_[t].impl_index].pe_type;
+  for (const auto& pe : ctx.platform->pes()) {
+    if (pe.type != impl_type) bad[3].first[t].pe = pe.id;
+  }
+  ASSERT_NE(ctx.platform->pe(bad[3].first[t].pe).type, impl_type);
+  bad[3].second = "ListScheduler: implementation incompatible with bound PE";
+
+  for (const auto& [cfg, message] : bad) {
+    SCOPED_TRACE(message);
+    const util::Rng before = rng;
+    for (const bool many : {false, true}) {
+      try {
+        if (many) {
+          (void)validator.run_many(cfg, 10, rng);
+        } else {
+          (void)validator.run_once(cfg, rng);
+        }
+        ADD_FAILURE() << "no exception";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(e.what(), message);
+      }
+      util::Rng untouched = before;
+      EXPECT_TRUE(rng.engine() == untouched.engine()) << "a draw was consumed";
+    }
+  }
 }
 
 /// Sweep: the empirical/analytical agreement must hold for every CLR
@@ -120,9 +163,9 @@ TEST_P(InjectionClrSweep, PerConfigAgreement) {
   for (auto& a : cfg.tasks) {
     a.clr_index = static_cast<std::uint32_t>(GetParam() % app->clr_space().size());
   }
-  FaultInjector injector(app->context());
+  MonteCarloValidator validator(app->context());
   const std::size_t runs = 12000;
-  const auto agg = injector.run_many(cfg, runs, rng);
+  const auto agg = validator.run_many(cfg, runs, rng);
   const auto analytical = sched::ListScheduler{}.run(app->context(), cfg);
   for (tg::TaskId t = 0; t < app->graph().num_tasks(); ++t) {
     const double p = analytical.tasks[t].metrics.err_prob;
@@ -145,8 +188,8 @@ TEST(InjectionStress, HighFaultRateStillBounded) {
   dse::MappingProblem problem(ctx, dse::QosSpec{1e9, 0.0}, dse::ObjectiveMode::EnergyQos);
   util::Rng rng(9);
   const auto cfg = problem.decode(problem.random_genes(rng));
-  FaultInjector injector(ctx);
-  const auto agg = injector.run_many(cfg, 500, rng);
+  MonteCarloValidator validator(ctx);
+  const auto agg = validator.run_many(cfg, 500, rng);
   for (double rate : agg.task_error_rate) {
     EXPECT_GE(rate, 0.0);
     EXPECT_LE(rate, 1.0);

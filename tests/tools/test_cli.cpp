@@ -205,6 +205,52 @@ TEST(CliSnapshot, CorruptedClrdbFailsWithTypedMessage) {
   std::remove(good_path.c_str());
 }
 
+// --- validate: Monte-Carlo validation of the stored points -------------------
+
+TEST(CliValidate, OutputIsByteIdenticalToTheRecordedGolden) {
+  // Fixed database, run count and simulation seed. The golden was recorded
+  // before the validator ran on CompiledGraph; both the empirical columns
+  // (every SEU draw) and the analytical ones must stay byte-identical.
+  const std::string db = ::testing::TempDir() + "clrtool_validate.json";
+  ASSERT_EQ(run_tool("explore --tasks 6 --seed 5 --pop 8 --gens 3 --db-out " + db).first, 0);
+  const auto [code, out] =
+      run_tool("validate --tasks 6 --seed 5 --db " + db + " --runs 200 --points 3 --sim-seed 7");
+  EXPECT_EQ(code, 0);
+  EXPECT_EQ(out,
+            "fault-injection validation (200 runs/point)\n"
+            "+---+----------+-------------+----------+-------------+----------+-------------+\n"
+            "| # | S stored | S empirical | J stored | J empirical | F stored | F empirical |\n"
+            "+---+----------+-------------+----------+-------------+----------+-------------+\n"
+            "| 0 | 116.97   | 116.75      | 369.22   | 368.67      | 0.99822  | 0.99500     |\n"
+            "| 1 | 107.51   | 107.59      | 178.52   | 179.42      | 0.99674  | 0.99231     |\n"
+            "| 2 | 104.36   | 103.76      | 215.98   | 215.17      | 0.99819  | 0.99687     |\n"
+            "+---+----------+-------------+----------+-------------+----------+-------------+\n"
+            "empirical columns should track the stored/analytical ones closely; see\n"
+            "tests/sim/test_fault_injection.cpp for the formal tolerances.\n");
+  std::remove(db.c_str());
+}
+
+TEST(CliValidate, OutOfRangePeIdFailsWithTypedMessage) {
+  // load_design_db does not bound-check PE ids, so validate must reject a
+  // stored point naming PE 99 with the kernel's message before simulating.
+  const std::string db = ::testing::TempDir() + "clrtool_validate_bad_pe.json";
+  ASSERT_EQ(run_tool("explore --tasks 6 --seed 5 --pop 8 --gens 3 --db-out " + db).first, 0);
+  std::ifstream in(db);
+  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  in.close();
+  const std::size_t list = text.find("\"pe\": [");
+  ASSERT_NE(list, std::string::npos);
+  const std::size_t first = text.find_first_of("0123456789", list);
+  const std::size_t last = text.find_first_not_of("0123456789", first);
+  text.replace(first, last - first, "99");  // task 0 of the first point
+  std::ofstream(db, std::ios::trunc) << text;
+
+  const auto [code, out] = run_tool("validate --tasks 6 --seed 5 --db " + db + " --runs 10");
+  EXPECT_EQ(code, 1);
+  EXPECT_NE(out.find("PE id out of range"), std::string::npos) << out;
+  std::remove(db.c_str());
+}
+
 // --- Checkpoint/resume flags (DESIGN.md §5.12) -------------------------------
 
 TEST(CliCheckpoint, ResumeRequiresCheckpoint) {

@@ -760,8 +760,8 @@ int cmd_validate(const Args& args) {
   const auto runs = size_arg(args, "runs", 3000, 1);
   const auto max_points = size_arg(args, "points", 5, 1);
 
-  sim::FaultInjector injector(app->context());
-  sched::ListScheduler scheduler;
+  const sim::MonteCarloValidator validator(app->context());
+  sched::EvalScratch scratch;
   util::Rng rng(static_cast<std::uint64_t>(args.num("sim-seed", 11)));
 
   util::TextTable table("fault-injection validation (" + std::to_string(runs) + " runs/point)");
@@ -769,8 +769,8 @@ int cmd_validate(const Args& args) {
                     "F empirical"});
   for (std::size_t i = 0; i < std::min(max_points, loaded.db.size()); ++i) {
     const auto& p = loaded.db.point(i);
-    const auto agg = injector.run_many(p.config, runs, rng);
-    const auto analytical = scheduler.run(app->context(), p.config);
+    const auto agg = validator.run_many(p.config, runs, rng);
+    const auto analytical = validator.graph().evaluate(p.config, scratch);
     table.add_row({std::to_string(i), util::TextTable::fmt(analytical.makespan, 2),
                    util::TextTable::fmt(agg.makespan.mean(), 2),
                    util::TextTable::fmt(analytical.energy, 2),
