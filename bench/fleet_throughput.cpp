@@ -112,10 +112,7 @@ int main(int argc, char** argv) {
   config.params.faults.transient_rate = 2e-5;
   config.params.faults.validate();
   config.params.fault_profiles = flt::profiles_from_platform(app->platform());
-  const auto r = db.ranges();
-  config.ranges = r;
-  config.ranges.makespan_max = r.makespan_max + 0.25 * (r.makespan_max - r.makespan_min);
-  config.ranges.func_rel_min = r.func_rel_min - 0.25 * (r.func_rel_max - r.func_rel_min);
+  config.ranges = exp::db_qos_ranges(db);
   const rel::ClrSpace* space = &app->clr_space();
   const std::size_t auto_jobs = util::resolve_threads(bench::jobs());
 

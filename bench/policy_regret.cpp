@@ -103,9 +103,7 @@ int main(int argc, char** argv) {
     recfg::ReconfigModel reconfig(w.app->platform(), w.app->impls());
     w.drc = rt::DrcMatrix(w.db, reconfig);
     w.raw = w.db.ranges();
-    w.ranges = w.raw;
-    w.ranges.makespan_max = w.raw.makespan_max + 0.25 * (w.raw.makespan_max - w.raw.makespan_min);
-    w.ranges.func_rel_min = w.raw.func_rel_min - 0.25 * (w.raw.func_rel_max - w.raw.func_rel_min);
+    w.ranges = exp::db_qos_ranges(w.db);
     return w;
   };
   const Workload regret_wl = build_workload(tasks, num_points, seed);

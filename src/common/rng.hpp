@@ -37,6 +37,15 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
+/// Seed of substream `index` under `base`: one SplitMix64 step from
+/// base + index·golden-ratio, so consecutive indices get decorrelated streams
+/// and the mapping never depends on execution order or thread placement.
+/// Every replication of exp::Runner and every fleet device draws from it, so
+/// its values are part of every recorded result and never change.
+constexpr std::uint64_t substream_seed(std::uint64_t base, std::uint64_t index) {
+  return SplitMix64(base + 0x9e3779b97f4a7c15ULL * index).next();
+}
+
 /// Seeded pseudo-random generator with convenience samplers.
 ///
 /// Wraps std::mt19937_64; all distribution helpers are members so call sites

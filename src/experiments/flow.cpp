@@ -25,6 +25,14 @@ dse::MetricRanges qos_ranges(const FlowResult& flow) {
   return box;
 }
 
+dse::MetricRanges db_qos_ranges(const dse::DesignDb& db) {
+  const dse::MetricRanges r = db.ranges();
+  dse::MetricRanges box = r;
+  box.makespan_max = r.makespan_max + 0.25 * (r.makespan_max - r.makespan_min);
+  box.func_rel_min = r.func_rel_min - 0.25 * (r.func_rel_max - r.func_rel_min);
+  return box;
+}
+
 dse::QosSpec derive_spec(const sched::EvalContext& ctx, dse::ObjectiveMode mode,
                          std::size_t samples, double makespan_quantile,
                          double func_rel_quantile, util::Rng& rng) {

@@ -39,6 +39,11 @@ struct FlowResult {
 /// ReD's tolerance-degraded extras genuinely feasible under loose demands.
 dse::MetricRanges qos_ranges(const FlowResult& flow);
 
+/// The QoS box for a database on its own (loaded from disk, so no BaseD front
+/// or spec at hand): its metric ranges, widened on the loose side by a
+/// quarter band like qos_ranges().
+dse::MetricRanges db_qos_ranges(const dse::DesignDb& db);
+
 /// Estimate a workable QoS reference corner (max SSPEC / min FSPEC of Eq. 5)
 /// by sampling random configurations.
 dse::QosSpec derive_spec(const sched::EvalContext& ctx, dse::ObjectiveMode mode,

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/hash.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "trace/trace.hpp"
@@ -22,21 +23,6 @@ const char* policy_name(PolicyKind kind) {
     case PolicyKind::Mdp: return "mdp";
   }
   return "unknown";
-}
-
-// FNV-1a64 accumulation over raw bytes (same constants as the snapshot
-// checksum and hash_configuration).
-void hash_bytes(std::uint64_t& h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-}
-
-template <typename T>
-void hash_value(std::uint64_t& h, T v) {
-  hash_bytes(h, &v, sizeof v);
 }
 
 }  // namespace
@@ -56,11 +42,6 @@ ReplicatedStats replicate_stats(const std::vector<rt::RuntimeStats>& runs) {
   return s;
 }
 
-std::uint64_t replication_seed(std::uint64_t base, std::size_t rep) {
-  util::SplitMix64 mix(base + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(rep));
-  return mix.next();
-}
-
 std::size_t Runner::add_cell(RunnerCell cell) {
   if (cell.db == nullptr) throw std::invalid_argument("Runner::add_cell: db is required");
   if (cell.app == nullptr && cell.drc == nullptr) {
@@ -78,46 +59,46 @@ std::vector<CellResult> Runner::run() { return run(RunnerControl{}).results; }
 
 std::uint64_t Runner::grid_hash() const {
   const std::size_t reps = std::max<std::size_t>(config_.replications, 1);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  hash_value<std::uint64_t>(h, reps);
-  hash_value<std::uint64_t>(h, cells_.size());
+  std::uint64_t h = util::kFnv1aBasis;
+  util::fnv1a_value<std::uint64_t>(h, reps);
+  util::fnv1a_value<std::uint64_t>(h, cells_.size());
   for (const auto& cell : cells_) {
-    hash_value<std::uint64_t>(h, cell.label.size());
-    hash_bytes(h, cell.label.data(), cell.label.size());
-    hash_value<std::uint64_t>(h, cell.seed);
-    hash_value<std::uint32_t>(h, static_cast<std::uint32_t>(cell.params.kind));
-    hash_value<double>(h, cell.params.p_rc);
-    hash_value<double>(h, cell.params.pretrain_cycles);
-    hash_value<std::uint64_t>(h, cell.params.pretrain_sweeps);
-    hash_value<std::uint8_t>(h, cell.params.pretrain ? 1 : 0);
-    hash_value<double>(h, cell.params.sim.total_cycles);
-    hash_value<double>(h, cell.params.sim.episode_cycles);
-    hash_value<double>(h, cell.params.faults.transient_rate);
-    hash_value<double>(h, cell.params.faults.pe_mtbf);
-    hash_value<double>(h, cell.params.faults.recovery_latency);
-    hash_value<double>(h, cell.params.faults.reexec_energy_factor);
-    hash_value<double>(h, cell.params.faults.qos_tolerance);
-    hash_value<double>(h, cell.params.faults.fallback_coverage);
-    hash_value<std::uint64_t>(h, cell.db->size());
-    hash_value<double>(h, cell.ranges.energy_min);
-    hash_value<double>(h, cell.ranges.energy_max);
-    hash_value<double>(h, cell.ranges.makespan_min);
-    hash_value<double>(h, cell.ranges.makespan_max);
-    hash_value<double>(h, cell.ranges.func_rel_min);
-    hash_value<double>(h, cell.ranges.func_rel_max);
+    util::fnv1a_value<std::uint64_t>(h, cell.label.size());
+    util::fnv1a(h, cell.label.data(), cell.label.size());
+    util::fnv1a_value<std::uint64_t>(h, cell.seed);
+    util::fnv1a_value<std::uint32_t>(h, static_cast<std::uint32_t>(cell.params.kind));
+    util::fnv1a_value<double>(h, cell.params.p_rc);
+    util::fnv1a_value<double>(h, cell.params.pretrain_cycles);
+    util::fnv1a_value<std::uint64_t>(h, cell.params.pretrain_sweeps);
+    util::fnv1a_value<std::uint8_t>(h, cell.params.pretrain ? 1 : 0);
+    util::fnv1a_value<double>(h, cell.params.sim.total_cycles);
+    util::fnv1a_value<double>(h, cell.params.sim.episode_cycles);
+    util::fnv1a_value<double>(h, cell.params.faults.transient_rate);
+    util::fnv1a_value<double>(h, cell.params.faults.pe_mtbf);
+    util::fnv1a_value<double>(h, cell.params.faults.recovery_latency);
+    util::fnv1a_value<double>(h, cell.params.faults.reexec_energy_factor);
+    util::fnv1a_value<double>(h, cell.params.faults.qos_tolerance);
+    util::fnv1a_value<double>(h, cell.params.faults.fallback_coverage);
+    util::fnv1a_value<std::uint64_t>(h, cell.db->size());
+    util::fnv1a_value<double>(h, cell.ranges.energy_min);
+    util::fnv1a_value<double>(h, cell.ranges.energy_max);
+    util::fnv1a_value<double>(h, cell.ranges.makespan_min);
+    util::fnv1a_value<double>(h, cell.ranges.makespan_max);
+    util::fnv1a_value<double>(h, cell.ranges.func_rel_min);
+    util::fnv1a_value<double>(h, cell.ranges.func_rel_max);
     // New-policy knobs only enter the hash when they are actually in play,
     // so every pre-existing grid keeps its historical hash (checkpoints
     // recorded before this version still resume).
     if (cell.params.kind == PolicyKind::Mdp) {
-      hash_value<std::uint64_t>(h, cell.params.mdp.makespan_bins);
-      hash_value<std::uint64_t>(h, cell.params.mdp.func_rel_bins);
-      hash_value<double>(h, cell.params.mdp.gamma);
-      hash_value<double>(h, cell.params.mdp.tolerance);
-      hash_value<std::uint64_t>(h, cell.params.mdp.max_sweeps);
+      util::fnv1a_value<std::uint64_t>(h, cell.params.mdp.makespan_bins);
+      util::fnv1a_value<std::uint64_t>(h, cell.params.mdp.func_rel_bins);
+      util::fnv1a_value<double>(h, cell.params.mdp.gamma);
+      util::fnv1a_value<double>(h, cell.params.mdp.tolerance);
+      util::fnv1a_value<std::uint64_t>(h, cell.params.mdp.max_sweeps);
     }
     if (cell.params.prefetch) {
-      hash_value<std::uint8_t>(h, 1);
-      hash_value<std::uint64_t>(h, cell.params.prefetch_params.min_observations);
+      util::fnv1a_value<std::uint8_t>(h, 1);
+      util::fnv1a_value<std::uint64_t>(h, cell.params.prefetch_params.min_observations);
     }
   }
   return h;
@@ -218,14 +199,14 @@ RunOutcome Runner::run(const RunnerControl& control) {
                             {"policy", policy_name(cell.params.kind)},
                             {"p_rc", cell.params.p_rc},
                             {"fault_rate", cell.params.faults.transient_rate},
-                            {"seed", replication_seed(cell.seed, r)}});
+                            {"seed", util::substream_seed(cell.seed, r)}});
             const rt::DrcMatrix* drc =
                 cell.drc != nullptr ? cell.drc : drc_cache.at({cell.app, cell.db}).get();
             const rel::ClrSpace* clr_space =
                 cell.app != nullptr ? &cell.app->clr_space() : nullptr;
             const auto start = std::chrono::steady_clock::now();
             stats[job] = evaluate_policy_with(*cell.db, *drc, cell.ranges, cell.params,
-                                              replication_seed(cell.seed, r), clr_space);
+                                              util::substream_seed(cell.seed, r), clr_space);
             wall[job] = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - start)
                             .count();

@@ -79,11 +79,6 @@ static_assert(sizeof(ReplicatedStats) ==
 /// need bit-for-bit reproducibility must not reorder `runs`).
 ReplicatedStats replicate_stats(const std::vector<rt::RuntimeStats>& runs);
 
-/// Seed of replication `rep` of a cell with base seed `base`: a SplitMix64
-/// expansion, so replications are decorrelated but each (base, rep) pair maps
-/// to the same simulation regardless of execution order or thread count.
-std::uint64_t replication_seed(std::uint64_t base, std::size_t rep);
-
 /// One grid cell: a policy evaluation over one database, replicated over
 /// seeds. Either `app` (the reconfiguration-model source; cost matrices are
 /// then cached per (app, db)) or an explicit `drc` table must be set.
@@ -93,7 +88,7 @@ struct RunnerCell {
   const rt::DrcMatrix* drc = nullptr;  ///< explicit cost table (tests/what-if)
   dse::MetricRanges ranges;            ///< QoS-process box (exp::qos_ranges)
   RuntimeEvalParams params;
-  std::uint64_t seed = 0;  ///< base seed; replication r runs replication_seed(seed, r)
+  std::uint64_t seed = 0;  ///< base seed; replication r runs util::substream_seed(seed, r)
   std::string label;
 };
 

@@ -4,31 +4,19 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/hash.hpp"
 #include "io/checkpoint.hpp"
 
 namespace clr::exp {
 
 namespace {
 
-void hash_bytes(std::uint64_t& h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-}
-
-template <typename T>
-void hash_value(std::uint64_t& h, T v) {
-  hash_bytes(h, &v, sizeof v);
-}
-
 void hash_ga(std::uint64_t& h, const moea::GaParams& ga) {
-  hash_value<std::uint64_t>(h, ga.population);
-  hash_value<std::uint64_t>(h, ga.generations);
-  hash_value<double>(h, ga.crossover_prob);
-  hash_value<double>(h, ga.mutation_prob);
-  hash_value<std::uint64_t>(h, ga.tournament_size);
+  util::fnv1a_value<std::uint64_t>(h, ga.population);
+  util::fnv1a_value<std::uint64_t>(h, ga.generations);
+  util::fnv1a_value<double>(h, ga.crossover_prob);
+  util::fnv1a_value<double>(h, ga.mutation_prob);
+  util::fnv1a_value<std::uint64_t>(h, ga.tournament_size);
   // ga.threads deliberately excluded: thread count never affects results.
 }
 
@@ -45,27 +33,27 @@ void validate(const SessionControl& control) {
 
 std::uint64_t explore_param_hash(const AppInstance& app, const FlowParams& params,
                                  std::uint64_t flow_seed) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  hash_value<std::uint64_t>(h, app.graph().num_tasks());
-  hash_value<std::uint64_t>(h, app.graph().num_edges());
-  hash_value<std::uint64_t>(h, app.platform().num_pes());
-  hash_value<std::uint64_t>(h, app.platform().num_pe_types());
-  hash_value<std::uint64_t>(h, app.clr_space().size());
-  hash_value<std::uint64_t>(h, flow_seed);
-  hash_value<std::uint32_t>(h, static_cast<std::uint32_t>(params.mode));
-  hash_value<std::uint64_t>(h, params.spec_samples);
-  hash_value<double>(h, params.makespan_quantile);
-  hash_value<double>(h, params.func_rel_quantile);
+  std::uint64_t h = util::kFnv1aBasis;
+  util::fnv1a_value<std::uint64_t>(h, app.graph().num_tasks());
+  util::fnv1a_value<std::uint64_t>(h, app.graph().num_edges());
+  util::fnv1a_value<std::uint64_t>(h, app.platform().num_pes());
+  util::fnv1a_value<std::uint64_t>(h, app.platform().num_pe_types());
+  util::fnv1a_value<std::uint64_t>(h, app.clr_space().size());
+  util::fnv1a_value<std::uint64_t>(h, flow_seed);
+  util::fnv1a_value<std::uint32_t>(h, static_cast<std::uint32_t>(params.mode));
+  util::fnv1a_value<std::uint64_t>(h, params.spec_samples);
+  util::fnv1a_value<double>(h, params.makespan_quantile);
+  util::fnv1a_value<double>(h, params.func_rel_quantile);
   hash_ga(h, params.dse.base_ga);
   hash_ga(h, params.dse.red_ga);
-  hash_value<double>(h, params.dse.tol_makespan_band);
-  hash_value<double>(h, params.dse.tol_func_rel_band);
-  hash_value<double>(h, params.dse.tol_energy);
-  hash_value<std::uint64_t>(h, params.dse.extras_per_seed);
-  hash_value<std::uint64_t>(h, params.dse.max_red_seeds);
-  hash_value<std::uint64_t>(h, params.dse.calibration_samples);
-  hash_value<std::uint8_t>(h, params.dse.heft_seeding ? 1 : 0);
-  hash_value<std::uint64_t>(h, params.dse.max_base_points);
+  util::fnv1a_value<double>(h, params.dse.tol_makespan_band);
+  util::fnv1a_value<double>(h, params.dse.tol_func_rel_band);
+  util::fnv1a_value<double>(h, params.dse.tol_energy);
+  util::fnv1a_value<std::uint64_t>(h, params.dse.extras_per_seed);
+  util::fnv1a_value<std::uint64_t>(h, params.dse.max_red_seeds);
+  util::fnv1a_value<std::uint64_t>(h, params.dse.calibration_samples);
+  util::fnv1a_value<std::uint8_t>(h, params.dse.heft_seeding ? 1 : 0);
+  util::fnv1a_value<std::uint64_t>(h, params.dse.max_base_points);
   // dse.threads, dse.batched_eval and dse.eval_cache_capacity deliberately
   // excluded: all three are bit-identical performance knobs (DESIGN.md §5.6,
   // §5.10), so a checkpoint taken at --jobs 8 resumes fine at --jobs 1.

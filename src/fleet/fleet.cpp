@@ -10,6 +10,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/hash.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "fleet/spsc_queue.hpp"
@@ -29,19 +30,6 @@ struct DeviceBatch {
   std::uint32_t count = 0;
   std::array<DeviceResult, kBatchDevices> results;
 };
-
-void hash_bytes(std::uint64_t& h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-}
-
-template <typename T>
-void hash_value(std::uint64_t& h, T v) {
-  hash_bytes(h, &v, sizeof v);
-}
 
 DeviceResult to_result(std::uint64_t id, const rt::RuntimeStats& s) {
   DeviceResult r;
@@ -70,64 +58,59 @@ void validate_config(const FleetConfig& config) {
 
 }  // namespace
 
-std::uint64_t device_seed(std::uint64_t base, std::uint64_t device) {
-  util::SplitMix64 mix(base + 0x9e3779b97f4a7c15ULL * device);
-  return mix.next();
-}
-
 std::uint64_t fleet_param_hash(const FleetConfig& config) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  hash_value<std::uint64_t>(h, config.devices);
-  hash_value<std::uint64_t>(h, config.seed);
-  hash_value<std::uint64_t>(h, config.block_size);
+  std::uint64_t h = util::kFnv1aBasis;
+  util::fnv1a_value<std::uint64_t>(h, config.devices);
+  util::fnv1a_value<std::uint64_t>(h, config.seed);
+  util::fnv1a_value<std::uint64_t>(h, config.block_size);
   const exp::RuntimeEvalParams& p = config.params;
-  hash_value<std::uint32_t>(h, static_cast<std::uint32_t>(p.kind));
-  hash_value<double>(h, p.p_rc);
-  hash_value<double>(h, p.aura.gamma);
-  hash_value<double>(h, p.aura.alpha);
-  hash_value<double>(h, p.aura.guard);
-  hash_value<double>(h, p.aura.initial_value);
-  hash_value<double>(h, p.pretrain_cycles);
-  hash_value<std::uint64_t>(h, p.pretrain_sweeps);
-  hash_value<std::uint8_t>(h, p.pretrain ? 1 : 0);
-  hash_value<double>(h, p.sim.total_cycles);
-  hash_value<double>(h, p.sim.episode_cycles);
-  hash_value<double>(h, p.qos.makespan_mean_frac);
-  hash_value<double>(h, p.qos.makespan_sd_frac);
-  hash_value<double>(h, p.qos.func_rel_mean_frac);
-  hash_value<double>(h, p.qos.func_rel_sd_frac);
-  hash_value<double>(h, p.qos.rho);
-  hash_value<double>(h, p.qos.ar1_phi);
-  hash_value<double>(h, p.qos.mean_event_gap);
-  hash_value<double>(h, p.faults.transient_rate);
-  hash_value<double>(h, p.faults.pe_mtbf);
-  hash_value<double>(h, p.faults.recovery_latency);
-  hash_value<double>(h, p.faults.reexec_energy_factor);
-  hash_value<double>(h, p.faults.qos_tolerance);
-  hash_value<double>(h, p.faults.fallback_coverage);
-  hash_value<std::uint64_t>(h, p.fault_profiles.size());
+  util::fnv1a_value<std::uint32_t>(h, static_cast<std::uint32_t>(p.kind));
+  util::fnv1a_value<double>(h, p.p_rc);
+  util::fnv1a_value<double>(h, p.aura.gamma);
+  util::fnv1a_value<double>(h, p.aura.alpha);
+  util::fnv1a_value<double>(h, p.aura.guard);
+  util::fnv1a_value<double>(h, p.aura.initial_value);
+  util::fnv1a_value<double>(h, p.pretrain_cycles);
+  util::fnv1a_value<std::uint64_t>(h, p.pretrain_sweeps);
+  util::fnv1a_value<std::uint8_t>(h, p.pretrain ? 1 : 0);
+  util::fnv1a_value<double>(h, p.sim.total_cycles);
+  util::fnv1a_value<double>(h, p.sim.episode_cycles);
+  util::fnv1a_value<double>(h, p.qos.makespan_mean_frac);
+  util::fnv1a_value<double>(h, p.qos.makespan_sd_frac);
+  util::fnv1a_value<double>(h, p.qos.func_rel_mean_frac);
+  util::fnv1a_value<double>(h, p.qos.func_rel_sd_frac);
+  util::fnv1a_value<double>(h, p.qos.rho);
+  util::fnv1a_value<double>(h, p.qos.ar1_phi);
+  util::fnv1a_value<double>(h, p.qos.mean_event_gap);
+  util::fnv1a_value<double>(h, p.faults.transient_rate);
+  util::fnv1a_value<double>(h, p.faults.pe_mtbf);
+  util::fnv1a_value<double>(h, p.faults.recovery_latency);
+  util::fnv1a_value<double>(h, p.faults.reexec_energy_factor);
+  util::fnv1a_value<double>(h, p.faults.qos_tolerance);
+  util::fnv1a_value<double>(h, p.faults.fallback_coverage);
+  util::fnv1a_value<std::uint64_t>(h, p.fault_profiles.size());
   for (const auto& profile : p.fault_profiles) {
-    hash_value<double>(h, profile.ser_scale);
-    hash_value<double>(h, profile.weibull_shape);
+    util::fnv1a_value<double>(h, profile.ser_scale);
+    util::fnv1a_value<double>(h, profile.weibull_shape);
   }
-  hash_value<double>(h, config.ranges.energy_min);
-  hash_value<double>(h, config.ranges.energy_max);
-  hash_value<double>(h, config.ranges.makespan_min);
-  hash_value<double>(h, config.ranges.makespan_max);
-  hash_value<double>(h, config.ranges.func_rel_min);
-  hash_value<double>(h, config.ranges.func_rel_max);
+  util::fnv1a_value<double>(h, config.ranges.energy_min);
+  util::fnv1a_value<double>(h, config.ranges.energy_max);
+  util::fnv1a_value<double>(h, config.ranges.makespan_min);
+  util::fnv1a_value<double>(h, config.ranges.makespan_max);
+  util::fnv1a_value<double>(h, config.ranges.func_rel_min);
+  util::fnv1a_value<double>(h, config.ranges.func_rel_max);
   // New-policy knobs enter the hash only when in play, keeping every
   // pre-existing fleet's hash (and its resumable checkpoints) stable.
   if (p.kind == exp::PolicyKind::Mdp) {
-    hash_value<std::uint64_t>(h, p.mdp.makespan_bins);
-    hash_value<std::uint64_t>(h, p.mdp.func_rel_bins);
-    hash_value<double>(h, p.mdp.gamma);
-    hash_value<double>(h, p.mdp.tolerance);
-    hash_value<std::uint64_t>(h, p.mdp.max_sweeps);
+    util::fnv1a_value<std::uint64_t>(h, p.mdp.makespan_bins);
+    util::fnv1a_value<std::uint64_t>(h, p.mdp.func_rel_bins);
+    util::fnv1a_value<double>(h, p.mdp.gamma);
+    util::fnv1a_value<double>(h, p.mdp.tolerance);
+    util::fnv1a_value<std::uint64_t>(h, p.mdp.max_sweeps);
   }
   if (p.prefetch) {
-    hash_value<std::uint8_t>(h, 1);
-    hash_value<std::uint64_t>(h, p.prefetch_params.min_observations);
+    util::fnv1a_value<std::uint8_t>(h, 1);
+    util::fnv1a_value<std::uint64_t>(h, p.prefetch_params.min_observations);
   }
   // shards, jobs and queue_capacity deliberately excluded: partitioning and
   // flow-control knobs never affect results (the determinism rule), so a
@@ -160,9 +143,10 @@ DeviceResult simulate_device(const dse::DesignDb& db, const rt::DrcMatrix& drc,
                              const exp::RuntimeEvalParams& params,
                              const rel::ClrSpace* clr_space, std::uint64_t device,
                              std::uint64_t fleet_seed, const rt::MdpTable* mdp_table) {
-  return to_result(device, exp::evaluate_policy_on(db, drc, qos, sim, params,
-                                                   device_seed(fleet_seed, device), clr_space,
-                                                   mdp_table));
+  return to_result(device,
+                   exp::evaluate_policy_on(db, drc, qos, sim, params,
+                                           util::substream_seed(fleet_seed, device), clr_space,
+                                           mdp_table));
 }
 
 FleetSummary summarize(const FleetProgress& progress) {

@@ -19,7 +19,7 @@
 //     that touches shared aggregates, so the pipeline needs no locks at all.
 //
 // Determinism rule (absolute): every aggregate is bit-identical at any
-// shards/jobs combination. Per-device SplitMix64 seeding (fleet::device_seed)
+// shards/jobs combination. Per-device SplitMix64 seeding (util::substream_seed)
 // makes each device's simulation a pure function of (fleet seed, device id);
 // the block structure pins every floating-point association order (see
 // progress.hpp). Proven by tests/fleet/test_fleet_determinism.cpp.
@@ -34,6 +34,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/stop.hpp"
 #include "dse/design_db.hpp"
 #include "experiments/flow.hpp"
@@ -52,7 +53,7 @@ struct FleetConfig {
   /// Worker threads (0 = auto via util::resolve_threads). Never affects
   /// results.
   std::size_t jobs = 0;
-  /// Fleet master seed; device d simulates under device_seed(seed, d).
+  /// Fleet master seed; device d simulates under util::substream_seed(seed, d).
   std::uint64_t seed = 1;
   /// Aggregation/checkpoint grain in devices (progress.hpp). Result-affecting
   /// (it pins the floating-point fold grouping), so it is part of the param
@@ -63,7 +64,7 @@ struct FleetConfig {
   /// Per-device evaluation knobs: policy kind, pRC, simulation horizon, QoS
   /// process, fault environment. Mirrors exp::evaluate_policy_with exactly —
   /// fleet device d is bit-identical to
-  /// `evaluate_policy_with(db, drc, ranges, params, device_seed(seed, d))`.
+  /// `evaluate_policy_with(db, drc, ranges, params, util::substream_seed(seed, d))`.
   exp::RuntimeEvalParams params{};
   /// QoS-requirement box the per-device QoS processes sample from.
   dse::MetricRanges ranges{};
@@ -128,10 +129,13 @@ struct FleetResult {
   double devices_per_second = 0.0;///< devices simulated this run / wall time
 };
 
-/// Seed for device `d` of a fleet seeded with `base`: SplitMix64 expansion
-/// (the exp::replication_seed idiom), so consecutive ids get decorrelated
-/// streams and the mapping never depends on shard/thread placement.
-std::uint64_t device_seed(std::uint64_t base, std::uint64_t device);
+/// Seed for device `d` of a fleet seeded with `base`. The fleet draws it as
+/// util::substream_seed(base, d) directly; this name stays because the
+/// end-to-end benchmark (perfbench/fleet.cpp) calls it, and perfbench changes
+/// only together with its recorded digests.
+inline std::uint64_t device_seed(std::uint64_t base, std::uint64_t device) {
+  return util::substream_seed(base, device);
+}
 
 /// FNV-1a over every result-affecting fleet parameter: devices, seed,
 /// block_size, policy/simulation/QoS/fault knobs and the ranges box.
@@ -151,8 +155,8 @@ std::pair<std::uint64_t, std::uint64_t> shard_block_range(std::uint64_t num_bloc
 
 /// Simulate one device exactly as the fleet pipeline does:
 /// exp::evaluate_policy_on against the worker's shared QosProcess +
-/// RuntimeSimulator, seeded with device_seed(fleet_seed, device), converted
-/// to a DeviceResult. Exposed so tests can pin fleet-vs-reference equality
+/// RuntimeSimulator, seeded with util::substream_seed(fleet_seed, device),
+/// converted to a DeviceResult. Exposed so tests can pin fleet-vs-reference equality
 /// device by device. `mdp_table` supplies the fleet-shared offline plan for
 /// PolicyKind::Mdp (nullptr rebuilds it per device — bit-identical, since the
 /// offline solve is deterministic, just slower).

@@ -231,7 +231,7 @@ Json to_json(const dse::DesignDb& db, const rel::ClrSpace& space) {
 
 LoadedDesignDb design_db_from_json(const Json& j) {
   check_version(j, "design database");
-  LoadedDesignDb loaded{dse::DesignDb{}, clr_space_from_json(j.at("clr_space"))};
+  LoadedDesignDb loaded{dse::DesignDb{}, clr_space_from_json(j.at("clr_space")), std::nullopt};
   for (const auto& p : j.at("points").as_array()) {
     dse::DesignPoint point;
     point.config = configuration_from_json(p.at("config"));
@@ -256,11 +256,10 @@ LoadedDesignDb load_design_db(const std::string& path) {
   buffer << f.rdbuf();
   std::string bytes = std::move(buffer).str();
   // Dispatch on content, not extension: a .clrdb snapshot loads through the
-  // binary path (the DrcMatrix section, if any, is dropped here — callers
-  // that want it use io::load_snapshot directly).
+  // binary path, keeping its DrcMatrix section (its MDP table is dropped).
   if (has_snapshot_magic(bytes)) {
     LoadedSnapshot snap = materialize(Snapshot::from_bytes(std::move(bytes)).view());
-    return LoadedDesignDb{std::move(snap.db), std::move(snap.space)};
+    return LoadedDesignDb{std::move(snap.db), std::move(snap.space), std::move(snap.drc)};
   }
   return design_db_from_json(Json::parse(bytes));
 }

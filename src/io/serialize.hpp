@@ -10,10 +10,13 @@
 // database is self-describing; the platform/graph are stored separately
 // (they are larger and shared across databases).
 
+#include <optional>
+
 #include "dse/design_db.hpp"
 #include "io/json.hpp"
 #include "platform/platform.hpp"
 #include "reliability/clr_config.hpp"
+#include "runtime/drc_matrix.hpp"
 #include "taskgraph/graph.hpp"
 
 namespace clr::io {
@@ -39,10 +42,15 @@ Json to_json(const dse::DesignDb& db, const rel::ClrSpace& space);
 struct LoadedDesignDb {
   dse::DesignDb db;
   rel::ClrSpace space;
+  /// The DrcMatrix a `.clrdb` stored, so readers skip the O(n²·tasks)
+  /// rebuild; absent for JSON and for snapshots written without one.
+  std::optional<rt::DrcMatrix> drc;
 };
 LoadedDesignDb design_db_from_json(const Json& j);
 
 /// Convenience file round trips (throw std::runtime_error / JsonError).
+/// load_design_db reads either format, dispatching on the content (the
+/// snapshot magic), not the extension; it is the one read path of clrtool.
 void save_design_db(const std::string& path, const dse::DesignDb& db,
                     const rel::ClrSpace& space);
 LoadedDesignDb load_design_db(const std::string& path);

@@ -15,6 +15,8 @@
 #include <unistd.h>
 #endif
 
+#include "common/hash.hpp"
+
 // The format is defined little-endian and the zero-copy view reinterprets
 // the mapped bytes in place. Big-endian hosts would need a byte-swapping
 // materialize path; none of the supported targets are big-endian, so fail
@@ -38,15 +40,6 @@ constexpr std::uint64_t kMaxDrcPoints = std::uint64_t{1} << 26;
 /// Per-axis cap on the MdpPolicy QoS-bin grid (the builder caps the whole
 /// state space at 2^22, so any honest file stays far below this).
 constexpr std::uint32_t kMaxMdpBins = 1u << 16;
-
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 std::uint64_t align8(std::uint64_t n) { return (n + 7) & ~std::uint64_t{7}; }
 
@@ -151,7 +144,7 @@ SnapshotView SnapshotView::attach(const void* data, std::size_t size) {
 
   // Content integrity before structure: a flipped payload byte must surface
   // as a checksum mismatch, not as whichever structural check it confuses.
-  const std::uint64_t computed_checksum = fnv1a(bytes + payload_start, size - payload_start);
+  const std::uint64_t computed_checksum = util::fnv1a(bytes + payload_start, size - payload_start);
   if (computed_checksum != stored_checksum) {
     fail(SnapshotError::Kind::Checksum, "stored payload checksum " + hex(stored_checksum) +
                                             " but the payload hashes to " +
@@ -551,9 +544,7 @@ std::string assemble_snapshot_container(std::uint32_t version,
   append_scalar<std::uint32_t>(out, version);
   append_scalar<std::uint32_t>(out, 0);  // flags
   append_scalar<std::uint64_t>(out, payload_start + payload.size());
-  append_scalar<std::uint64_t>(out,
-                               fnv1a(reinterpret_cast<const std::uint8_t*>(payload.data()),
-                                     payload.size()));
+  append_scalar<std::uint64_t>(out, util::fnv1a(payload.data(), payload.size()));
   append_scalar<std::uint32_t>(out, static_cast<std::uint32_t>(table.size()));
   append_scalar<std::uint32_t>(out, 0);  // reserved
   for (const SectionEntry& e : table) {

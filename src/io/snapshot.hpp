@@ -278,8 +278,9 @@ void save_snapshot(const std::string& path, const dse::DesignDb& db, const rel::
 /// open() + materialize() in one call.
 LoadedSnapshot load_snapshot(const std::string& path);
 
-/// True when `path` names a .clrdb artifact (by extension; the loaders also
-/// sniff the magic, so a mis-extensioned file still fails loudly).
+/// True when `path` names a .clrdb artifact by extension: picks the format
+/// `clrtool explore --db-out` writes. Readers never use it — they dispatch
+/// on content (has_snapshot_magic, io::load_design_db).
 bool is_snapshot_path(const std::string& path);
 
 /// True when `bytes` starts with the snapshot magic (format dispatch for

@@ -27,6 +27,19 @@ TEST(SplitMix64, ZeroSeedProducesNonZeroStream) {
   EXPECT_TRUE(any_nonzero);
 }
 
+TEST(SubstreamSeed, ReproducesTheRecordedReplicationAndDeviceSeeds) {
+  // Every replication and fleet device seeds from substream_seed, so stored
+  // results, checkpoints and the perfbench digests depend on these values.
+  EXPECT_EQ(substream_seed(42, 0), 0xbdd732262feb6e95ULL);
+  EXPECT_EQ(substream_seed(42, 1), 0x28efe333b266f103ULL);
+  EXPECT_EQ(substream_seed(42, 2), 0x47526757130f9f52ULL);
+  EXPECT_EQ(substream_seed(42, 1000), 0x5566dbe893f1b4aeULL);
+  EXPECT_EQ(substream_seed(7, 0), 0x63cbe1e459320dd7ULL);
+  EXPECT_EQ(substream_seed(7, 1), 0x044c3cd7f43c661cULL);
+  EXPECT_EQ(substream_seed(7, 1000), 0xcf1b8d545d1615caULL);
+  static_assert(substream_seed(1, 2) == SplitMix64(1 + 2 * 0x9e3779b97f4a7c15ULL).next());
+}
+
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(7);
   Rng b(7);

@@ -59,12 +59,12 @@ RunnerCell make_cell(const dse::DesignDb& db, const rt::DrcMatrix& drc, PolicyKi
 TEST(ReplicationSeed, DeterministicAndDecorrelated) {
   std::set<std::uint64_t> seen;
   for (std::size_t rep = 0; rep < 64; ++rep) {
-    const auto s = replication_seed(42, rep);
-    EXPECT_EQ(s, replication_seed(42, rep));
+    const auto s = util::substream_seed(42, rep);
+    EXPECT_EQ(s, util::substream_seed(42, rep));
     seen.insert(s);
   }
   EXPECT_EQ(seen.size(), 64u);  // all distinct
-  EXPECT_NE(replication_seed(42, 0), replication_seed(43, 0));
+  EXPECT_NE(util::substream_seed(42, 0), util::substream_seed(43, 0));
 }
 
 TEST(ReplicateStats, SummarizesEveryField) {

@@ -191,6 +191,17 @@ TEST(Session, ParamHashTracksResultAffectingKnobsOnly) {
   EXPECT_EQ(explore_param_hash(*app, other, 77), base);
 }
 
+TEST(Session, ParamHashReproducesTheRecordedValue) {
+  // Explore checkpoints store this identity, and no fixture covers it.
+  const auto app = make_synthetic_app(7, 11);
+  FlowParams params;
+  EXPECT_EQ(explore_param_hash(*app, params, 77), 0x1dc92bf2dcd96b39ULL);
+  params.mode = dse::ObjectiveMode::CspQos;
+  params.dse.base_ga.population = 16;
+  params.dse.base_ga.generations = 4;
+  EXPECT_EQ(explore_param_hash(*app, params, 77), 0x5ea1ab2df1c8660eULL);
+}
+
 // --- Runner fixtures ---------------------------------------------------------
 
 dse::DesignDb make_db() {

@@ -144,6 +144,31 @@ TEST(Snapshot, LoadDesignDbDispatchesOnMagicNotExtension) {
   std::filesystem::remove(path);
 }
 
+TEST(Snapshot, LoadDesignDbKeepsTheStoredDrcMatrix) {
+  // clrtool's one read path: a .clrdb's cost table must survive the load so
+  // simulate/fleet skip the rebuild; JSON and drc-less snapshots carry none.
+  const Fixture f = make_fixture();
+  const auto dir = std::filesystem::temp_directory_path();
+  const auto with = (dir / "clr_snap_drc.clrdb").string();
+  const auto without = (dir / "clr_snap_nodrc.clrdb").string();
+  const auto json = (dir / "clr_snap_drc.json").string();
+  save_snapshot(with, f.db, f.space, &f.drc);
+  save_snapshot(without, f.db, f.space);
+  save_design_db(json, f.db, f.space);
+
+  const LoadedDesignDb loaded = load_design_db(with);
+  ASSERT_TRUE(loaded.drc.has_value());
+  ASSERT_EQ(loaded.drc->size(), f.db.size());
+  for (std::size_t i = 0; i < f.db.size(); ++i) {
+    for (std::size_t j = 0; j < f.db.size(); ++j) {
+      EXPECT_EQ(loaded.drc->drc(i, j), f.drc.drc(i, j));
+    }
+  }
+  EXPECT_FALSE(load_design_db(without).drc.has_value());
+  EXPECT_FALSE(load_design_db(json).drc.has_value());
+  for (const auto& path : {with, without, json}) std::filesystem::remove(path);
+}
+
 TEST(Snapshot, PathAndMagicHelpers) {
   EXPECT_TRUE(is_snapshot_path("out/db.clrdb"));
   EXPECT_FALSE(is_snapshot_path("out/db.json"));

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
 #include <string>
 #include <tuple>
@@ -28,6 +30,35 @@ std::pair<int, std::string> run_tool(const std::string& args) {
   const int status = pclose(pipe);
   const int exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return {exit_code, output};
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing file: " << path;
+  return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+}
+
+/// `text` without the lines containing any of `needles` (wall-clock fields).
+std::string drop_lines(const std::string& text, std::initializer_list<const char*> needles) {
+  std::string out;
+  std::size_t start = 0;
+  while (start < text.size()) {
+    const std::size_t end = std::min(text.find('\n', start), text.size() - 1) + 1;
+    const std::string line = text.substr(start, end - start);
+    bool keep = true;
+    for (const char* needle : needles) keep = keep && line.find(needle) == std::string::npos;
+    if (keep) out += line;
+    start = end;
+  }
+  return out;
+}
+
+/// The small database most tests run on: explored for --tasks 6 --seed 5.
+std::string explore_small_db(const std::string& name) {
+  const std::string path = ::testing::TempDir() + name;
+  const auto [code, out] = run_tool("explore --tasks 6 --seed 5 --pop 8 --gens 3 --db-out " + path);
+  EXPECT_EQ(code, 0) << out;
+  return path;
 }
 
 TEST(CliErrors, NoArgumentsPrintsUsageAndFails) {
@@ -354,6 +385,229 @@ TEST(CliBrokenPipe, WriteFailureToFullDeviceIsReported) {
   const std::string text((std::istreambuf_iterator<char>(err)), std::istreambuf_iterator<char>());
   EXPECT_NE(text.find("clrtool:"), std::string::npos) << text;
   std::remove("/tmp/clrtool_err");
+}
+
+// --- The option table: every value is typed and checked before any work ------
+
+/// An option error: exit 1, a message naming the option, and none of the
+/// output a started run prints first.
+void expect_option_error(const std::string& args, const std::string& option) {
+  const auto [code, out] = run_tool(args);
+  EXPECT_EQ(code, 1) << args << "\n" << out;
+  EXPECT_NE(out.find("option --" + option), std::string::npos) << args << "\n" << out;
+  EXPECT_EQ(out.find("spec:"), std::string::npos) << args << "\n" << out;
+  EXPECT_EQ(out.find("explored inline"), std::string::npos) << args << "\n" << out;
+}
+
+TEST(CliOptions, FlagGivenAValueIsRejected) {
+  // `--prefetch 0` must not mean "prefetch on", nor `--csp no` "CSP mode".
+  expect_option_error(
+      "fleet --tasks 6 --seed 5 --pop 8 --gens 3 --devices 10 --cycles 500 --prefetch 0",
+      "prefetch");
+  expect_option_error("explore --tasks 6 --seed 5 --pop 8 --gens 3 --csp no", "csp");
+}
+
+TEST(CliOptions, MissingValueFailsBeforeAnyWork) {
+  // A trailing --report/--db-out must fail up front, not after the whole run.
+  expect_option_error("fleet --tasks 6 --seed 5 --pop 8 --gens 3 --devices 10 --report",
+                      "report");
+  expect_option_error("explore --tasks 6 --seed 5 --pop 8 --gens 3 --db-out", "db-out");
+}
+
+TEST(CliOptions, NegativeSimSeedIsRejectedOnValidateAsOnSimulate) {
+  const std::string db = explore_small_db("clrtool_opt_seed.json");
+  expect_option_error("validate --tasks 6 --seed 5 --db " + db + " --runs 10 --sim-seed -1",
+                      "sim-seed");
+  expect_option_error("simulate --tasks 6 --seed 5 --db " + db + " --sim-seed -1", "sim-seed");
+  std::remove(db.c_str());
+}
+
+TEST(CliOptions, RepeatedOptionIsRejected) {
+  expect_option_error("generate --tasks 5 --tasks 7", "tasks");
+}
+
+TEST(CliOptions, OptionErrorsExitOneAndSubcommandErrorsExitTwo) {
+  EXPECT_EQ(run_tool("simulate --tasks 5 --policy wishful").first, 1);
+  EXPECT_EQ(run_tool("validate --tasks 5").first, 1);
+  EXPECT_EQ(run_tool("inspect").first, 1);
+  EXPECT_EQ(run_tool("").first, 2);
+  EXPECT_EQ(run_tool("frobnicate").first, 2);
+}
+
+// --- One design-database loader for simulate, fleet and validate -------------
+
+/// A database explored for another application: exit 1 with one message
+/// naming --db, --tasks and --seed, never numbers computed on the wrong app.
+void expect_mismatch(const std::string& args, const std::string& app) {
+  const auto [code, out] = run_tool(args);
+  EXPECT_EQ(code, 1) << args << "\n" << out;
+  EXPECT_NE(out.find("clrtool: --db "), std::string::npos) << out;
+  EXPECT_NE(out.find("does not match the application of " + app), std::string::npos) << out;
+  EXPECT_EQ(out.find("result"), std::string::npos) << out;
+}
+
+TEST(CliDesignDb, SimulateAndValidateRejectADatabaseOfAnotherSeed) {
+  const std::string db = explore_small_db("clrtool_db_seed.json");
+  expect_mismatch("simulate --tasks 6 --seed 6 --cycles 2000 --db " + db, "--tasks 6 --seed 6");
+  expect_mismatch("validate --tasks 6 --seed 6 --runs 10 --db " + db, "--tasks 6 --seed 6");
+  std::remove(db.c_str());
+}
+
+TEST(CliDesignDb, FleetWithoutTasksAndSeedFailsWithTypedMessage) {
+  // The defaults (--tasks 20 --seed 1) are another application; the stored
+  // DrcMatrix of a .clrdb must not hide that.
+  for (const char* ext : {".json", ".clrdb"}) {
+    const std::string db = explore_small_db(std::string("clrtool_db_defaults") + ext);
+    expect_mismatch("fleet --devices 10 --cycles 500 --db " + db, "--tasks 20 --seed 1");
+    std::remove(db.c_str());
+  }
+}
+
+TEST(CliDesignDb, JsonDatabaseNamedClrdbLoadsByContent) {
+  const std::string json = explore_small_db("clrtool_db_content.json");
+  const std::string renamed = ::testing::TempDir() + "clrtool_db_content_json.clrdb";
+  std::ofstream(renamed, std::ios::binary) << read_file(json);
+  for (const std::string cmd :
+       {"simulate --tasks 6 --seed 5 --cycles 2000 --db ",
+        "fleet --tasks 6 --seed 5 --devices 40 --block 16 --cycles 1000 --jobs 1 --db "}) {
+    const auto [jcode, jout] = run_tool(cmd + json);
+    const auto [rcode, rout] = run_tool(cmd + renamed);
+    EXPECT_EQ(jcode, 0) << jout;
+    EXPECT_EQ(rcode, 0) << rout;
+    EXPECT_EQ(drop_lines(rout, {"throughput:"}), drop_lines(jout, {"throughput:"}));
+  }
+  std::remove(json.c_str());
+  std::remove(renamed.c_str());
+}
+
+TEST(CliDesignDb, ReplicatedSimulateReusesTheMatrixAClrdbStores) {
+  // The runner builds a DrcMatrix only when the database brought none: the
+  // report's runner.drc_builds counter is 1 for JSON and absent for .clrdb.
+  for (const char* ext : {".json", ".clrdb"}) {
+    const std::string db = explore_small_db(std::string("clrtool_db_drc") + ext);
+    const std::string report = ::testing::TempDir() + "clrtool_db_drc_report.json";
+    const auto [code, out] = run_tool("simulate --tasks 6 --seed 5 --cycles 2000 --replications 2 "
+                                      "--jobs 1 --db " + db + " --report " + report);
+    EXPECT_EQ(code, 0) << out;
+    const bool built = read_file(report).find("\"runner.drc_builds\": 1") != std::string::npos;
+    EXPECT_EQ(built, std::string(ext) == ".json") << ext;
+    std::remove(db.c_str());
+    std::remove(report.c_str());
+  }
+}
+
+// --- fleet: golden, interrupt/resume, and the committed checkpoint fixtures ---
+
+const std::string kFleetGolden =
+    "fleet result (300 of 300 devices)\n"
+    "+--------+------+--------+-------------+-----------+----------------+-------------+------------+-----------+---------+\n"
+    "| policy | pRC  | cycles | mean energy | reconfigs | QoS violations | unrecovered | mean avail | mean MTTR | max dRC |\n"
+    "+--------+------+--------+-------------+-----------+----------------+-------------+------------+-----------+---------+\n"
+    "| aura   | 0.50 | 2000   | 84.80       | 1818      | 0              | 1           | 0.99737    | 4.6       | 3155.95 |\n"
+    "+--------+------+--------+-------------+-----------+----------------+-------------+------------+-----------+---------+\n"
+    "per-shard aggregates (bit-identical at any --shards/--jobs)\n"
+    "+-------+---------+--------+-----------+----------------+-------------+-------------+------------+\n"
+    "| shard | devices | events | reconfigs | QoS violations | unrecovered | mean energy | mean avail |\n"
+    "+-------+---------+--------+-----------+----------------+-------------+-------------+------------+\n"
+    "| 0     | 192     | 3807   | 1151      | 0              | 0           | 84.94       | 0.99779    |\n"
+    "| 1     | 108     | 2154   | 667       | 0              | 1           | 84.54       | 0.99664    |\n"
+    "+-------+---------+--------+-----------+----------------+-------------+-------------+------------+\n";
+
+const std::string kFleetArgs =
+    "fleet --tasks 6 --seed 5 --policy aura --devices 300 --cycles 2000 --fault-rate 1e-4 "
+    "--prefetch ";
+
+/// The "summary" object of a fleet report.
+std::string report_summary(const std::string& report) {
+  const std::size_t start = report.find("\"summary\"");
+  return start == std::string::npos ? "" : report.substr(start, report.find('}', start) - start);
+}
+
+TEST(CliFleet, OutputIsByteIdenticalToTheRecordedGolden) {
+  // --jobs 2 pins the shard count (it defaults to the hardware thread
+  // count). Wall-clock lines and fields are dropped.
+  const std::string db = explore_small_db("clrtool_fleet_golden.json");
+  const std::string report = ::testing::TempDir() + "clrtool_fleet_golden_report.json";
+  const auto [code, out] =
+      run_tool(kFleetArgs + "--block 64 --jobs 2 --db " + db + " --report " + report);
+  EXPECT_EQ(code, 0) << out;
+  EXPECT_EQ(drop_lines(out, {"throughput:"}), kFleetGolden + "report written to " + report + "\n");
+  EXPECT_EQ(drop_lines(read_file(report), {"\"wall_seconds\"", "\"devices_per_second\""}),
+            read_file(std::string(CLR_TESTS_DIR) + "/tools/fixtures/fleet_aura_report.json"));
+  std::remove(db.c_str());
+  std::remove(report.c_str());
+}
+
+TEST(CliFleet, StepBudgetInterruptsWithExitCode3AndResumeMatchesTheUninterruptedRun) {
+  const std::string db = explore_small_db("clrtool_fleet_resume.json");
+  const std::string ckpt = ::testing::TempDir() + "clrtool_fleet_ckpt.clrdb";
+  const std::string full = ::testing::TempDir() + "clrtool_fleet_full.json";
+  const std::string resumed = ::testing::TempDir() + "clrtool_fleet_resumed.json";
+  std::remove((ckpt + ".a").c_str());
+  std::remove((ckpt + ".b").c_str());
+  const std::string common =
+      "fleet --tasks 6 --seed 5 --policy ura --devices 1000 --block 8 --cycles 2000 "
+      "--fault-rate 1e-4 --prefetch --db " + db + " ";
+
+  ASSERT_EQ(run_tool(common + "--jobs 2 --report " + full).first, 0);
+  // A worker stops at the first block boundary after the budget, but the
+  // blocks already in its queue (64 records of one 8-device block each) are
+  // still folded. One worker and 125 blocks therefore always stop short of
+  // completion, however the threads are scheduled.
+  const auto [icode, iout] =
+      run_tool(common + "--jobs 1 --checkpoint " + ckpt + " --step-budget 3");
+  EXPECT_EQ(icode, 3) << iout;
+  EXPECT_NE(iout.find("--resume to continue"), std::string::npos) << iout;
+  const auto [rcode, rout] = run_tool(common + "--checkpoint " + ckpt +
+                                      " --resume --shards 5 --jobs 2 --report " + resumed);
+  EXPECT_EQ(rcode, 0) << rout;
+  EXPECT_NE(rout.find("resumed from checkpoint"), std::string::npos) << rout;
+  const std::string summary = report_summary(read_file(full));
+  EXPECT_FALSE(summary.empty());
+  EXPECT_EQ(report_summary(read_file(resumed)), summary);
+
+  for (const std::string& path : {db, full, resumed, ckpt + ".a", ckpt + ".b"}) {
+    std::remove(path.c_str());
+  }
+}
+
+TEST(CliCheckpointFixtures, OlderCheckpointsResumeThroughTheCliToTheUninterruptedTable) {
+  // tests/io/fixtures/README.md: each file is one slot of an interrupted run
+  // by an older clrtool. Resumed today, it must finish the same table as an
+  // uninterrupted run — the only check of Runner::grid_hash and
+  // fleet::fleet_param_hash against older writers.
+  struct Fixture {
+    const char* file;
+    const char* slot;
+    std::string args;
+  };
+  const std::string runner =
+      "simulate --tasks 6 --pop 16 --gens 4 --replications 3 --cycles 2000 --fault-rate 1e-4 "
+      "--jobs 1";
+  const std::string fleet =
+      "fleet --devices 40 --tasks 6 --block 16 --cycles 2000 --fault-rate 1e-4 --jobs 1";
+  const Fixture fixtures[] = {{"runner_v3.clrdb", ".a", runner},
+                              {"runner_v4.clrdb", ".a", runner + " --prefetch"},
+                              {"fleet_v3.clrdb", ".b", fleet},
+                              {"fleet_v4.clrdb", ".b", fleet + " --prefetch"}};
+  for (const Fixture& f : fixtures) {
+    SCOPED_TRACE(f.file);
+    const std::string base = ::testing::TempDir() + "clrtool_fixture_" + f.file;
+    std::remove((base + ".a").c_str());
+    std::remove((base + ".b").c_str());
+    std::ofstream(base + f.slot, std::ios::binary)
+        << read_file(std::string(CLR_TESTS_DIR) + "/io/fixtures/" + f.file);
+
+    const auto [rcode, rout] = run_tool(f.args + " --checkpoint " + base + " --resume");
+    EXPECT_EQ(rcode, 0) << rout;
+    EXPECT_NE(rout.find("resumed from checkpoint"), std::string::npos) << rout;
+    const auto [fcode, fout] = run_tool(f.args);
+    EXPECT_EQ(fcode, 0) << fout;
+    EXPECT_EQ(drop_lines(rout, {"resumed from checkpoint", "throughput:"}),
+              drop_lines(fout, {"throughput:"}));
+    std::remove((base + ".a").c_str());
+    std::remove((base + ".b").c_str());
+  }
 }
 
 }  // namespace

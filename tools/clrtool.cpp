@@ -1,76 +1,46 @@
 // clrtool — command-line front end to the library's main flows.
 //
-//   clrtool generate --tasks N [--seed S] [--graph-out G.json]
-//                    [--platform-out P.json] [--dot-out G.dot]
-//       Generate a synthetic application; optionally save the graph, the
-//       default platform and a Graphviz rendering.
+//   generate  a synthetic application; optionally its graph, platform and DOT
+//   explore   the design-time DSE (BaseD + ReD) and its design database: JSON,
+//             or for a --db-out ending in .clrdb the snapshot with the DrcMatrix
+//   simulate  run-time adaptation over one database; with --replications > 1
+//             or --report, replicated through exp::Runner (mean ± 95% CI)
+//   fleet     N independent devices through the sharded fleet pipeline
+//             (DESIGN.md §5.13), with the fleet and per-shard aggregates
+//   inspect   the stored design points
+//   validate  Monte-Carlo fault injection of the first stored points against
+//             their stored metrics
 //
-//   clrtool explore  --tasks N [--seed S] [--pop P] [--gens G] [--csp]
-//                    [--jobs J] [--db-out DB.json]
-//       Run the hybrid design-time DSE (BaseD + ReD) and save/print the
-//       design-point database. --jobs sets the evaluation concurrency
-//       (default: all hardware threads); results are identical at any J.
+// kOptions is the only list of options: it drives parsing, the checks and the
+// usage text (clrtool without arguments). `simulate`, `fleet` and `validate`
+// read --db through load_design(); without --db, `simulate` and `fleet` run
+// the design-time flow inline first. Results are identical at any --jobs, and
+// fleet aggregates at any --shards.
 //
-//   clrtool simulate --tasks N [--seed S] [--db DB.json]
-//                    [--policy ura|aura|mdp|baseline] [--prefetch]
-//                    [--prc X] [--cycles C] [--sim-seed S2]
-//                    [--fault-rate R] [--pe-mtbf M] [--qos-tolerance T]
-//                    [--replications R] [--jobs J] [--report F.json]
-//       Load a database produced by `explore` for the same (tasks, seed)
-//       application and run the Monte-Carlo run-time adaptation. Without
-//       --db, the design-time flow runs inline first (one process covering
-//       DSE + runtime — the single-command tracing path). With
-//       --replications > 1 the run goes through the replicated exp::Runner
-//       harness (R derived-seed replications fanned over J workers; results
-//       identical at any J) and the table reports mean ± 95% CI; --report
-//       writes the full replicated grid as JSON. --fault-rate (transient
-//       soft errors per PE per cycle) and --pe-mtbf (mean cycles to
-//       permanent PE wear-out) switch run-time fault injection on;
-//       --qos-tolerance bounds the relaxed-QoS degraded mode. --policy mdp
-//       selects the offline-solved tabular MDP policy (DESIGN.md §5.14);
-//       --prefetch speculatively stages the predicted next configuration on
-//       the single reconfiguration port so its load time hides behind
-//       serviced cycles (never changes decisions, only stall accounting).
+// Long runs (`explore`, replicated `simulate`, `fleet`) checkpoint and stop
+// cooperatively: --checkpoint/--resume, --time-budget/--step-budget and
+// SIGINT/SIGTERM (a second signal kills). A resumed run is bit-identical to
+// the uninterrupted one.
 //
-//   clrtool fleet    --devices N [--shards S] [--jobs J] [--block B]
-//                    [--tasks N] [--seed S] [--db DB.clrdb]
-//                    [--policy ura|aura|mdp|baseline] [--prefetch]
-//                    [--prc X] [--cycles C] [--sim-seed S2] [--fault-rate R]
-//                    [--pe-mtbf M] [--qos-tolerance T] [--report F.json]
-//       Run N independent device instances — each a runtime simulator +
-//       adaptation policy over the shared (ideally snapshot-mapped) design
-//       database — through the sharded fleet pipeline (DESIGN.md §5.13) and
-//       print the streamed fleet/per-shard aggregates plus the devices/s
-//       throughput. Aggregates are bit-identical at ANY --shards/--jobs
-//       combination; --block sets the aggregation/checkpoint grain (result-
-//       affecting, part of the checkpoint identity). Accepts the shared
-//       checkpoint/budget flags; an interrupted fleet resumes at block
-//       granularity with bit-identical final results.
-//
-//   clrtool inspect  --db DB.json
-//       Print the stored design points.
-//
-//   clrtool validate --tasks N [--seed S] --db DB.json [--runs R] [--points K]
-//       Fault-inject the first K stored points (Monte-Carlo execution with
-//       sampled SEUs) and compare against the database's analytical metrics.
-//
-// Long runs (`explore`, replicated `simulate`, `fleet`) accept --checkpoint F.clrdb
-// [--checkpoint-every N] [--resume] plus --time-budget / --step-budget.
-// SIGINT/SIGTERM stop cooperatively: the current generation/cell finishes, a
-// final checkpoint is written, the partial report prints, and the process
-// exits 3 ("interrupted"); a second signal kills immediately. A killed run
-// resumed with --resume is bit-identical to the uninterrupted one.
+// Exit codes: 0 success; 1 error, with one line on stderr — option errors fail
+// before any work starts, as do unreadable files and a database that does not
+// match --tasks/--seed; 2 missing or unknown subcommand, with the usage; 3
+// interrupted, after the partial report and a final checkpoint.
 //
 // All randomness is seeded; identical invocations produce identical output.
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <map>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/parallel.hpp"
 #include "common/stop.hpp"
@@ -84,8 +54,8 @@
 #include "io/serialize.hpp"
 #include "io/snapshot.hpp"
 #include "runtime/drc_matrix.hpp"
+#include "schedule/compiled_graph.hpp"
 #include "schedule/dot.hpp"
-#include "schedule/gantt.hpp"
 #include "schedule/heft.hpp"
 #include "sim/fault_injection.hpp"
 #include "trace/trace.hpp"
@@ -108,95 +78,266 @@ util::StopSource& global_stop() {
   return source;
 }
 
-/// Tiny --key value argument scanner. Malformed or unknown input throws
-/// std::runtime_error with a one-line actionable message; main() turns that
-/// into a non-zero exit.
+/// Subcommands, as bits of Option::commands.
+enum Command : unsigned {
+  kGenerate = 1, kExplore = 2, kSimulate = 4, kFleet = 8, kInspect = 16, kValidate = 32
+};
+constexpr unsigned kRuntime = kSimulate | kFleet;
+constexpr unsigned kLongRun = kExplore | kRuntime;  // design flow, checkpoint and budget options
+constexpr unsigned kApp = kGenerate | kLongRun | kValidate;
+
+/// One option: its name, the name of its value in the usage text (nullptr
+/// for a flag, which takes none) and the subcommands that accept it.
+struct Option {
+  const char* name;
+  const char* value;
+  unsigned commands;
+};
+
+constexpr Option kOptions[] = {
+    {"tasks", "N", kApp},
+    {"seed", "S", kApp},
+    {"graph-out", "F", kGenerate},
+    {"platform-out", "F", kGenerate},
+    {"dot-out", "F", kGenerate},
+    {"db", "F", kRuntime | kInspect | kValidate},
+    {"db-out", "F", kExplore},
+    {"pop", "P", kLongRun},
+    {"gens", "G", kLongRun},
+    {"csp", nullptr, kExplore},
+    {"jobs", "J", kLongRun},
+    {"devices", "N", kFleet},
+    {"shards", "S", kFleet},
+    {"block", "B", kFleet},
+    {"policy", "ura|aura|mdp|baseline", kRuntime},
+    {"prefetch", nullptr, kRuntime},
+    {"prc", "X", kRuntime},
+    {"cycles", "C", kRuntime},
+    {"sim-seed", "S2", kRuntime | kValidate},
+    {"fault-rate", "R", kRuntime},
+    {"pe-mtbf", "M", kRuntime},
+    {"qos-tolerance", "T", kRuntime},
+    {"replications", "R", kSimulate},
+    {"runs", "R", kValidate},
+    {"points", "K", kValidate},
+    {"report", "F", kRuntime},
+    {"trace", "F", kExplore | kSimulate},
+    {"trace-categories", "C", kExplore | kSimulate},
+    {"checkpoint", "F.clrdb", kLongRun},
+    {"checkpoint-every", "N", kLongRun},
+    {"resume", nullptr, kLongRun},
+    {"time-budget", "SEC", kLongRun},
+    {"step-budget", "N", kLongRun},
+};
+constexpr std::size_t kNumOptions = std::size(kOptions);
+
+/// Index of `name` in kOptions, or kNumOptions.
+std::size_t option_index(std::string_view name) {
+  std::size_t i = 0;
+  while (i < kNumOptions && name != kOptions[i].name) ++i;
+  return i;
+}
+
+/// The options of one invocation, checked against kOptions as they are read.
+/// Malformed input throws std::runtime_error with a one-line actionable
+/// message; main() turns that into exit code 1.
 class Args {
  public:
-  Args(int argc, char** argv) {
+  Args(Command command, int argc, char** argv) {
     for (int i = 2; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        throw std::runtime_error("expected an --option, got '" + key +
+      const std::string token = argv[i];
+      if (token.rfind("--", 0) != 0) {
+        throw std::runtime_error("expected an --option, got '" + token +
                                  "' (run clrtool without arguments for usage)");
       }
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";  // boolean flag
-      }
-    }
-  }
-
-  bool has(const std::string& key) const { return values_.count(key) > 0; }
-
-  /// Reject any option not in `allowed` — a typo'd flag must fail loudly, not
-  /// silently fall back to the default value.
-  void expect_only(std::initializer_list<const char*> allowed) const {
-    for (const auto& [key, value] : values_) {
-      bool known = false;
-      for (const char* a : allowed) {
-        if (key == a) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
-        throw std::runtime_error("unknown option --" + key +
+      const std::string name = token.substr(2);
+      const std::size_t k = option_index(name);
+      if (k == kNumOptions || (kOptions[k].commands & command) == 0) {
+        throw std::runtime_error("unknown option --" + name +
                                  " (run clrtool without arguments for usage)");
       }
-    }
-  }
-
-  std::string str(const std::string& key, const std::string& fallback = "") const {
-    const auto it = values_.find(key);
-    return it != values_.end() ? it->second : fallback;
-  }
-
-  long num(const std::string& key, long fallback) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    try {
-      std::size_t used = 0;
-      const long v = std::stol(it->second, &used);
-      if (used != it->second.size()) throw std::invalid_argument("trailing characters");
-      return v;
-    } catch (const std::exception&) {
-      throw std::runtime_error("option --" + key + ": expected an integer, got '" +
-                               it->second + "'");
-    }
-  }
-
-  double real(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    try {
-      std::size_t used = 0;
-      const double v = std::stod(it->second, &used);
-      if (used != it->second.size() || !std::isfinite(v)) {
-        throw std::invalid_argument("not a finite number");
+      if (values_[k]) throw std::runtime_error("option --" + name + " given more than once");
+      const bool flag = kOptions[k].value == nullptr;
+      const bool value_follows = i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0;
+      if (flag && value_follows) {
+        throw std::runtime_error("option --" + name + " takes no value, got '" + argv[i + 1] + "'");
       }
-      return v;
-    } catch (const std::exception&) {
-      throw std::runtime_error("option --" + key + ": expected a finite number, got '" +
-                               it->second + "'");
+      if (!flag && (!value_follows || argv[i + 1][0] == '\0')) {
+        throw std::runtime_error("option --" + name + ": missing its value " + kOptions[k].value);
+      }
+      values_[k].emplace(flag ? "" : argv[++i]);
     }
+  }
+
+  bool has(std::string_view name) const { return find(name) != nullptr; }
+
+  void require(std::string_view name) const {
+    if (!has(name)) throw std::runtime_error("option --" + std::string(name) + " is required");
+  }
+
+  std::string str(std::string_view name, const std::string& fallback = "") const {
+    const std::string* v = find(name);
+    return v != nullptr ? *v : fallback;
+  }
+
+  /// Integer option >= min_value.
+  std::size_t integer(std::string_view name, long fallback, long min_value = 0) const {
+    const long v = parse(name, fallback, "an integer", [](const std::string& text, std::size_t* n) {
+      return std::stol(text, n);
+    });
+    if (v < min_value) {
+      throw std::runtime_error("option --" + std::string(name) + ": must be >= " +
+                               std::to_string(min_value) + ", got " + std::to_string(v));
+    }
+    return static_cast<std::size_t>(v);
+  }
+
+  double real(std::string_view name, double fallback) const {
+    return parse(name, fallback, "a finite number", [](const std::string& text, std::size_t* n) {
+      return std::stod(text, n);
+    });
   }
 
  private:
-  std::map<std::string, std::string> values_;
+  /// The value of `name` read whole by `read`, or `fallback` when absent.
+  template <typename T, typename Read>
+  T parse(std::string_view name, T fallback, const char* expected, Read read) const {
+    const std::string* v = find(name);
+    if (v == nullptr) return fallback;
+    try {
+      std::size_t used = 0;
+      const T parsed = read(*v, &used);
+      if (used == v->size() && std::isfinite(static_cast<double>(parsed))) return parsed;
+    } catch (const std::exception&) {
+      // not a number, or out of range: reported below
+    }
+    throw std::runtime_error("option --" + std::string(name) + ": expected " + expected +
+                             ", got '" + *v + "'");
+  }
+
+  /// The value given for `name` ("" for a flag), or nullptr when absent.
+  const std::string* find(std::string_view name) const {
+    const std::size_t k = option_index(name);
+    if (k == kNumOptions) {
+      throw std::logic_error("option --" + std::string(name) + " is not in kOptions");
+    }
+    return values_[k] ? &*values_[k] : nullptr;
+  }
+
+  std::array<std::optional<std::string>, kNumOptions> values_;
 };
 
-/// Non-negative integer option with a lower bound, as std::size_t.
-std::size_t size_arg(const Args& args, const std::string& key, long fallback,
-                     long min_value = 0) {
-  const long v = args.num(key, fallback);
-  if (v < min_value) {
-    throw std::runtime_error("option --" + key + ": must be >= " + std::to_string(min_value) +
-                             ", got " + std::to_string(v));
+/// --tasks/--seed: the synthetic application every subcommand but `inspect`
+/// works on.
+struct AppId {
+  std::size_t tasks;
+  std::uint64_t seed;
+};
+
+AppId app_id(const Args& args) { return {args.integer("tasks", 20, 1), args.integer("seed", 1)}; }
+
+/// Seed of the design-time flow of application seed `seed`.
+std::uint64_t flow_seed(std::uint64_t seed) { return seed ^ 0xD5EULL; }
+
+/// --pop/--gens/--jobs: the design-time flow of `explore` and of the inline
+/// explore of `simulate`/`fleet`.
+exp::FlowParams flow_params(const Args& args) {
+  exp::FlowParams params;
+  params.dse.base_ga.population = args.integer("pop", 64, 2);
+  params.dse.base_ga.generations = args.integer("gens", 60, 1);
+  // 0 = auto (std::thread::hardware_concurrency); the front is bit-for-bit
+  // identical at any job count.
+  params.dse.threads = args.integer("jobs", 0);
+  return params;
+}
+
+/// The run-time policy and its environment, shared by `simulate` and `fleet`.
+struct RuntimeOptions {
+  std::string policy;
+  exp::RuntimeEvalParams params;
+};
+
+/// --policy/--prefetch/--prc/--cycles/--fault-rate/--pe-mtbf/--qos-tolerance;
+/// `default_cycles` is the horizon without --cycles.
+RuntimeOptions runtime_options(const Args& args, double default_cycles) {
+  RuntimeOptions out{args.str("policy", "ura"), {}};
+  exp::RuntimeEvalParams& params = out.params;
+  if (out.policy == "ura") params.kind = exp::PolicyKind::Ura;
+  else if (out.policy == "aura") params.kind = exp::PolicyKind::Aura;
+  else if (out.policy == "mdp") params.kind = exp::PolicyKind::Mdp;
+  else if (out.policy == "baseline") params.kind = exp::PolicyKind::Baseline;
+  else {
+    throw std::runtime_error("option --policy: unknown policy '" + out.policy +
+                             "' (use ura, aura, mdp or baseline)");
   }
-  return static_cast<std::size_t>(v);
+  params.prefetch = args.has("prefetch");
+  params.p_rc = args.real("prc", 0.5);
+  if (params.p_rc < 0.0 || params.p_rc > 1.0) {
+    throw std::runtime_error("option --prc: must be in [0, 1]");
+  }
+  params.sim.total_cycles = args.real("cycles", default_cycles);
+  if (params.sim.total_cycles <= 0.0) {
+    throw std::runtime_error("option --cycles: must be > 0");
+  }
+  // Run-time fault environment (off unless a rate is given). validate()
+  // turns out-of-range values into the one-line error contract.
+  params.faults.transient_rate = args.real("fault-rate", 0.0);
+  params.faults.pe_mtbf = args.real("pe-mtbf", 0.0);
+  params.faults.qos_tolerance = args.real("qos-tolerance", params.faults.qos_tolerance);
+  params.faults.validate();
+  return out;
+}
+
+/// What `simulate`, `fleet` and `validate` run on.
+struct Design {
+  std::unique_ptr<exp::AppInstance> app;
+  dse::DesignDb db;
+  /// The DrcMatrix a .clrdb stored; absent for JSON and inline explores.
+  std::optional<rt::DrcMatrix> drc;
+};
+
+/// Read --db by content (JSON or .clrdb), or — without --db — run the
+/// design-time flow inline. A database stores indices into the application's
+/// implementation sets, which regenerate deterministically from
+/// --tasks/--seed, so every stored point is re-evaluated on the rebuilt
+/// application and must reproduce its stored metrics bit for bit: a database
+/// explored for another application fails here, not with wrong numbers later.
+Design load_design(const Args& args) {
+  const AppId id = app_id(args);
+  const exp::FlowParams params = flow_params(args);
+  Design design;
+  if (!args.has("db")) {
+    design.app = exp::make_synthetic_app(id.tasks, id.seed);
+    util::Rng flow_rng(flow_seed(id.seed));
+    design.db = exp::run_design_flow(*design.app, params, flow_rng).red;
+    std::printf("explored inline: %zu stored design points (pass --db to reuse a saved "
+                "database)\n",
+                design.db.size());
+    return design;
+  }
+  const std::string path = args.str("db");
+  io::LoadedDesignDb loaded = io::load_design_db(path);
+  design.app = exp::make_synthetic_app_with_space(id.tasks, id.seed, std::move(loaded.space));
+  design.db = std::move(loaded.db);
+  design.drc = std::move(loaded.drc);
+
+  const sched::CompiledGraph graph(design.app->context());
+  sched::EvalScratch scratch;
+  for (std::size_t i = 0; i < design.db.size(); ++i) {
+    const dse::DesignPoint& p = design.db.point(i);
+    std::string mismatch = "re-evaluates to other metrics than it stores";
+    try {
+      const sched::KernelMetrics m = graph.evaluate(p.config, scratch);
+      if (m.makespan == p.makespan && m.energy == p.energy && m.func_rel == p.func_rel) continue;
+    } catch (const std::invalid_argument& e) {
+      mismatch = e.what();
+    }
+    throw std::runtime_error("--db " + path + " does not match the application of --tasks " +
+                             std::to_string(id.tasks) + " --seed " + std::to_string(id.seed) +
+                             " (stored point " + std::to_string(i) + ": " + mismatch +
+                             "); pass the --tasks/--seed it was explored with");
+  }
+  return design;
 }
 
 /// Parse the shared checkpoint/budget flags into a SessionControl, validate
@@ -205,13 +346,10 @@ std::size_t size_arg(const Args& args, const std::string& key, long fallback,
 exp::SessionControl session_control(const Args& args) {
   exp::SessionControl control;
   control.checkpoint_path = args.str("checkpoint");
-  if (args.has("checkpoint") && control.checkpoint_path.empty()) {
-    throw std::runtime_error("option --checkpoint: expected a .clrdb base path");
-  }
   if (args.has("checkpoint-every") && !args.has("checkpoint")) {
     throw std::runtime_error("option --checkpoint-every requires --checkpoint");
   }
-  control.checkpoint_every = size_arg(args, "checkpoint-every", 1, 1);
+  control.checkpoint_every = args.integer("checkpoint-every", 1, 1);
   if (args.has("resume")) {
     if (!args.has("checkpoint")) throw std::runtime_error("option --resume requires --checkpoint");
     control.resume = true;
@@ -221,46 +359,9 @@ exp::SessionControl session_control(const Args& args) {
     if (seconds <= 0.0) throw std::runtime_error("option --time-budget: must be > 0 seconds");
     global_stop().set_deadline_after(seconds);
   }
-  control.step_budget = static_cast<std::uint64_t>(size_arg(args, "step-budget", 0));
+  control.step_budget = args.integer("step-budget", 0);
   control.stop = global_stop().token();
   return control;
-}
-
-int usage() {
-  std::fprintf(stderr,
-               "usage: clrtool <generate|explore|simulate|fleet|inspect|validate> [options]\n"
-               "  generate --tasks N [--seed S] [--graph-out F] [--platform-out F] [--dot-out F]\n"
-               "  explore  --tasks N [--seed S] [--pop P] [--gens G] [--csp] [--jobs J]\n"
-               "           [--db-out F] [--trace F2] [--trace-categories C]\n"
-               "           [--checkpoint F.clrdb] [--checkpoint-every N] [--resume]\n"
-               "           [--time-budget SEC] [--step-budget N]\n"
-               "  simulate --tasks N [--seed S] [--db F] [--policy ura|aura|mdp|baseline]\n"
-               "           [--prefetch] [--prc X]\n"
-               "           [--cycles C] [--sim-seed S2] [--fault-rate R] [--pe-mtbf M]\n"
-               "           [--qos-tolerance T] [--replications R] [--jobs J] [--report F]\n"
-               "           [--pop P] [--gens G] [--trace F2] [--trace-categories C]\n"
-               "           [--checkpoint F.clrdb] [--checkpoint-every N] [--resume]\n"
-               "           [--time-budget SEC] [--step-budget N]\n"
-               "           (without --db the design-time flow runs inline first)\n"
-               "  fleet    --devices N [--shards S] [--jobs J] [--block B] [--tasks N] [--seed S]\n"
-               "           [--db F] [--policy ura|aura|mdp|baseline] [--prefetch] [--prc X]\n"
-               "           [--cycles C]\n"
-               "           [--sim-seed S2] [--fault-rate R] [--pe-mtbf M] [--qos-tolerance T]\n"
-               "           [--report F] [--pop P] [--gens G]\n"
-               "           [--checkpoint F.clrdb] [--checkpoint-every N] [--resume]\n"
-               "           [--time-budget SEC] [--step-budget N]\n"
-               "           (aggregates are bit-identical at any --shards/--jobs)\n"
-               "  inspect  --db F\n"
-               "  validate --tasks N [--seed S] --db F [--runs R] [--points K] [--sim-seed S2]\n"
-               "--trace writes a Chrome trace_event JSON timeline (Perfetto /\n"
-               "chrome://tracing) and prints a per-span summary; --trace-categories\n"
-               "filters it to a comma list of dse,runtime,exp,drc,bench (default all).\n"
-               "--checkpoint writes crash-safe A/B checkpoints (<F>.a/<F>.b) at generation\n"
-               "or job-batch boundaries; --resume continues from the newest good one with\n"
-               "bit-identical results. SIGINT/SIGTERM, --time-budget (wall-clock seconds)\n"
-               "and --step-budget (boundaries) stop cooperatively: the partial report is\n"
-               "printed, a final checkpoint written, and the exit code is 3.\n");
-  return 2;
 }
 
 /// Turn tracing on when --trace is present. Returns the output path ("" =
@@ -272,8 +373,6 @@ std::string setup_trace(const Args& args) {
     }
     return "";
   }
-  const std::string path = args.str("trace");
-  if (path.empty()) throw std::runtime_error("option --trace: expected an output path");
   std::uint32_t mask = trace::kAllCategories;
   try {
     mask = trace::parse_categories(args.str("trace-categories", "all"));
@@ -281,7 +380,7 @@ std::string setup_trace(const Args& args) {
     throw std::runtime_error(std::string("option --trace-categories: ") + e.what());
   }
   trace::Tracer::instance().enable(mask);
-  return path;
+  return args.str("trace");
 }
 
 /// Stop tracing, write the Chrome JSON file and print the summary table.
@@ -295,13 +394,24 @@ void finish_trace(const std::string& path) {
   tracer.clear();
 }
 
+/// Report a run cut short (`progress` says how far it got) and return its
+/// exit code.
+int interrupted(util::StopReason reason, const std::string& progress,
+                const exp::SessionControl& control, std::uint64_t checkpoints) {
+  std::printf("interrupted (%s)%s", util::stop_reason_name(reason), progress.c_str());
+  if (!control.checkpoint_path.empty()) {
+    std::printf("; %llu checkpoint(s) written — rerun with --resume to continue",
+                static_cast<unsigned long long>(checkpoints));
+  }
+  std::printf("\n");
+  return kExitInterrupted;
+}
+
 int cmd_generate(const Args& args) {
-  args.expect_only({"tasks", "seed", "graph-out", "platform-out", "dot-out"});
-  const auto tasks = size_arg(args, "tasks", 20, 1);
-  const auto seed = static_cast<std::uint64_t>(size_arg(args, "seed", 1));
-  const auto app = exp::make_synthetic_app(tasks, seed);
+  const AppId id = app_id(args);
+  const auto app = exp::make_synthetic_app(id.tasks, id.seed);
   std::printf("generated %zu-task application (seed %llu): %zu edges, %zu PEs, CLR space %zu\n",
-              tasks, static_cast<unsigned long long>(seed), app->graph().num_edges(),
+              id.tasks, static_cast<unsigned long long>(id.seed), app->graph().num_edges(),
               app->platform().num_pes(), app->clr_space().size());
   if (args.has("graph-out")) {
     util::write_file(args.str("graph-out"), io::to_json(app->graph()).dump(2) + "\n");
@@ -312,32 +422,23 @@ int cmd_generate(const Args& args) {
     std::printf("platform written to %s\n", args.str("platform-out").c_str());
   }
   if (args.has("dot-out")) {
-    util::write_file(args.str("dot-out"), sched::to_dot(app->graph(), sched::heft_seed(app->context())));
+    util::write_file(args.str("dot-out"),
+                     sched::to_dot(app->graph(), sched::heft_seed(app->context())));
     std::printf("DOT (HEFT mapping overlay) written to %s\n", args.str("dot-out").c_str());
   }
   return 0;
 }
 
 int cmd_explore(const Args& args) {
-  args.expect_only({"tasks", "seed", "pop", "gens", "csp", "jobs", "db-out", "trace",
-                    "trace-categories", "checkpoint", "checkpoint-every", "resume", "time-budget",
-                    "step-budget"});
-  const auto tasks = size_arg(args, "tasks", 20, 1);
-  const auto seed = static_cast<std::uint64_t>(size_arg(args, "seed", 1));
+  const AppId id = app_id(args);
+  exp::FlowParams params = flow_params(args);
+  if (args.has("csp")) params.mode = dse::ObjectiveMode::CspQos;
   const exp::SessionControl control = session_control(args);
   const std::string trace_path = setup_trace(args);
-  const auto app = exp::make_synthetic_app(tasks, seed);
-
-  exp::FlowParams params;
-  params.dse.base_ga.population = size_arg(args, "pop", 64, 2);
-  params.dse.base_ga.generations = size_arg(args, "gens", 60, 1);
-  // 0 = auto (std::thread::hardware_concurrency); the front is bit-for-bit
-  // identical at any job count.
-  params.dse.threads = size_arg(args, "jobs", 0);
-  if (args.has("csp")) params.mode = dse::ObjectiveMode::CspQos;
+  const auto app = exp::make_synthetic_app(id.tasks, id.seed);
 
   util::install_stop_signal_handlers(global_stop());
-  const auto outcome = exp::run_explore_session(*app, params, seed ^ 0xD5EULL, control);
+  const auto outcome = exp::run_explore_session(*app, params, flow_seed(id.seed), control);
   const auto& flow = outcome.flow;
   if (outcome.resumed) {
     std::printf("resumed from checkpoint %s (.a/.b)\n", control.checkpoint_path.c_str());
@@ -347,16 +448,11 @@ int cmd_explore(const Args& args) {
   if (!outcome.complete) {
     // Partial report only; the database on disk stays the checkpoint, not a
     // half-built artifact that could be mistaken for the full result.
-    std::printf("interrupted (%s) after %llu generation boundaries",
-                util::stop_reason_name(outcome.stop_reason),
-                static_cast<unsigned long long>(outcome.steps));
-    if (!control.checkpoint_path.empty()) {
-      std::printf("; %llu checkpoint(s) written — rerun with --resume to continue",
-                  static_cast<unsigned long long>(outcome.checkpoints_written));
-    }
-    std::printf("\n");
+    const int code = interrupted(
+        outcome.stop_reason, " after " + std::to_string(outcome.steps) + " generation boundaries",
+        control, outcome.checkpoints_written);
     finish_trace(trace_path);
-    return kExitInterrupted;
+    return code;
   }
   if (args.has("db-out")) {
     const std::string out = args.str("db-out");
@@ -376,46 +472,15 @@ int cmd_explore(const Args& args) {
   return 0;
 }
 
+const std::vector<std::string> kSimulateHeader = {
+    "policy", "pRC", "cycles", "avg energy", "avg dRC/event", "#reconfigs", "QoS violations",
+    "availability", "MTTR", "unrecovered"};
+
 int cmd_simulate(const Args& args) {
-  args.expect_only({"tasks", "seed", "db", "policy", "prefetch", "prc", "cycles", "sim-seed",
-                    "fault-rate", "pe-mtbf", "qos-tolerance", "replications", "jobs", "report",
-                    "trace", "trace-categories", "pop", "gens", "checkpoint", "checkpoint-every",
-                    "resume", "time-budget", "step-budget"});
-  // Validate every option before touching the filesystem, so a typo'd flag
-  // value fails fast with the option-level message.
-  const auto tasks = size_arg(args, "tasks", 20, 1);
-  const auto seed = static_cast<std::uint64_t>(size_arg(args, "seed", 1));
-
-  exp::RuntimeEvalParams params;
-  const std::string policy = args.str("policy", "ura");
-  if (policy == "ura") params.kind = exp::PolicyKind::Ura;
-  else if (policy == "aura") params.kind = exp::PolicyKind::Aura;
-  else if (policy == "mdp") params.kind = exp::PolicyKind::Mdp;
-  else if (policy == "baseline") params.kind = exp::PolicyKind::Baseline;
-  else {
-    std::fprintf(stderr, "simulate: unknown policy '%s' (use ura, aura, mdp or baseline)\n",
-                 policy.c_str());
-    return usage();
-  }
-  params.prefetch = args.has("prefetch");
-  params.p_rc = args.real("prc", 0.5);
-  if (params.p_rc < 0.0 || params.p_rc > 1.0) {
-    throw std::runtime_error("option --prc: must be in [0, 1]");
-  }
-  params.sim.total_cycles = args.real("cycles", 2e5);
-  if (params.sim.total_cycles <= 0.0) {
-    throw std::runtime_error("option --cycles: must be > 0");
-  }
-
-  // Run-time fault environment (off unless a rate is given). validate()
-  // turns out-of-range values into the one-line error contract.
-  params.faults.transient_rate = args.real("fault-rate", 0.0);
-  params.faults.pe_mtbf = args.real("pe-mtbf", 0.0);
-  params.faults.qos_tolerance = args.real("qos-tolerance", params.faults.qos_tolerance);
-  params.faults.validate();
-
-  const auto sim_seed = static_cast<std::uint64_t>(size_arg(args, "sim-seed", 7));
-  const auto replications = size_arg(args, "replications", 1, 1);
+  const RuntimeOptions runtime = runtime_options(args, 2e5);
+  const exp::RuntimeEvalParams& params = runtime.params;
+  const std::uint64_t sim_seed = args.integer("sim-seed", 7);
+  const std::size_t replications = args.integer("replications", 1, 1);
   const bool replicated = replications > 1 || args.has("report");
   if (!replicated && (args.has("checkpoint") || args.has("resume") || args.has("time-budget") ||
                       args.has("step-budget") || args.has("checkpoint-every"))) {
@@ -425,56 +490,17 @@ int cmd_simulate(const Args& args) {
   }
   const exp::SessionControl control = session_control(args);
   const std::string trace_path = setup_trace(args);
-
-  // Design database: load one produced by `explore` (--db), or — without
-  // --db — run the design-time flow inline first (one-shot explore+simulate,
-  // the path that traces DSE and runtime into a single timeline).
-  std::unique_ptr<exp::AppInstance> app;
-  dse::DesignDb db;
-  // Filled when a .clrdb snapshot carries the precomputed cost matrix; the
-  // evaluation below then skips the per-process DrcMatrix rebuild.
-  std::optional<rt::DrcMatrix> snapshot_drc;
-  if (args.has("db")) {
-    const std::string db_path = args.str("db");
-    if (io::is_snapshot_path(db_path)) {
-      auto loaded = io::load_snapshot(db_path);
-      app = exp::make_synthetic_app_with_space(tasks, seed, loaded.space);
-      db = std::move(loaded.db);
-      snapshot_drc = std::move(loaded.drc);
-    } else {
-      const auto loaded = io::load_design_db(db_path);
-      // Rebuild the identical application (the database stores indices into
-      // its implementation sets, which regenerate deterministically per seed).
-      app = exp::make_synthetic_app_with_space(tasks, seed, loaded.space);
-      db = loaded.db;
-    }
-  } else {
-    app = exp::make_synthetic_app(tasks, seed);
-    exp::FlowParams flow_params;
-    flow_params.dse.base_ga.population = size_arg(args, "pop", 64, 2);
-    flow_params.dse.base_ga.generations = size_arg(args, "gens", 60, 1);
-    flow_params.dse.threads = size_arg(args, "jobs", 0);
-    util::Rng flow_rng(seed ^ 0xD5EULL);
-    db = exp::run_design_flow(*app, flow_params, flow_rng).red;
-    std::printf("explored inline: %zu stored design points (pass --db to reuse a saved "
-                "database)\n",
-                db.size());
-  }
-
-  // QoS box from the database's own ranges, widened like qos_ranges().
-  const auto r = db.ranges();
-  dse::MetricRanges box = r;
-  box.makespan_max = r.makespan_max + 0.25 * (r.makespan_max - r.makespan_min);
-  box.func_rel_min = r.func_rel_min - 0.25 * (r.func_rel_max - r.func_rel_min);
+  const Design design = load_design(args);
+  const dse::MetricRanges box = exp::db_qos_ranges(design.db);
 
   if (!replicated) {
-    const auto stats = snapshot_drc
-                           ? exp::evaluate_policy(*app, db, *snapshot_drc, box, params, sim_seed)
-                           : exp::evaluate_policy(*app, db, box, params, sim_seed);
+    const auto stats =
+        design.drc
+            ? exp::evaluate_policy(*design.app, design.db, *design.drc, box, params, sim_seed)
+            : exp::evaluate_policy(*design.app, design.db, box, params, sim_seed);
     util::TextTable table("simulation result");
-    table.set_header({"policy", "pRC", "cycles", "avg energy", "avg dRC/event", "#reconfigs",
-                      "QoS violations", "availability", "MTTR", "unrecovered"});
-    table.add_row({policy, util::TextTable::fmt(params.p_rc, 2),
+    table.set_header(kSimulateHeader);
+    table.add_row({runtime.policy, util::TextTable::fmt(params.p_rc, 2),
                    util::TextTable::fmt(params.sim.total_cycles, 0),
                    util::TextTable::fmt(stats.avg_energy, 2),
                    util::TextTable::fmt(stats.avg_reconfig_cost, 2),
@@ -491,16 +517,16 @@ int cmd_simulate(const Args& args) {
   // Replicated path: derived seeds per replication, fanned over the harness.
   exp::RunnerConfig config;
   config.replications = replications;
-  config.jobs = size_arg(args, "jobs", 0);
+  config.jobs = args.integer("jobs", 0);
   exp::Runner runner(config);
   exp::RunnerCell cell;
-  cell.app = app.get();
-  cell.db = &db;
-  if (snapshot_drc) cell.drc = &*snapshot_drc;
+  cell.app = design.app.get();
+  cell.db = &design.db;
+  if (design.drc) cell.drc = &*design.drc;
   cell.ranges = box;
   cell.params = params;
   cell.seed = sim_seed;
-  cell.label = policy + " pRC=" + util::TextTable::fmt(params.p_rc, 2);
+  cell.label = runtime.policy + " pRC=" + util::TextTable::fmt(params.p_rc, 2);
   runner.add_cell(std::move(cell));
   util::install_stop_signal_handlers(global_stop());
   const exp::RunnerOutcome session = exp::run_runner_session(runner, control);
@@ -515,9 +541,8 @@ int cmd_simulate(const Args& args) {
   };
   util::TextTable table("simulation result (" + std::to_string(s.replications) + " of " +
                         std::to_string(replications) + " replications, mean ±95% CI)");
-  table.set_header({"policy", "pRC", "cycles", "avg energy", "avg dRC/event", "#reconfigs",
-                    "QoS violations", "availability", "MTTR", "unrecovered"});
-  table.add_row({policy, util::TextTable::fmt(params.p_rc, 2),
+  table.set_header(kSimulateHeader);
+  table.add_row({runtime.policy, util::TextTable::fmt(params.p_rc, 2),
                  util::TextTable::fmt(params.sim.total_cycles, 0), ci(s.avg_energy, 2),
                  ci(s.avg_reconfig_cost, 2), ci(s.num_reconfigs, 1),
                  ci(s.num_infeasible_events, 1), ci(s.availability, 5), ci(s.mttr, 1),
@@ -529,119 +554,49 @@ int cmd_simulate(const Args& args) {
     util::write_file(args.str("report"), report.dump(2) + "\n");
     std::printf("report written to %s\n", args.str("report").c_str());
   }
+  int code = 0;
   if (!session.run.complete) {
-    std::printf("interrupted (%s): %llu of %llu replication jobs done",
-                util::stop_reason_name(session.stop_reason),
-                static_cast<unsigned long long>(session.run.jobs_done),
-                static_cast<unsigned long long>(session.run.jobs_total));
-    if (!control.checkpoint_path.empty()) {
-      std::printf("; %llu checkpoint(s) written — rerun with --resume to continue",
-                  static_cast<unsigned long long>(session.checkpoints_written));
-    }
-    std::printf("\n");
-    finish_trace(trace_path);
-    return kExitInterrupted;
+    code = interrupted(session.stop_reason,
+                       ": " + std::to_string(session.run.jobs_done) + " of " +
+                           std::to_string(session.run.jobs_total) + " replication jobs done",
+                       control, session.checkpoints_written);
   }
   finish_trace(trace_path);
-  return 0;
+  return code;
 }
 
 int cmd_fleet(const Args& args) {
-  args.expect_only({"devices", "shards", "jobs", "block", "tasks", "seed", "db", "policy",
-                    "prefetch", "prc", "cycles", "sim-seed", "fault-rate", "pe-mtbf",
-                    "qos-tolerance", "report", "pop", "gens", "checkpoint", "checkpoint-every",
-                    "resume", "time-budget", "step-budget"});
-  const auto tasks = size_arg(args, "tasks", 20, 1);
-  const auto seed = static_cast<std::uint64_t>(size_arg(args, "seed", 1));
-
   fleet::FleetConfig config;
-  config.devices = static_cast<std::uint64_t>(size_arg(args, "devices", 100000));
-  config.shards = size_arg(args, "shards", 0);
-  config.jobs = size_arg(args, "jobs", 0);
-  config.block_size = static_cast<std::uint64_t>(size_arg(args, "block", 1024, 1));
-  config.seed = static_cast<std::uint64_t>(size_arg(args, "sim-seed", 7));
-
-  exp::RuntimeEvalParams& params = config.params;
-  const std::string policy = args.str("policy", "ura");
-  if (policy == "ura") params.kind = exp::PolicyKind::Ura;
-  else if (policy == "aura") params.kind = exp::PolicyKind::Aura;
-  else if (policy == "mdp") params.kind = exp::PolicyKind::Mdp;
-  else if (policy == "baseline") params.kind = exp::PolicyKind::Baseline;
-  else {
-    std::fprintf(stderr, "fleet: unknown policy '%s' (use ura, aura, mdp or baseline)\n",
-                 policy.c_str());
-    return usage();
-  }
-  params.prefetch = args.has("prefetch");
-  params.p_rc = args.real("prc", 0.5);
-  if (params.p_rc < 0.0 || params.p_rc > 1.0) {
-    throw std::runtime_error("option --prc: must be in [0, 1]");
-  }
+  config.devices = args.integer("devices", 100000);
+  config.shards = args.integer("shards", 0);
+  config.jobs = args.integer("jobs", 0);
+  config.block_size = args.integer("block", 1024, 1);
+  config.seed = args.integer("sim-seed", 7);
   // Shorter default horizon than `simulate` (2e4 vs 2e5 cycles): fleet runs
   // amortize statistical power across devices, not cycles.
-  params.sim.total_cycles = args.real("cycles", 2e4);
-  if (params.sim.total_cycles <= 0.0) {
-    throw std::runtime_error("option --cycles: must be > 0");
-  }
-  params.faults.transient_rate = args.real("fault-rate", 0.0);
-  params.faults.pe_mtbf = args.real("pe-mtbf", 0.0);
-  params.faults.qos_tolerance = args.real("qos-tolerance", params.faults.qos_tolerance);
-  params.faults.validate();
-
+  const RuntimeOptions runtime = runtime_options(args, 2e4);
+  config.params = runtime.params;
+  exp::RuntimeEvalParams& params = config.params;
   const exp::SessionControl control = session_control(args);
-
-  // Design database: a .clrdb snapshot (the fleet-scale path — one mapped
-  // copy, DrcMatrix included), a JSON artifact, or an inline explore.
-  std::unique_ptr<exp::AppInstance> app;
-  dse::DesignDb db;
-  std::optional<rt::DrcMatrix> drc;
-  if (args.has("db")) {
-    const std::string db_path = args.str("db");
-    if (io::is_snapshot_path(db_path)) {
-      auto loaded = io::load_snapshot(db_path);
-      app = exp::make_synthetic_app_with_space(tasks, seed, loaded.space);
-      db = std::move(loaded.db);
-      drc = std::move(loaded.drc);
-    } else {
-      const auto loaded = io::load_design_db(db_path);
-      app = exp::make_synthetic_app_with_space(tasks, seed, loaded.space);
-      db = loaded.db;
-    }
-  } else {
-    app = exp::make_synthetic_app(tasks, seed);
-    exp::FlowParams flow_params;
-    flow_params.dse.base_ga.population = size_arg(args, "pop", 64, 2);
-    flow_params.dse.base_ga.generations = size_arg(args, "gens", 60, 1);
-    flow_params.dse.threads = config.jobs;
-    util::Rng flow_rng(seed ^ 0xD5EULL);
-    db = exp::run_design_flow(*app, flow_params, flow_rng).red;
-    std::printf("explored inline: %zu stored design points (pass --db to reuse a saved "
-                "database)\n",
-                db.size());
-  }
-  if (!drc) {
+  Design design = load_design(args);
+  if (!design.drc) {
     // No precomputed matrix in the artifact: rebuild it once, up front (the
     // pipeline itself never computes pairwise costs).
-    recfg::ReconfigModel reconfig(app->platform(), app->impls());
+    recfg::ReconfigModel reconfig(design.app->platform(), design.app->impls());
     util::ThreadPool pool(config.jobs);
-    drc.emplace(db, reconfig, &pool);
+    design.drc.emplace(design.db, reconfig, &pool);
   }
 
   // Per-device fault environment mirrors exp::evaluate_policy: per-PE SER
   // profiles derived from the platform when injection is on.
   if (params.faults.enabled() && params.fault_profiles.empty()) {
-    params.fault_profiles = flt::profiles_from_platform(app->platform());
+    params.fault_profiles = flt::profiles_from_platform(design.app->platform());
   }
-
-  // QoS box from the database's own ranges, widened like qos_ranges().
-  const auto r = db.ranges();
-  config.ranges = r;
-  config.ranges.makespan_max = r.makespan_max + 0.25 * (r.makespan_max - r.makespan_min);
-  config.ranges.func_rel_min = r.func_rel_min - 0.25 * (r.func_rel_max - r.func_rel_min);
+  config.ranges = exp::db_qos_ranges(design.db);
 
   util::install_stop_signal_handlers(global_stop());
-  const fleet::FleetSessionOutcome outcome =
-      fleet::run_fleet_session(db, *drc, &app->clr_space(), config, control);
+  const fleet::FleetSessionOutcome outcome = fleet::run_fleet_session(
+      design.db, *design.drc, &design.app->clr_space(), config, control);
   const fleet::FleetResult& result = outcome.result;
   const fleet::FleetSummary& s = result.summary;
   if (outcome.resumed) {
@@ -656,7 +611,7 @@ int cmd_fleet(const Args& args) {
                         std::to_string(config.devices) + " devices)");
   table.set_header({"policy", "pRC", "cycles", "mean energy", "reconfigs", "QoS violations",
                     "unrecovered", "mean avail", "mean MTTR", "max dRC"});
-  table.add_row({policy, util::TextTable::fmt(params.p_rc, 2),
+  table.add_row({runtime.policy, util::TextTable::fmt(params.p_rc, 2),
                  util::TextTable::fmt(params.sim.total_cycles, 0),
                  util::TextTable::fmt(s.mean_energy, 2), std::to_string(s.totals.reconfigs),
                  std::to_string(s.totals.infeasible_events),
@@ -715,7 +670,7 @@ int cmd_fleet(const Args& args) {
         {"jobs", io::Json(static_cast<std::uint64_t>(util::resolve_threads(config.jobs)))},
         {"block_size", io::Json(config.block_size)},
         {"seed", io::Json(config.seed)},
-        {"policy", io::Json(policy)},
+        {"policy", io::Json(runtime.policy)},
         {"prefetch", io::Json(params.prefetch)},
         {"p_rc", io::Json(params.p_rc)},
         {"cycles", io::Json(params.sim.total_cycles)},
@@ -732,50 +687,33 @@ int cmd_fleet(const Args& args) {
     std::printf("report written to %s\n", args.str("report").c_str());
   }
 
-  if (!result.complete) {
-    std::printf("interrupted (%s): %llu of %llu blocks done",
-                util::stop_reason_name(outcome.stop_reason),
-                static_cast<unsigned long long>(result.progress.blocks_done()),
-                static_cast<unsigned long long>(result.progress.done.size()));
-    if (!control.checkpoint_path.empty()) {
-      std::printf("; %llu checkpoint(s) written — rerun with --resume to continue",
-                  static_cast<unsigned long long>(outcome.checkpoints_written));
-    }
-    std::printf("\n");
-    return kExitInterrupted;
-  }
-  return 0;
+  if (result.complete) return 0;
+  return interrupted(outcome.stop_reason,
+                     ": " + std::to_string(result.progress.blocks_done()) + " of " +
+                         std::to_string(result.progress.done.size()) + " blocks done",
+                     control, outcome.checkpoints_written);
 }
 
 int cmd_validate(const Args& args) {
-  args.expect_only({"tasks", "seed", "db", "runs", "points", "sim-seed"});
-  if (!args.has("db")) {
-    std::fprintf(stderr, "validate: --db is required\n");
-    return usage();
-  }
-  const auto tasks = size_arg(args, "tasks", 20, 1);
-  const auto seed = static_cast<std::uint64_t>(size_arg(args, "seed", 1));
-  const auto loaded = io::load_design_db(args.str("db"));
-  const auto app = exp::make_synthetic_app_with_space(tasks, seed, loaded.space);
-  const auto runs = size_arg(args, "runs", 3000, 1);
-  const auto max_points = size_arg(args, "points", 5, 1);
-
-  const sim::MonteCarloValidator validator(app->context());
-  sched::EvalScratch scratch;
-  util::Rng rng(static_cast<std::uint64_t>(args.num("sim-seed", 11)));
+  args.require("db");
+  const std::size_t runs = args.integer("runs", 3000, 1);
+  const std::size_t max_points = args.integer("points", 5, 1);
+  util::Rng rng(args.integer("sim-seed", 11));
+  const Design design = load_design(args);
+  const sim::MonteCarloValidator validator(design.app->context());
 
   util::TextTable table("fault-injection validation (" + std::to_string(runs) + " runs/point)");
   table.set_header({"#", "S stored", "S empirical", "J stored", "J empirical", "F stored",
                     "F empirical"});
-  for (std::size_t i = 0; i < std::min(max_points, loaded.db.size()); ++i) {
-    const auto& p = loaded.db.point(i);
+  for (std::size_t i = 0; i < std::min(max_points, design.db.size()); ++i) {
+    // load_design() checked that the stored metrics are the analytical ones.
+    const auto& p = design.db.point(i);
     const auto agg = validator.run_many(p.config, runs, rng);
-    const auto analytical = validator.graph().evaluate(p.config, scratch);
-    table.add_row({std::to_string(i), util::TextTable::fmt(analytical.makespan, 2),
+    table.add_row({std::to_string(i), util::TextTable::fmt(p.makespan, 2),
                    util::TextTable::fmt(agg.makespan.mean(), 2),
-                   util::TextTable::fmt(analytical.energy, 2),
+                   util::TextTable::fmt(p.energy, 2),
                    util::TextTable::fmt(agg.energy.mean(), 2),
-                   util::TextTable::fmt(analytical.func_rel, 5),
+                   util::TextTable::fmt(p.func_rel, 5),
                    util::TextTable::fmt(agg.weighted_success.mean(), 5)});
   }
   std::printf("%s", table.to_string().c_str());
@@ -785,11 +723,7 @@ int cmd_validate(const Args& args) {
 }
 
 int cmd_inspect(const Args& args) {
-  args.expect_only({"db"});
-  if (!args.has("db")) {
-    std::fprintf(stderr, "inspect: --db is required\n");
-    return usage();
-  }
+  args.require("db");
   const auto loaded = io::load_design_db(args.str("db"));
   std::printf("%s\nCLR space: %zu configurations\n\n", loaded.db.summary().c_str(),
               loaded.space.size());
@@ -804,23 +738,71 @@ int cmd_inspect(const Args& args) {
   return 0;
 }
 
-}  // namespace
+struct Subcommand {
+  const char* name;
+  Command command;
+  int (*run)(const Args&);
+  const char* note;  ///< extra usage line, or nullptr
+};
 
-namespace {
+constexpr Subcommand kSubcommands[] = {
+    {"generate", kGenerate, cmd_generate, nullptr},
+    {"explore", kExplore, cmd_explore, nullptr},
+    {"simulate", kSimulate, cmd_simulate, "without --db the design-time flow runs inline first"},
+    {"fleet", kFleet, cmd_fleet, "aggregates are bit-identical at any --shards/--jobs"},
+    {"inspect", kInspect, cmd_inspect, "--db is required"},
+    {"validate", kValidate, cmd_validate, "--db is required"},
+};
+
+/// Print the usage, generated from kSubcommands and kOptions, and return the
+/// exit code of a missing or unknown subcommand.
+int usage() {
+  std::string names;
+  for (const Subcommand& c : kSubcommands) {
+    names += (names.empty() ? "" : "|") + std::string(c.name);
+  }
+  std::string text = "usage: clrtool <" + names + "> [options]\n";
+  const std::string indent(11, ' ');
+  for (const Subcommand& c : kSubcommands) {
+    std::string line = "  " + std::string(c.name);
+    line.resize(indent.size() - 1, ' ');
+    for (const Option& o : kOptions) {
+      if ((o.commands & c.command) == 0) continue;
+      const std::string item =
+          std::string(" [--") + o.name + (o.value ? std::string(" ") + o.value : "") + "]";
+      if (line.size() + item.size() > 79) {
+        text += line + "\n";
+        line = indent.substr(1);
+      }
+      line += item;
+    }
+    text += line + "\n";
+    if (c.note != nullptr) text += indent + "(" + c.note + ")\n";
+  }
+  text +=
+      "--trace writes a Chrome trace_event JSON timeline (Perfetto /\n"
+      "chrome://tracing) and prints a per-span summary; --trace-categories\n"
+      "filters it to a comma list of dse,runtime,exp,drc,bench (default all).\n"
+      "--checkpoint writes crash-safe A/B checkpoints (<F>.a/<F>.b) at generation\n"
+      "or job-batch boundaries; --resume continues from the newest good one with\n"
+      "bit-identical results. SIGINT/SIGTERM, --time-budget (wall-clock seconds)\n"
+      "and --step-budget (boundaries) stop cooperatively: the partial report is\n"
+      "printed, a final checkpoint written, and the exit code is 3.\n";
+  std::fputs(text.c_str(), stderr);
+  return 2;
+}
 
 int dispatch(int argc, char** argv) {
   if (argc < 2) return usage();
-  try {
-    const Args args(argc, argv);
-    const std::string cmd = argv[1];
-    if (cmd == "generate") return cmd_generate(args);
-    if (cmd == "explore") return cmd_explore(args);
-    if (cmd == "simulate") return cmd_simulate(args);
-    if (cmd == "fleet") return cmd_fleet(args);
-    if (cmd == "inspect") return cmd_inspect(args);
-    if (cmd == "validate") return cmd_validate(args);
-    std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
+  const std::string_view name = argv[1];
+  const auto* sub = std::find_if(std::begin(kSubcommands), std::end(kSubcommands),
+                                 [&](const Subcommand& c) { return name == c.name; });
+  if (sub == std::end(kSubcommands)) {
+    std::fprintf(stderr, "unknown command '%s'\n", argv[1]);
     return usage();
+  }
+  try {
+    return sub->run(Args(sub->command, argc, argv));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "clrtool: %s\n", e.what());
     return 1;
