@@ -10,7 +10,8 @@
 //   - PERF (up to three measurement attempts with a cool-down, like
 //     bench/schedule_kernel): the pipeline-at-one-worker rate must stay
 //     within `overhead_ratio_max` of a bare sequential simulate_device loop
-//     measured in the same process (machine-transferable, like the
+//     with one decision table, as a worker has, measured in the same
+//     process (machine-transferable, like the
 //     schedule-kernel normalized ratio), and the parallel rate must clear the
 //     conservative absolute `devices_per_second_floor`.
 //
@@ -152,19 +153,29 @@ int main(int argc, char** argv) {
   }
 
   // --- Sequential reference: a bare simulate_device loop (no queues, no
-  // threads) over a prefix of the device range, measured in-process so the
-  // overhead ratio transfers across machine speeds.
-  const std::uint64_t ref_devices = std::min<std::uint64_t>(devices, 2000);
+  // threads), measured in-process so the overhead ratio transfers across
+  // machine speeds. It owns one decision table, built inside the timed span,
+  // as a one-worker pipeline does, and runs the same devices: the table's
+  // fills amortize over the devices that share it, so a shorter prefix
+  // would time a colder table than the pipeline's.
+  const std::uint64_t ref_devices = devices;
   const rt::QosProcess qos(config.ranges, config.params.qos);
   const rt::RuntimeSimulator sim(config.params.sim);
+  rt::DecisionTable::Counters table_counters;
+  std::size_t table_bytes = 0;
   const auto measure_sequential = [&] {
     const auto start = Clock::now();
+    rt::DecisionTable table(db, drc, config.params.p_rc, config.params.aura.guard);
     fleet::BlockSum sink;
     for (std::uint64_t d = 0; d < ref_devices; ++d) {
-      sink.add(fleet::simulate_device(db, drc, qos, sim, config.params, space, d, config.seed));
+      sink.add(fleet::simulate_device(db, drc, qos, sim, config.params, space, d, config.seed,
+                                      nullptr, &table));
     }
     if (sink.devices != ref_devices) std::abort();
-    return static_cast<double>(ref_devices) / seconds_since(start);
+    const double rate = static_cast<double>(ref_devices) / seconds_since(start);
+    table_counters = table.counters();
+    table_bytes = table.bytes();
+    return rate;
   };
 
   const int rounds = 3;
@@ -214,6 +225,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(config.block_size));
   std::printf("  sequential reference: %10.0f devices/s (%llu-device bare loop)\n",
               sequential_rate, static_cast<unsigned long long>(ref_devices));
+  std::printf("    its decision table: %llu lookups, %llu hits, %llu fills, %llu empty FEAS, "
+              "%llu band ties, %zu bytes\n",
+              static_cast<unsigned long long>(table_counters.lookups),
+              static_cast<unsigned long long>(table_counters.hits),
+              static_cast<unsigned long long>(table_counters.fills),
+              static_cast<unsigned long long>(table_counters.empty),
+              static_cast<unsigned long long>(table_counters.band_ties), table_bytes);
   std::printf("  pipeline, 1 worker:   %10.0f devices/s (overhead ratio %.3f)\n",
               pipeline_rate_j1, overhead_ratio);
   std::printf("  pipeline, %2zu workers: %10.0f devices/s (%.2fx vs 1 worker)\n", auto_jobs,
@@ -233,6 +251,14 @@ int main(int argc, char** argv) {
            {"fault_rate", io::Json(config.params.faults.transient_rate)},
            {"smoke", io::Json(bench::smoke())}})},
       {"sequential_devices_per_second", io::Json(sequential_rate)},
+      {"sequential_decision_table",
+       io::Json(io::JsonObject{
+           {"lookups", io::Json(table_counters.lookups)},
+           {"hits", io::Json(table_counters.hits)},
+           {"fills", io::Json(table_counters.fills)},
+           {"empty", io::Json(table_counters.empty)},
+           {"band_ties", io::Json(table_counters.band_ties)},
+           {"bytes", io::Json(static_cast<std::uint64_t>(table_bytes))}})},
       {"pipeline_1worker_devices_per_second", io::Json(pipeline_rate_j1)},
       {"devices_per_second", io::Json(parallel_rate)},
       {"jobs", io::Json(static_cast<double>(auto_jobs))},

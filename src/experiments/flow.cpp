@@ -108,7 +108,8 @@ rt::RuntimeStats evaluate_policy_on(const dse::DesignDb& db, const rt::DrcMatrix
                                     const rt::QosProcess& qos, const rt::RuntimeSimulator& sim,
                                     const RuntimeEvalParams& params, std::uint64_t seed,
                                     const rel::ClrSpace* clr_space,
-                                    const rt::MdpTable* mdp_table) {
+                                    const rt::MdpTable* mdp_table,
+                                    rt::DecisionTable* decision_table) {
   util::SplitMix64 mix(seed);
   util::Rng pretrain_rng(mix.next());
   util::Rng eval_rng(mix.next());
@@ -143,11 +144,11 @@ rt::RuntimeStats evaluate_policy_on(const dse::DesignDb& db, const rt::DrcMatrix
       return run_with(policy);
     }
     case PolicyKind::Ura: {
-      rt::UraPolicy policy(db, drc, params.p_rc);
+      rt::UraPolicy policy(db, drc, params.p_rc, decision_table);
       return run_with(policy);
     }
     case PolicyKind::Aura: {
-      rt::AuraPolicy policy(db, drc, params.p_rc, params.aura);
+      rt::AuraPolicy policy(db, drc, params.p_rc, params.aura, decision_table);
       if (params.pretrain) {
         // Pre-training stays fault-free: prior knowledge reflects the
         // nominal platform the design-time flow optimized for. The prefetch

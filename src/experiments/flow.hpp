@@ -120,11 +120,15 @@ rt::RuntimeStats evaluate_policy_with(const dse::DesignDb& db, const rt::DrcMatr
 /// RuntimeSimulator. Both are stateless across runs, so fleet workers build
 /// them once and reuse them for every device, bit-identically;
 /// evaluate_policy_with builds them from `ranges` and `params`. A plan built
-/// here for PolicyKind::Mdp uses qos.ranges().
+/// here for PolicyKind::Mdp uses qos.ranges(). `decision_table`, bound to
+/// (db, drc, params.p_rc, params.aura.guard), memoizes the uRA/AuRA decisions
+/// across calls (a fleet worker's devices); results are bit-identical
+/// without it, and the other policy kinds ignore it.
 rt::RuntimeStats evaluate_policy_on(const dse::DesignDb& db, const rt::DrcMatrix& drc,
                                     const rt::QosProcess& qos, const rt::RuntimeSimulator& sim,
                                     const RuntimeEvalParams& params, std::uint64_t seed,
                                     const rel::ClrSpace* clr_space = nullptr,
-                                    const rt::MdpTable* mdp_table = nullptr);
+                                    const rt::MdpTable* mdp_table = nullptr,
+                                    rt::DecisionTable* decision_table = nullptr);
 
 }  // namespace clr::exp

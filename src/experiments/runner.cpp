@@ -3,6 +3,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -160,6 +161,37 @@ RunOutcome Runner::run(const RunnerControl& control) {
     drc_cache.emplace(key, std::make_unique<rt::DrcMatrix>(*cell.db, model, &pool));
     metrics_.counter("runner.drc_builds").add();
   }
+  const auto cell_drc = [&](const RunnerCell& cell) {
+    return cell.drc != nullptr ? cell.drc : drc_cache.at({cell.app, cell.db}).get();
+  };
+
+  // One offline MDP plan per MDP cell with pending jobs, solved in parallel
+  // across cells and shared by the cell's replications. Planning draws no
+  // randomness, so this is bit-identical to each job solving its own.
+  std::vector<std::optional<rt::MdpTable>> mdp_tables(cells_.size());
+  if (!stopped) {
+    std::vector<std::size_t> to_solve;
+    for (std::size_t c = 0; c < cells_.size(); ++c) {
+      if (cells_[c].params.kind != PolicyKind::Mdp) continue;
+      for (std::size_t r = 0; r < reps; ++r) {
+        if (done[c * reps + r] == 0) {
+          to_solve.push_back(c);
+          break;
+        }
+      }
+    }
+    pool.parallel_for(
+        to_solve.size(),
+        [&](std::size_t k) {
+          const RunnerCell& cell = cells_[to_solve[k]];
+          mdp_tables[to_solve[k]] =
+              rt::build_mdp_table(*cell.db, *cell_drc(cell), cell.ranges, cell.params.p_rc,
+                                  cell.params.qos, cell.params.faults, cell.params.mdp);
+          metrics_.counter("runner.mdp_solves").add();
+        },
+        control.stop);
+    stopped = control.stop.stop_requested();
+  }
 
   // Phase 2: fan the pending (cell, replication) jobs out in waves of
   // `batch_size`. Each job's seed derives only from (cell.seed, rep) and
@@ -200,13 +232,12 @@ RunOutcome Runner::run(const RunnerControl& control) {
                             {"p_rc", cell.params.p_rc},
                             {"fault_rate", cell.params.faults.transient_rate},
                             {"seed", util::substream_seed(cell.seed, r)}});
-            const rt::DrcMatrix* drc =
-                cell.drc != nullptr ? cell.drc : drc_cache.at({cell.app, cell.db}).get();
             const rel::ClrSpace* clr_space =
                 cell.app != nullptr ? &cell.app->clr_space() : nullptr;
+            const rt::MdpTable* mdp = mdp_tables[c] ? &*mdp_tables[c] : nullptr;
             const auto start = std::chrono::steady_clock::now();
-            stats[job] = evaluate_policy_with(*cell.db, *drc, cell.ranges, cell.params,
-                                              util::substream_seed(cell.seed, r), clr_space);
+            stats[job] = evaluate_policy_with(*cell.db, *cell_drc(cell), cell.ranges, cell.params,
+                                              util::substream_seed(cell.seed, r), clr_space, mdp);
             wall[job] = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - start)
                             .count();

@@ -16,10 +16,12 @@
 // The pairwise DrcMatrix (O(n²) ReconfigModel::drc calls) only depends on
 // (db, platform, implementations), never on the policy/pRC/seed of a cell,
 // so the Runner memoizes one matrix per distinct (app, db) pair per run and
-// builds it row-parallel on the same pool. A MetricsRegistry threads through
-// the harness (cells, jobs, events, reconfigs, drc builds/cache hits, build
-// and cell timers), and the whole replicated grid exports to JSON via clr_io
-// for machine-readable bench reports.
+// builds it row-parallel on the same pool. Likewise each MDP cell's offline
+// plan is solved once per run, not once per replication. A MetricsRegistry
+// threads through the harness (cells, jobs, events, reconfigs, drc
+// builds/cache hits, MDP solves, build and cell timers), and the whole
+// replicated grid exports to JSON via clr_io for machine-readable bench
+// reports.
 
 #include <cstdint>
 #include <functional>
@@ -196,7 +198,8 @@ class Runner {
 
   /// Harness counters/timers: runner.cells, runner.jobs, runner.events,
   /// runner.reconfigs, runner.drc_builds, runner.drc_cache_hits,
-  /// runner.drc_build (timer), runner.cell (timer).
+  /// runner.mdp_solves (only once an MDP cell ran), runner.drc_build
+  /// (timer), runner.cell (timer).
   util::MetricsRegistry& metrics() { return metrics_; }
   const util::MetricsRegistry& metrics() const { return metrics_; }
 

@@ -142,11 +142,12 @@ DeviceResult simulate_device(const dse::DesignDb& db, const rt::DrcMatrix& drc,
                              const rt::QosProcess& qos, const rt::RuntimeSimulator& sim,
                              const exp::RuntimeEvalParams& params,
                              const rel::ClrSpace* clr_space, std::uint64_t device,
-                             std::uint64_t fleet_seed, const rt::MdpTable* mdp_table) {
+                             std::uint64_t fleet_seed, const rt::MdpTable* mdp_table,
+                             rt::DecisionTable* decision_table) {
   return to_result(device,
                    exp::evaluate_policy_on(db, drc, qos, sim, params,
                                            util::substream_seed(fleet_seed, device), clr_space,
-                                           mdp_table));
+                                           mdp_table, decision_table));
 }
 
 FleetSummary summarize(const FleetProgress& progress) {
@@ -230,6 +231,19 @@ FleetResult run_fleet(const dse::DesignDb& db, const rt::DrcMatrix& drc,
   }
   const rt::MdpTable* shared_mdp_ptr = shared_mdp ? &*shared_mdp : nullptr;
 
+  // One uRA/AuRA decision table per worker, built here so that a database it
+  // rejects fails the call, not a worker thread. Every entry is a pure
+  // function of its key, so which worker filled it never shows in a result;
+  // no two threads share a table.
+  std::vector<std::optional<rt::DecisionTable>> tables(jobs);
+  if ((config.params.kind == exp::PolicyKind::Ura ||
+       config.params.kind == exp::PolicyKind::Aura) &&
+      config.devices > 0) {
+    for (auto& table : tables) {
+      table.emplace(db, drc, config.params.p_rc, config.params.aura.guard);
+    }
+  }
+
   // One queue + completion flag per worker; the worker is the queue's only
   // producer, this (the accumulator) thread its only consumer.
   struct WorkerChannel {
@@ -255,6 +269,7 @@ FleetResult run_fleet(const dse::DesignDb& db, const rt::DrcMatrix& drc,
       // simulator-reuse test.
       const rt::QosProcess qos(config.ranges, config.params.qos);
       const rt::RuntimeSimulator sim(config.params.sim);
+      rt::DecisionTable* table = tables[w] ? &*tables[w] : nullptr;
       SpscQueue<DeviceBatch>& queue = *channels[w].queue;
 
       const auto push = [&](DeviceBatch&& batch) {
@@ -275,8 +290,9 @@ FleetResult run_fleet(const dse::DesignDb& db, const rt::DrcMatrix& drc,
             const std::uint64_t block_count = block_device_count(config, b, num_blocks);
             DeviceBatch batch;
             for (std::uint64_t d = block_first; d < block_first + block_count; ++d) {
-              batch.results[batch.count++] = simulate_device(
-                  db, drc, qos, sim, config.params, clr_space, d, config.seed, shared_mdp_ptr);
+              batch.results[batch.count++] =
+                  simulate_device(db, drc, qos, sim, config.params, clr_space, d, config.seed,
+                                  shared_mdp_ptr, table);
               if (batch.count == kBatchDevices) {
                 push(std::move(batch));
                 batch = DeviceBatch{};
@@ -333,6 +349,11 @@ FleetResult run_fleet(const dse::DesignDb& db, const rt::DrcMatrix& drc,
     if (!any) std::this_thread::yield();
   }
   for (auto& worker : workers) worker.join();
+  for (const auto& table : tables) {
+    if (!table) continue;
+    result.decision_table.merge(table->counters());
+    result.decision_table_bytes += table->bytes();
+  }
 
   if (control.on_checkpoint && since_checkpoint > 0) {
     control.on_checkpoint(result.progress);

@@ -127,6 +127,10 @@ struct FleetResult {
   std::uint64_t blocks_done_this_run = 0;
   double wall_seconds = 0.0;      ///< this run's simulate+accumulate wall time
   double devices_per_second = 0.0;///< devices simulated this run / wall time
+  /// The workers' uRA/AuRA decision-table counters, summed (observability
+  /// only: how lookups split depends on which worker ran which device).
+  rt::DecisionTable::Counters decision_table;
+  std::size_t decision_table_bytes = 0;  ///< summed over the workers' tables
 };
 
 /// Seed for device `d` of a fleet seeded with `base`. The fleet draws it as
@@ -159,13 +163,15 @@ std::pair<std::uint64_t, std::uint64_t> shard_block_range(std::uint64_t num_bloc
 /// converted to a DeviceResult. Exposed so tests can pin fleet-vs-reference equality
 /// device by device. `mdp_table` supplies the fleet-shared offline plan for
 /// PolicyKind::Mdp (nullptr rebuilds it per device — bit-identical, since the
-/// offline solve is deterministic, just slower).
+/// offline solve is deterministic, just slower). `decision_table` is the
+/// worker's uRA/AuRA memo (nullptr scans every decision — bit-identical).
 DeviceResult simulate_device(const dse::DesignDb& db, const rt::DrcMatrix& drc,
                              const rt::QosProcess& qos, const rt::RuntimeSimulator& sim,
                              const exp::RuntimeEvalParams& params,
                              const rel::ClrSpace* clr_space, std::uint64_t device,
                              std::uint64_t fleet_seed,
-                             const rt::MdpTable* mdp_table = nullptr);
+                             const rt::MdpTable* mdp_table = nullptr,
+                             rt::DecisionTable* decision_table = nullptr);
 
 /// Run the fleet. `clr_space` gives fault injection the struck task's CLR
 /// coverage (nullptr falls back to FaultParams::fallback_coverage, exactly

@@ -1,8 +1,12 @@
 #include "runtime/policy.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "common/stats.hpp"
 #include "faults/fault_model.hpp"
@@ -62,10 +66,151 @@ Decision BaselinePolicy::select(std::size_t current, const dse::QosSpec& spec) {
   return d;
 }
 
-UraPolicy::UraPolicy(const dse::DesignDb& db, const DrcMatrix& drc, double p_rc)
+namespace {
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Indices of the non-NaN entries of `column`, sorted by `before`.
+template <typename Before>
+std::vector<std::uint32_t> sorted_order(const std::vector<double>& column, Before before) {
+  std::vector<std::uint32_t> order;
+  for (std::size_t i = 0; i < column.size(); ++i) {
+    if (!std::isnan(column[i])) order.push_back(static_cast<std::uint32_t>(i));
+  }
+  std::sort(order.begin(), order.end(),
+            [&](std::uint32_t x, std::uint32_t y) { return before(column[x], column[y]); });
+  return order;
+}
+
+/// rank[i]: the position in `order` where the run of values equal to point
+/// i's ends, i.e. the size of the smallest threshold set holding point i (0
+/// for a NaN point, which is in none).
+std::vector<std::uint32_t> run_ends(const std::vector<double>& column,
+                                    const std::vector<std::uint32_t>& order) {
+  std::vector<std::uint32_t> rank(column.size(), 0);
+  for (std::size_t lo = 0; lo < order.size();) {
+    std::size_t hi = lo + 1;
+    while (hi < order.size() && column[order[hi]] == column[order[lo]]) ++hi;
+    for (std::size_t k = lo; k < hi; ++k) rank[order[k]] = static_cast<std::uint32_t>(hi);
+    lo = hi;
+  }
+  return rank;
+}
+
+}  // namespace
+
+void DecisionTable::Counters::merge(const Counters& other) {
+  lookups += other.lookups;
+  hits += other.hits;
+  fills += other.fills;
+  empty += other.empty;
+  band_ties += other.band_ties;
+}
+
+DecisionTable::DecisionTable(const dse::DesignDb& db, const DrcMatrix& drc, double p_rc,
+                             double guard)
+    : db_(&db), drc_(&drc), p_rc_(p_rc), guard_(guard) {
+  const std::size_t n = db.size();
+  if (n == 0) throw std::invalid_argument("DecisionTable: empty database");
+  // Entries are 16-bit point indices next to two marks.
+  if (n >= kBandTie) {
+    throw std::invalid_argument("DecisionTable: at most 65534 stored points, got " +
+                                std::to_string(n));
+  }
+  if (drc.size() != n) throw std::invalid_argument("DecisionTable: drc size must match db size");
+  if (p_rc < 0.0 || p_rc > 1.0) throw std::invalid_argument("DecisionTable: pRC must be in [0,1]");
+
+  const std::vector<double>& makespan = db.makespans();
+  const std::vector<double>& func_rel = db.func_rels();
+  const auto by_makespan = sorted_order(makespan, std::less<double>());
+  const auto by_func_rel = sorted_order(func_rel, std::greater<double>());
+  makespans_.reserve(by_makespan.size());
+  func_rels_.reserve(by_func_rel.size());
+  for (const std::uint32_t i : by_makespan) makespans_.push_back(makespan[i]);
+  for (const std::uint32_t i : by_func_rel) func_rels_.push_back(func_rel[i]);
+  const auto makespan_rank = run_ends(makespan, by_makespan);
+  const auto func_rel_rank = run_ends(func_rel, by_func_rel);
+
+  // Cell (a, b) is FEAS at makespan <= the a-th smallest makespan and
+  // func_rel >= the b-th highest func_rel, so a cell inside a run of equal
+  // values stands for the whole run: only each run's last row and column are
+  // computed, and the rest copy them. Walking a row in func_rel order grows
+  // FEAS one run at a time; its tight cell (a*, b*) is the largest makespan
+  // rank and func_rel rank among its points. That cell lies at or before
+  // (a, b) in row-major order, so its class is already known unless it is
+  // (a, b) itself, which then opens a new class.
+  const std::size_t cols = func_rels_.size() + 1;
+  classes_.assign((makespans_.size() + 1) * cols, kNoClass);
+  for (std::size_t lo = 0; lo < makespans_.size();) {
+    const std::size_t a = makespan_rank[by_makespan[lo]];
+    const double limit = makespans_[a - 1];
+    std::uint32_t* row = classes_.data() + a * cols;
+    std::uint32_t a_star = 0, b_star = 0;
+    for (std::size_t first = 0; first < func_rels_.size();) {
+      const std::size_t b = func_rel_rank[by_func_rel[first]];
+      for (std::size_t j = first; j < b; ++j) {
+        const std::uint32_t i = by_func_rel[j];
+        if (makespan[i] <= limit) {
+          a_star = std::max(a_star, makespan_rank[i]);
+          b_star = std::max(b_star, func_rel_rank[i]);
+        }
+      }
+      std::uint32_t id = kNoClass;
+      if (b_star != 0) {
+        id = a_star == a && b_star == b ? num_classes_++ : classes_[a_star * cols + b_star];
+      }
+      std::fill(row + first + 1, row + b + 1, id);
+      first = b;
+    }
+    for (std::size_t r = lo + 1; r < a; ++r) {
+      std::copy(row, row + cols, classes_.data() + r * cols);
+    }
+    lo = a;
+  }
+  slabs_.resize(n);
+}
+
+std::size_t DecisionTable::makespan_count(double max_makespan) const {
+  // The predicate of QosSpec::satisfied_by: false for every point at NaN.
+  return static_cast<std::size_t>(
+      std::partition_point(makespans_.begin(), makespans_.end(),
+                           [&](double s) { return s <= max_makespan; }) -
+      makespans_.begin());
+}
+
+std::size_t DecisionTable::func_rel_count(double min_func_rel) const {
+  return static_cast<std::size_t>(
+      std::partition_point(func_rels_.begin(), func_rels_.end(),
+                           [&](double f) { return f >= min_func_rel; }) -
+      func_rels_.begin());
+}
+
+bool DecisionTable::bound_to(const dse::DesignDb& db, const DrcMatrix& drc, double p_rc) const {
+  return &db == db_ && &drc == drc_ && same_bits(p_rc, p_rc_);
+}
+
+std::size_t DecisionTable::bytes() const {
+  return (makespans_.size() + func_rels_.size()) * sizeof(double) +
+         classes_.size() * sizeof(std::uint32_t) + slab_bytes_;
+}
+
+std::uint16_t& DecisionTable::entry(std::size_t current, std::uint32_t cls) {
+  std::vector<std::uint16_t>& slab = slabs_[current];
+  if (slab.empty()) {
+    slab.assign(num_classes_, kUnfilled);
+    slab_bytes_ += num_classes_ * sizeof(std::uint16_t);
+  }
+  return slab[cls];
+}
+
+UraPolicy::UraPolicy(const dse::DesignDb& db, const DrcMatrix& drc, double p_rc,
+                     DecisionTable* table)
     : db_(&db),
       drc_(&drc),
       p_rc_(p_rc),
+      table_(table),
       feas_(db.size()),
       feas_drc_(db.size()),
       feas_perf_(db.size()),
@@ -75,6 +220,10 @@ UraPolicy::UraPolicy(const dse::DesignDb& db, const DrcMatrix& drc, double p_rc)
     throw std::invalid_argument("UraPolicy: drc size must match db size");
   }
   if (p_rc < 0.0 || p_rc > 1.0) throw std::invalid_argument("UraPolicy: pRC must be in [0,1]");
+  if (table != nullptr && !table->bound_to(db, drc, p_rc)) {
+    throw std::invalid_argument(
+        "UraPolicy: decision table is bound to another database, DrcMatrix or pRC");
+  }
   // Database-global scales for the *learning* reward: unlike the per-event
   // FEAS normalization of Algorithm 1 (which ranks candidates), the reward
   // fed to AuRA's value updates must be stationary across events, or the
@@ -85,9 +234,47 @@ UraPolicy::UraPolicy(const dse::DesignDb& db, const DrcMatrix& drc, double p_rc)
   global_drc_hi_ = drc.max_drc();
 }
 
+Decision UraPolicy::decide(std::size_t current, const dse::QosSpec& spec,
+                           const std::vector<double>* state_values, double gamma, double guard) {
+  // A dead point shrinks FEAS below what the cell says; with every point
+  // alive (transient faults only) the mask changes nothing.
+  if (table_ == nullptr || (health() != nullptr && health()->num_alive_points() != db_->size())) {
+    return evaluate_and_pick(current, spec, state_values, gamma, guard);
+  }
+  DecisionTable& table = *table_;
+  ++table.counters_.lookups;
+  const std::uint32_t cls = table.feas_class(spec);
+  if (cls == DecisionTable::kNoClass) {
+    ++table.counters_.empty;
+    return evaluate_and_pick(current, spec, state_values, gamma, guard);
+  }
+  std::uint16_t& entry = table.entry(current, cls);
+  if (entry < DecisionTable::kBandTie) {
+    ++table.counters_.hits;
+    Decision d;
+    d.point = entry;
+    d.drc = drc_->row(current)[d.point];
+    d.reward = global_reward(d.point, d.drc);
+    return d;
+  }
+  if (entry == DecisionTable::kBandTie) {
+    ++table.counters_.band_ties;
+    return evaluate_and_pick(current, spec, state_values, gamma, guard);
+  }
+  // First lookup of this key. The band is counted at the table's guard (uRA
+  // passes no guard of its own); with one candidate in it, the lookahead
+  // has nothing to arbitrate, so the pick holds for every value function.
+  ++table.counters_.fills;
+  std::size_t in_band = 0;
+  const Decision d =
+      evaluate_and_pick(current, spec, state_values, gamma, table.guard(), &in_band);
+  entry = in_band == 1 ? static_cast<std::uint16_t>(d.point) : DecisionTable::kBandTie;
+  return d;
+}
+
 Decision UraPolicy::evaluate_and_pick(std::size_t current, const dse::QosSpec& spec,
                                       const std::vector<double>* state_values, double gamma,
-                                      double guard) {
+                                      double guard, std::size_t* in_band) {
   Decision d;
   const auto* mask = alive_mask();
   const std::size_t m = db_->feasible_into(spec, feas_, mask);
@@ -134,12 +321,17 @@ Decision UraPolicy::evaluate_and_pick(std::size_t current, const dse::QosSpec& s
   // Guarded value lookahead (AuRA): among candidates whose immediate RET is
   // within the guard band of the best, prefer the one with the best
   // RET + gamma * V — the learned values arbitrate otherwise-close choices
-  // toward states with better long-run returns.
+  // toward states with better long-run returns. guard = 0 means the
+  // lookahead arbitrates *exact* ties only — any positive band, however
+  // small, would admit candidates strictly worse on the immediate objective
+  // and break the γ=0/guard=0 uRA subsumption.
+  const double band = std::max(guard, 0.0);
+  if (in_band != nullptr) {
+    std::size_t count = 0;
+    for (std::size_t k = 0; k < m; ++k) count += !(immediate[k] + band < best_imm);
+    *in_band = count;
+  }
   if (state_values != nullptr && gamma > 0.0) {
-    // guard = 0 means the lookahead arbitrates *exact* ties only — any
-    // positive band, however small, would admit candidates strictly worse on
-    // the immediate objective and break the γ=0/guard=0 uRA subsumption.
-    const double band = std::max(guard, 0.0);
     const double* values = state_values->data();
     double best_ret = -std::numeric_limits<double>::infinity();
     for (std::size_t k = 0; k < m; ++k) {
@@ -169,17 +361,20 @@ double UraPolicy::global_reward(std::size_t point, double paid_drc) const {
 }
 
 Decision UraPolicy::select(std::size_t current, const dse::QosSpec& spec) {
-  return evaluate_and_pick(current, spec, nullptr, 0.0, 0.0);
+  return decide(current, spec, nullptr, 0.0, 0.0);
 }
 
 AuraPolicy::AuraPolicy(const dse::DesignDb& db, const DrcMatrix& drc, double p_rc,
-                       Params params)
-    : UraPolicy(db, drc, p_rc), params_(params) {
+                       Params params, DecisionTable* table)
+    : UraPolicy(db, drc, p_rc, table), params_(params) {
   if (params.gamma < 0.0 || params.gamma >= 1.0) {
     throw std::invalid_argument("AuraPolicy: gamma must be in [0,1)");
   }
   if (params.alpha <= 0.0 || params.alpha > 1.0) {
     throw std::invalid_argument("AuraPolicy: alpha must be in (0,1]");
+  }
+  if (table != nullptr && !same_bits(table->guard(), params.guard)) {
+    throw std::invalid_argument("AuraPolicy: decision table is bound to another guard");
   }
   values_.assign(db.size(), params.initial_value);
   visits_.assign(db.size(), 0);
@@ -189,7 +384,7 @@ AuraPolicy::AuraPolicy(const dse::DesignDb& db, const DrcMatrix& drc, double p_r
     : AuraPolicy(db, drc, p_rc, Params{}) {}
 
 Decision AuraPolicy::select(std::size_t current, const dse::QosSpec& spec) {
-  Decision d = evaluate_and_pick(current, spec, &values_, params_.gamma, params_.guard);
+  Decision d = decide(current, spec, &values_, params_.gamma, params_.guard);
   if (learning_) episode_.emplace_back(d.point, d.reward);
   return d;
 }
@@ -197,13 +392,13 @@ Decision AuraPolicy::select(std::size_t current, const dse::QosSpec& spec) {
 Decision AuraPolicy::select_initial(std::size_t hint, const dse::QosSpec& spec) {
   // The t=0 placement is free: the "current" hint was never occupied, so the
   // dRC its reward would charge was never paid. Keep it out of the episode.
-  return evaluate_and_pick(hint, spec, &values_, params_.gamma, params_.guard);
+  return decide(hint, spec, &values_, params_.gamma, params_.guard);
 }
 
 Decision AuraPolicy::peek(std::size_t current, const dse::QosSpec& spec) {
   // Speculative preview (prefetch staging): same evaluation as select(), but
   // never recorded — a mispredicted stage must not bias the value updates.
-  return evaluate_and_pick(current, spec, &values_, params_.gamma, params_.guard);
+  return decide(current, spec, &values_, params_.gamma, params_.guard);
 }
 
 void AuraPolicy::end_episode() {

@@ -19,7 +19,11 @@
 // decides into scratch it sized at construction, so a warm decision never
 // allocates. One policy object therefore serves one run (or fleet device) on
 // one thread at a time.
+//
+// uRA and AuRA can also consult a DecisionTable: an exact memo of their
+// decisions that one fleet worker owns and hands to each device's policy.
 
+#include <cstdint>
 #include <vector>
 
 #include "dse/design_db.hpp"
@@ -106,21 +110,123 @@ class BaselinePolicy : public AdaptationPolicy {
   std::vector<double> ref_, scale_, objectives_;
 };
 
+/// Exact memo of uRA/AuRA decisions (DESIGN.md §5.16), keyed by
+/// (current point, FEAS class).
+///
+/// FEAS = {makespan <= S} ∩ {func_rel >= F}. The first set is the a points
+/// of least makespan and the second the b points of highest func_rel, ties
+/// included either way, so the cell (a, b) fixes FEAS. A non-empty FEAS has
+/// one tight cell: a* counts the points with makespan <= FEAS's largest
+/// makespan, b* those with func_rel >= FEAS's smallest func_rel, and FEAS is
+/// exactly A_a* ∩ B_b*. The constructor maps every cell to the id of its
+/// tight cell in one O(n²) sweep, so cells share a class iff their FEAS sets
+/// are equal.
+///
+/// An entry holds the uRA pick from `current` over the class's FEAS when
+/// exactly one candidate lies in AuRA's guard band (no learned value can
+/// change that pick), and a band-tie mark otherwise. Only UraPolicy's own
+/// scan fills an entry, on the key's first lookup; a point's slab of entries
+/// is allocated the first time it is current. An empty FEAS is never stored:
+/// its fallback depends on the spec's values.
+///
+/// A table is bound to one (db, drc, pRC, guard), and UraPolicy/AuraPolicy
+/// reject a table bound to anything else. It is not thread-safe: one fleet
+/// worker owns one table.
+class DecisionTable {
+ public:
+  /// Lookup outcomes since construction; hits + fills + empty + band_ties ==
+  /// lookups.
+  struct Counters {
+    std::uint64_t lookups = 0;    ///< decisions that consulted the table
+    std::uint64_t hits = 0;       ///< answered by a stored pick
+    std::uint64_t fills = 0;      ///< first lookup of the key: scanned, then stored
+    std::uint64_t empty = 0;      ///< empty FEAS: scanned
+    std::uint64_t band_ties = 0;  ///< stored band-tie mark: scanned
+
+    void merge(const Counters& other);
+  };
+
+  /// Marks a cell whose FEAS is empty.
+  static constexpr std::uint32_t kNoClass = 0xFFFFFFFFu;
+
+  /// Throws std::invalid_argument on an empty database, 65,535 or more
+  /// points, a DrcMatrix of another size, or a pRC outside [0, 1].
+  DecisionTable(const dse::DesignDb& db, const DrcMatrix& drc, double p_rc, double guard);
+
+  /// a: stored points with makespan <= max_makespan (0 for NaN).
+  std::size_t makespan_count(double max_makespan) const;
+  /// b: stored points with func_rel >= min_func_rel (0 for NaN).
+  std::size_t func_rel_count(double min_func_rel) const;
+  /// FEAS class of cell (a, b), or kNoClass when its FEAS is empty. `a` and
+  /// `b` range over what makespan_count and func_rel_count can return.
+  std::uint32_t class_of(std::size_t a, std::size_t b) const {
+    return classes_[a * (func_rels_.size() + 1) + b];
+  }
+  std::uint32_t feas_class(const dse::QosSpec& spec) const {
+    return class_of(makespan_count(spec.max_makespan), func_rel_count(spec.min_func_rel));
+  }
+  /// Distinct non-empty FEAS sets.
+  std::uint32_t num_classes() const { return num_classes_; }
+
+  /// True for exactly the (db, drc, pRC) the table was built for.
+  bool bound_to(const dse::DesignDb& db, const DrcMatrix& drc, double p_rc) const;
+  double guard() const { return guard_; }
+
+  const Counters& counters() const { return counters_; }
+  /// Heap bytes held: the sorted columns, the cell→class map and every
+  /// allocated slab.
+  std::size_t bytes() const;
+
+ private:
+  friend class UraPolicy;
+  static constexpr std::uint16_t kUnfilled = 0xFFFF;
+  static constexpr std::uint16_t kBandTie = 0xFFFE;
+
+  /// The entry of (current, cls); allocates current's slab on first use.
+  std::uint16_t& entry(std::size_t current, std::uint32_t cls);
+
+  const dse::DesignDb* db_;
+  const DrcMatrix* drc_;
+  double p_rc_;
+  double guard_;
+  /// Stored makespans ascending and func_rels descending, NaNs left out:
+  /// a NaN point is never feasible, so it is in no A or B set.
+  std::vector<double> makespans_, func_rels_;
+  /// Row-major (makespans_.size() + 1) x (func_rels_.size() + 1) cell map.
+  std::vector<std::uint32_t> classes_;
+  std::uint32_t num_classes_ = 0;
+  /// Per current point: num_classes_ entries, empty until first current.
+  std::vector<std::vector<std::uint16_t>> slabs_;
+  std::size_t slab_bytes_ = 0;
+  Counters counters_;
+};
+
 /// Algorithm 1. pRC = 1 maximizes performance (energy reduction); pRC = 0
 /// minimizes reconfiguration cost (stay put whenever feasible).
 class UraPolicy : public AdaptationPolicy {
  public:
-  UraPolicy(const dse::DesignDb& db, const DrcMatrix& drc, double p_rc);
+  /// A non-null `table` must be bound to (db, drc, p_rc) and outlive the
+  /// policy; decisions are the same with or without it, bit for bit.
+  UraPolicy(const dse::DesignDb& db, const DrcMatrix& drc, double p_rc,
+            DecisionTable* table = nullptr);
   Decision select(std::size_t current, const dse::QosSpec& spec) override;
 
   double p_rc() const { return p_rc_; }
 
  protected:
+  /// Every uRA/AuRA decision: a table hit when a table is attached, all
+  /// points are alive and the key's entry holds a pick; otherwise
+  /// evaluate_and_pick, which also fills the entry on the key's first lookup.
+  Decision decide(std::size_t current, const dse::QosSpec& spec,
+                  const std::vector<double>* state_values, double gamma, double guard);
+
   /// Shared evaluation core: returns RET per feasible point (plus lookahead
-  /// hook used by AuRA). Handles the empty-feasible-set fallback.
+  /// hook used by AuRA). Handles the empty-feasible-set fallback. A non-null
+  /// `in_band` receives the number of candidates within `guard` of the best
+  /// immediate RET — the ones the lookahead weighs.
   Decision evaluate_and_pick(std::size_t current, const dse::QosSpec& spec,
                              const std::vector<double>* state_values, double gamma,
-                             double guard);
+                             double guard, std::size_t* in_band = nullptr);
 
   /// Stationary (database-global) reward for the RL value updates:
   /// pRC * normR(point) - (1 - pRC) * norm(dRC paid), normalized over the
@@ -133,6 +239,7 @@ class UraPolicy : public AdaptationPolicy {
   double global_energy_lo_ = 0.0;
   double global_energy_hi_ = 0.0;
   double global_drc_hi_ = 0.0;
+  DecisionTable* table_;
 
  private:
   /// Decision scratch, db size each: FEAS, then per feasible candidate its
@@ -161,7 +268,9 @@ class AuraPolicy : public UraPolicy {
     double initial_value = 0.0;
   };
 
-  AuraPolicy(const dse::DesignDb& db, const DrcMatrix& drc, double p_rc, Params params);
+  /// A non-null `table` must also be bound to params.guard.
+  AuraPolicy(const dse::DesignDb& db, const DrcMatrix& drc, double p_rc, Params params,
+             DecisionTable* table = nullptr);
   /// Defaults: gamma 0.5, alpha 0.05, guard 0 (exact ties), zero-valued prior.
   AuraPolicy(const dse::DesignDb& db, const DrcMatrix& drc, double p_rc);
 

@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "common/rng.hpp"
+
 namespace clr::exp {
 namespace {
 
@@ -221,6 +223,41 @@ TEST(Runner, DrcMatrixBuiltOncePerDatabase) {
   runner.run();
   EXPECT_EQ(runner.metrics().counter("runner.drc_builds").value(), 1u);
   EXPECT_EQ(runner.metrics().counter("runner.drc_cache_hits").value(), 2u);
+}
+
+TEST(Runner, SolvesEachMdpCellOnce) {
+  // Two MDP cells × three replications: one offline solve per cell, shared
+  // by its replications, with the stats of jobs that each solve their own.
+  const auto db = make_db();
+  const auto drc = make_drc();
+  RunnerConfig config;
+  config.replications = 3;
+  config.jobs = 2;
+  Runner runner(config);
+  std::vector<RunnerCell> cells;
+  for (const double p_rc : {0.3, 0.8}) {
+    RunnerCell cell = make_cell(db, drc, PolicyKind::Mdp, p_rc, 11);
+    cell.params.mdp.makespan_bins = 3;
+    cell.params.mdp.func_rel_bins = 3;
+    cells.push_back(cell);
+    runner.add_cell(cell);
+  }
+  const std::vector<CellResult> results = runner.run();
+  EXPECT_EQ(runner.metrics().counter("runner.mdp_solves").value(), 2u);
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    std::vector<rt::RuntimeStats> runs;
+    for (std::size_t r = 0; r < config.replications; ++r) {
+      runs.push_back(evaluate_policy_with(db, drc, cells[c].ranges, cells[c].params,
+                                          util::substream_seed(cells[c].seed, r)));
+    }
+    EXPECT_EQ(results[c].stats, replicate_stats(runs)) << "cell " << c;
+  }
+
+  // A grid without MDP cells reports no solve counter, as before.
+  Runner ura(config);
+  ura.add_cell(make_cell(db, drc, PolicyKind::Ura, 0.5, 11));
+  ura.run();
+  for (const auto& counter : ura.metrics().counters()) EXPECT_NE(counter.name, "runner.mdp_solves");
 }
 
 TEST(GridReport, ContainsCellsAndSummaries) {

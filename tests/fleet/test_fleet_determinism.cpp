@@ -152,6 +152,83 @@ TEST(FleetDeterminism, MdpPrefetchAggregatesBitIdenticalAcrossShardAndJobMatrix)
   run_matrix_over(config);
 }
 
+TEST(FleetDeterminism, PretrainedAuraAggregatesBitIdenticalAcrossShardAndJobMatrix) {
+  // Pre-trained AuRA decides through each worker's DecisionTable, so which
+  // worker filled an entry differs across the matrix; no aggregate may show
+  // it.
+  FleetConfig config = make_config(false);
+  config.params.kind = exp::PolicyKind::Aura;
+  config.params.pretrain_cycles = 2e3;
+  config.params.pretrain_sweeps = 2;
+  run_matrix_over(config);
+}
+
+/// Twelve points spread over four PEs (point i on PE i % 4), so a permanent
+/// fault retires some points and leaves others alive.
+dse::DesignDb make_spread_db() {
+  dse::DesignDb db;
+  for (int i = 0; i < 12; ++i) {
+    dse::DesignPoint p;
+    p.makespan = 80.0 + 4.0 * (i % 6) + (i / 6);
+    p.func_rel = 0.92 + 0.01 * ((5 * i) % 8);
+    p.energy = 30.0 + 5.0 * ((7 * i) % 11);
+    p.config.tasks.resize(1);
+    p.config.tasks[0].pe = static_cast<plat::PeId>(i % 4);
+    p.config.tasks[0].priority = i;
+    db.add(p);
+  }
+  return db;
+}
+
+rt::DrcMatrix make_spread_drc() {
+  std::vector<double> costs(12 * 12, 0.0);
+  for (std::size_t i = 0; i < 12; ++i) {
+    for (std::size_t j = 0; j < 12; ++j) {
+      if (i != j) costs[i * 12 + j] = static_cast<double>(1 + (3 * i + 5 * j) % 7);
+    }
+  }
+  return rt::DrcMatrix(12, std::move(costs));
+}
+
+TEST(FleetDeterminism, BlockSumsEqualATableLessSimulateDeviceLoop) {
+  // run_fleet's workers decide through their DecisionTables; a sequential
+  // simulate_device loop without one scans every decision. Every block sum
+  // must carry the same bits — for pre-trained AuRA, and for uRA under
+  // permanent faults, where a dead point makes the policy bypass the table.
+  const auto db = make_spread_db();
+  const auto drc = make_spread_drc();
+  FleetConfig aura = make_config(false);
+  aura.params.kind = exp::PolicyKind::Aura;
+  aura.params.pretrain_cycles = 2e3;
+  aura.params.pretrain_sweeps = 2;
+  FleetConfig ura = make_config(true);
+  ura.params.faults.pe_mtbf = 1e3;  // most devices lose a PE within the horizon
+  for (const FleetConfig* base : {&aura, &ura}) {
+    FleetConfig config = *base;
+    config.devices = 300;
+    config.shards = 4;
+    config.jobs = 3;
+    const FleetResult fleet = run_fleet(db, drc, nullptr, config);
+    ASSERT_TRUE(fleet.complete);
+    EXPECT_GT(fleet.decision_table.hits, 0u);
+
+    const rt::QosProcess qos(config.ranges, config.params.qos);
+    const rt::RuntimeSimulator sim(config.params.sim);
+    std::vector<BlockSum> blocks(fleet.progress.blocks.size());
+    for (std::uint64_t d = 0; d < config.devices; ++d) {
+      blocks[d / config.block_size].add(
+          simulate_device(db, drc, qos, sim, config.params, nullptr, d, config.seed));
+    }
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      EXPECT_EQ(fleet.progress.blocks[b], blocks[b]) << "block " << b;
+    }
+    if (base == &ura) {
+      EXPECT_GT(fleet.summary.totals.permanent_faults, 0u);
+      EXPECT_GT(fleet.summary.totals.evacuations, 0u);
+    }
+  }
+}
+
 TEST(FleetDeterminism, PrefetchOffFoldsKeepStallEqualToReconfigCost) {
   // With prefetch off nothing is ever staged: the stall fold must carry the
   // exact bits of the folded reconfiguration cost (same addends, same order)

@@ -3,7 +3,7 @@
 // uRA, AuRA (select / peek / select_initial), Baseline and MDP — must equal
 // the reference oracle in reference_policy.cpp, field for field and doubles
 // bitwise, on fuzzed databases and cost tables, with and without an alive
-// mask.
+// mask — and so must uRA and AuRA backed by a DecisionTable.
 
 #include <gtest/gtest.h>
 
@@ -211,6 +211,92 @@ TEST(DecisionDifferential, EveryPolicyMatchesTheReferenceOracle) {
   EXPECT_GE(empty, kCases);
   EXPECT_GE(single, kCases / 2);
   EXPECT_GE(several, kCases);
+}
+
+TEST(DecisionDifferential, TableBackedUraAndAuraMatchTheReferenceOracle) {
+  // One DecisionTable serves a uRA and an AuRA policy; each case replays its
+  // spec sequence three times, so the later passes hit entries the first
+  // filled, while AuRA's values move at every episode end in between.
+  constexpr std::size_t kCases = 300;
+  constexpr std::size_t kQueries = 16;
+  constexpr std::size_t kReplays = 3;
+  util::Rng rng(0x7AB1Eu);
+  DecisionTable::Counters total;
+  for (std::size_t ci = 0; ci < kCases; ++ci) {
+    Case c = make_case(rng, ci);
+    const dse::DesignDb& db = c.db;
+    const DrcMatrix& drc = *c.drc;
+    const std::size_t n = db.size();
+    // Masks: none, every point alive (the table is used), one dead point
+    // (the table is bypassed; a single point stays alive).
+    c.health.reset();
+    const bool one_dead = ci % 3 == 2 && n > 1;
+    if (ci % 3 != 0) {
+      c.health.emplace(db, n);
+      if (one_dead) c.health->kill_pe(static_cast<plat::PeId>(rng.index(n)));
+    }
+    const std::vector<bool>* mask = c.health ? &c.health->point_mask() : nullptr;
+    constexpr double kGuards[] = {0.0, 1e-3, 0.2};
+    c.gamma = ci % 2 == 0 ? 0.0 : 0.5;
+    c.guard = kGuards[(ci / 2) % 3];
+
+    DecisionTable table(db, drc, c.p_rc, c.guard);
+    UraPolicy ura(db, drc, c.p_rc, &table);
+    AuraPolicy::Params ap;
+    ap.gamma = c.gamma;
+    ap.guard = c.guard;
+    AuraPolicy aura(db, drc, c.p_rc, ap, &table);
+    std::vector<double> values(n);
+    for (auto& v : values) v = draw(rng, c.grid, 0.0, 1.0);
+    aura.set_values(values);
+    if (c.health) {
+      ura.set_health(&*c.health);
+      aura.set_health(&*c.health);
+    }
+    const reference::Ura oracle(db, drc, c.p_rc);
+
+    // Every fourth spec sits exactly on a stored point's metrics, which
+    // ties it with every point of equal makespan or func_rel.
+    std::vector<dse::QosSpec> specs;
+    std::vector<std::size_t> currents;
+    for (std::size_t q = 0; q < kQueries; ++q) {
+      const std::size_t on = rng.index(n);
+      specs.push_back(q % 4 == 3 ? dse::QosSpec{db.makespans()[on], db.func_rels()[on]}
+                                 : make_spec(rng, c, q % 4));
+      currents.push_back(rng.index(n));
+    }
+    for (std::size_t pass = 0; pass < kReplays; ++pass) {
+      for (std::size_t q = 0; q < kQueries; ++q) {
+        const dse::QosSpec& spec = specs[q];
+        const std::size_t current = currents[q];
+        const std::string where = "case " + std::to_string(ci) + " (n " + std::to_string(n) +
+                                  ") pass " + std::to_string(pass) + " query " +
+                                  std::to_string(q);
+        const Decision ura_want = oracle.evaluate_and_pick(current, spec, mask, nullptr, 0.0, 0.0);
+        expect_same(ura.select(current, spec), ura_want, where + " uRA select");
+        expect_same(ura.peek(current, spec), ura_want, where + " uRA peek");
+        const Decision aura_want =
+            oracle.evaluate_and_pick(current, spec, mask, &aura.values(), c.gamma, c.guard);
+        expect_same(aura.peek(current, spec), aura_want, where + " AuRA peek");
+        expect_same(aura.select_initial(current, spec), aura_want,
+                    where + " AuRA select_initial");
+        expect_same(aura.select(current, spec), aura_want, where + " AuRA select");
+        if (q % 4 == 3) aura.end_episode();
+      }
+    }
+    const DecisionTable::Counters& t = table.counters();
+    EXPECT_EQ(t.hits + t.fills + t.empty + t.band_ties, t.lookups) << "case " << ci;
+    if (one_dead) {
+      EXPECT_EQ(t.lookups, 0u) << "case " << ci << ": a dead point bypasses the table";
+    }
+    total.merge(t);
+    if (HasFailure()) return;
+  }
+  // The replays reached every kind of lookup.
+  EXPECT_GT(total.hits, total.fills);
+  EXPECT_GT(total.fills, 0u);
+  EXPECT_GT(total.empty, 0u);
+  EXPECT_GT(total.band_ties, 0u);
 }
 
 TEST(DecisionDifferential, ScanRejectsAShortOutputBuffer) {

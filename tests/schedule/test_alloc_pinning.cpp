@@ -4,7 +4,8 @@
 // MappingProblem steady-state paths (decode_into + cache-hit
 // evaluate_metrics) must stay allocation-free too. The run-time decision
 // path has the same contract (DESIGN.md §5.16): warm policy decisions and a
-// warm learning AuRA simulation run allocate nothing. The count is enforced
+// warm learning AuRA simulation run allocate nothing, also through a
+// DecisionTable once every slab is allocated. The count is enforced
 // by replacing the global operator new/delete with counting versions, which
 // is why this suite lives in its own binary (alloc_tests) — the override is
 // program-wide.
@@ -15,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <new>
 #include <utility>
@@ -268,6 +270,66 @@ TEST(AllocPinning, WarmPolicyDecisionsAreAllocationFree) {
           << name << (masked ? " with" : " without") << " an alive mask";
     }
   }
+}
+
+/// Allocate every point's slab of `table`: one feasible decision from each.
+void visit_every_slab(rt::UraPolicy& policy, const dse::DesignDb& db) {
+  const dse::QosSpec anything{std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()};
+  for (std::size_t i = 0; i < db.size(); ++i) (void)policy.peek(i, anything);
+}
+
+TEST(AllocPinning, WarmTableBackedDecisionsAreAllocationFree) {
+  const DecisionFixture f;
+  const dse::MetricRanges ranges = f.db.ranges();
+  const rt::QosProcess qos(ranges);
+  util::Rng rng(7);
+  std::vector<dse::QosSpec> specs;  // loose, tight and infeasible requirements
+  for (int i = 0; i < 200; ++i) specs.push_back(qos.sample_spec(rng));
+  specs.push_back(dse::QosSpec{0.5 * ranges.makespan_min, 1.0});
+  const flt::PlatformHealth all_alive(f.db, 6);
+
+  for (const bool masked : {false, true}) {
+    rt::DecisionTable table(f.db, f.drc, 0.5, 0.0);
+    rt::UraPolicy ura(f.db, f.drc, 0.5, &table);
+    rt::AuraPolicy aura(f.db, f.drc, 0.5, rt::AuraPolicy::Params{}, &table);
+    visit_every_slab(ura, f.db);
+    const std::pair<const char*, rt::AdaptationPolicy*> policies[] = {{"uRA", &ura},
+                                                                     {"AuRA", &aura}};
+    for (const auto& [name, policy] : policies) {
+      if (masked) policy->set_health(&all_alive);
+      EXPECT_EQ(warm_decision_allocs(*policy, specs), 0u)
+          << name << (masked ? " with" : " without") << " an all-alive mask";
+    }
+    EXPECT_GT(table.counters().hits, table.counters().fills);
+  }
+}
+
+TEST(AllocPinning, WarmLearningAuraRunWithATableIsAllocationFree) {
+  const DecisionFixture f;
+  const rt::QosProcess qos(f.db.ranges());
+  rt::SimulationParams params;
+  params.total_cycles = 2e4;
+  const rt::RuntimeSimulator sim(params);
+  rt::DecisionTable table(f.db, f.drc, 0.5, 0.0);
+  rt::AuraPolicy policy(f.db, f.drc, 0.5, rt::AuraPolicy::Params{}, &table);
+  visit_every_slab(policy, f.db);
+  rt::RuntimeStats stats;
+  const auto runs = [&] {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      util::Rng rng(seed);
+      stats = sim.run(f.db, policy, qos, rng);
+    }
+  };
+  runs();
+  const std::uint64_t before = allocs();
+  runs();
+  const std::uint64_t delta = allocs() - before;
+
+  EXPECT_EQ(delta, 0u) << "warm learning AuRA run with a decision table allocated";
+  EXPECT_GT(stats.num_events, 0u);
+  EXPECT_GT(table.counters().hits, 0u);
+  EXPECT_NE(policy.values(), std::vector<double>(f.db.size(), 0.0));  // the runs learned
 }
 
 TEST(AllocPinning, WarmLearningAuraRunIsAllocationFree) {

@@ -633,10 +633,22 @@ int cmd_fleet(const Args& args) {
                          util::TextTable::fmt(sh.totals.availability_sum / n, 5)});
   }
   std::printf("%s", shard_table.to_string().c_str());
-  std::printf("throughput: %.0f devices/s (%llu block(s) in %.2f s, %zu worker thread(s))\n",
+  std::printf("throughput: %.0f devices/s (%llu block(s) in %.2f s, %zu worker thread(s))",
               result.devices_per_second,
               static_cast<unsigned long long>(result.blocks_done_this_run), result.wall_seconds,
               util::resolve_threads(config.jobs));
+  // The split of the lookups depends on which worker ran which device, so
+  // the counters ride the timing line.
+  if (const rt::DecisionTable::Counters& t = result.decision_table; t.lookups > 0) {
+    std::printf("; decision table: %llu lookups, %llu hits, %llu fills, %llu empty FEAS, "
+                "%llu band ties, %zu bytes",
+                static_cast<unsigned long long>(t.lookups),
+                static_cast<unsigned long long>(t.hits),
+                static_cast<unsigned long long>(t.fills),
+                static_cast<unsigned long long>(t.empty),
+                static_cast<unsigned long long>(t.band_ties), result.decision_table_bytes);
+  }
+  std::printf("\n");
 
   if (args.has("report")) {
     io::JsonArray shard_rows;
