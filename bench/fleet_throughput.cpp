@@ -152,12 +152,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Sequential reference: a bare simulate_device loop (no queues, no
-  // threads), measured in-process so the overhead ratio transfers across
-  // machine speeds. It owns one decision table, built inside the timed span,
-  // as a one-worker pipeline does, and runs the same devices: the table's
-  // fills amortize over the devices that share it, so a shorter prefix
-  // would time a colder table than the pipeline's.
+  // --- Sequential reference: a bare simulate_device loop (no threads, no
+  // block publication), measured in-process so the overhead ratio transfers
+  // across machine speeds. It owns one decision table, built inside the
+  // timed span, as a one-worker pipeline does, and runs the same devices:
+  // the table's fills amortize over the devices that share it, so a shorter
+  // prefix would time a colder table than the pipeline's.
   const std::uint64_t ref_devices = devices;
   const rt::QosProcess qos(config.ranges, config.params.qos);
   const rt::RuntimeSimulator sim(config.params.sim);

@@ -1,19 +1,16 @@
 #include "fleet/fleet.hpp"
 
-#include <array>
 #include <atomic>
 #include <chrono>
-#include <memory>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/hash.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "fleet/spsc_queue.hpp"
 #include "io/checkpoint.hpp"
 #include "runtime/qos_process.hpp"
 #include "runtime/simulator.hpp"
@@ -21,15 +18,6 @@
 namespace clr::fleet {
 
 namespace {
-
-/// Devices per SPSC record: big enough to amortize the queue handoff, small
-/// enough that a full queue stays a few hundred KB per worker.
-constexpr std::size_t kBatchDevices = 32;
-
-struct DeviceBatch {
-  std::uint32_t count = 0;
-  std::array<DeviceResult, kBatchDevices> results;
-};
 
 DeviceResult to_result(std::uint64_t id, const rt::RuntimeStats& s) {
   DeviceResult r;
@@ -112,9 +100,9 @@ std::uint64_t fleet_param_hash(const FleetConfig& config) {
     util::fnv1a_value<std::uint8_t>(h, 1);
     util::fnv1a_value<std::uint64_t>(h, p.prefetch_params.min_observations);
   }
-  // shards, jobs and queue_capacity deliberately excluded: partitioning and
-  // flow-control knobs never affect results (the determinism rule), so a
-  // checkpoint taken at any --shards/--jobs resumes at any other.
+  // shards and jobs deliberately excluded: partitioning knobs never affect
+  // results (the determinism rule), so a checkpoint taken at any
+  // --shards/--jobs resumes at any other.
   return h;
 }
 
@@ -232,7 +220,7 @@ FleetResult run_fleet(const dse::DesignDb& db, const rt::DrcMatrix& drc,
   const rt::MdpTable* shared_mdp_ptr = shared_mdp ? &*shared_mdp : nullptr;
 
   // One uRA/AuRA decision table per worker, built here so that a database it
-  // rejects fails the call, not a worker thread. Every entry is a pure
+  // rejects fails the call before any worker starts. Every entry is a pure
   // function of its key, so which worker filled it never shows in a result;
   // no two threads share a table.
   std::vector<std::optional<rt::DecisionTable>> tables(jobs);
@@ -244,24 +232,19 @@ FleetResult run_fleet(const dse::DesignDb& db, const rt::DrcMatrix& drc,
     }
   }
 
-  // One queue + completion flag per worker; the worker is the queue's only
-  // producer, this (the accumulator) thread its only consumer.
-  struct WorkerChannel {
-    std::unique_ptr<SpscQueue<DeviceBatch>> queue;
-    std::atomic<bool> finished{false};
-  };
-  std::vector<WorkerChannel> channels(jobs);
-  for (auto& c : channels) {
-    c.queue = std::make_unique<SpscQueue<DeviceBatch>>(std::max<std::size_t>(config.queue_capacity, 2));
-  }
-
-  util::StopToken stop = control.stop;
-  const std::vector<std::uint8_t>& already_done = result.progress.done;
-
-  std::vector<std::thread> workers;
-  workers.reserve(jobs);
-  for (std::size_t w = 0; w < jobs; ++w) {
-    workers.emplace_back([&, w]() {
+  // Each worker sums a whole block in device order into a local BlockSum and
+  // publishes it under `publish`, the one lock over the shared result; the
+  // callbacks run under it too, so they never overlap.
+  std::mutex publish;
+  std::atomic<bool> failed{false};
+  std::uint64_t devices_this_run = 0;
+  std::uint64_t since_checkpoint = 0;
+  const auto work = [&](std::size_t w) {
+    // Declared outside the try: when a callback throws, the lock is still held
+    // while the handler sets `failed`, so every worker that publishes after
+    // the throw sees the flag before its next block.
+    std::unique_lock<std::mutex> lock(publish, std::defer_lock);
+    try {
       // Shared per-worker evaluation plant: QosProcess and RuntimeSimulator
       // are const/stateless across run() calls (the AR(1) requirement state
       // lives inside each run), so reusing them across devices is
@@ -270,85 +253,44 @@ FleetResult run_fleet(const dse::DesignDb& db, const rt::DrcMatrix& drc,
       const rt::QosProcess qos(config.ranges, config.params.qos);
       const rt::RuntimeSimulator sim(config.params.sim);
       rt::DecisionTable* table = tables[w] ? &*tables[w] : nullptr;
-      SpscQueue<DeviceBatch>& queue = *channels[w].queue;
-
-      const auto push = [&](DeviceBatch&& batch) {
-        // Backpressure: the accumulator always drains until every worker
-        // finishes, so spinning here cannot deadlock.
-        while (!queue.try_push(std::move(batch))) std::this_thread::yield();
-      };
-
       for (std::size_t s = w; s < shards; s += jobs) {
         const auto [first, count] = shard_block_range(num_blocks, shards, s);
         for (std::uint64_t b = first; b < first + count; ++b) {
-          if (already_done[static_cast<std::size_t>(b)] != 0) continue;  // resumed block
-          // Cooperative stop at block boundaries only: a started block always
-          // finishes, so blocks stay all-or-nothing units.
-          if (stop.stop_requested()) goto worker_done;
-          {
-            const std::uint64_t block_first = b * config.block_size;
-            const std::uint64_t block_count = block_device_count(config, b, num_blocks);
-            DeviceBatch batch;
-            for (std::uint64_t d = block_first; d < block_first + block_count; ++d) {
-              batch.results[batch.count++] =
-                  simulate_device(db, drc, qos, sim, config.params, clr_space, d, config.seed,
-                                  shared_mdp_ptr, table);
-              if (batch.count == kBatchDevices) {
-                push(std::move(batch));
-                batch = DeviceBatch{};
-              }
-            }
-            if (batch.count > 0) push(std::move(batch));
+          // Only this worker writes done[b], so reading it unlocked is safe.
+          if (result.progress.done[static_cast<std::size_t>(b)] != 0) continue;  // resumed
+          // A stop or a failure ends the worker at a block boundary: a started
+          // block always finishes, so blocks stay all-or-nothing units.
+          if (control.stop.stop_requested() || failed.load(std::memory_order_relaxed)) return;
+          const std::uint64_t block_first = b * config.block_size;
+          const std::uint64_t block_count = block_device_count(config, b, num_blocks);
+          BlockSum sum;
+          for (std::uint64_t d = block_first; d < block_first + block_count; ++d) {
+            sum.add(simulate_device(db, drc, qos, sim, config.params, clr_space, d, config.seed,
+                                    shared_mdp_ptr, table));
           }
+          lock.lock();
+          result.progress.blocks[static_cast<std::size_t>(b)] = sum;
+          result.progress.done[static_cast<std::size_t>(b)] = 1;
+          result.blocks_done_this_run += 1;
+          devices_this_run += block_count;
+          since_checkpoint += 1;
+          if (control.on_block) control.on_block(result.blocks_done_this_run, num_blocks);
+          if (control.checkpoint_every != 0 && control.on_checkpoint &&
+              since_checkpoint >= control.checkpoint_every) {
+            control.on_checkpoint(result.progress);
+            since_checkpoint = 0;
+          }
+          lock.unlock();
         }
       }
-    worker_done:
-      channels[w].finished.store(true, std::memory_order_release);
-    });
-  }
-
-  // Stats-accumulation stage (this thread): fold arriving device results into
-  // their block sums. Within a block, results arrive in device order (one
-  // producer, FIFO channel), so each block's floating-point sums carry the
-  // one canonical association order regardless of shards/jobs.
-  std::vector<std::uint64_t> filled(static_cast<std::size_t>(num_blocks), 0);
-  std::uint64_t devices_this_run = 0;
-  std::uint64_t since_checkpoint = 0;
-  DeviceBatch batch;
-  for (;;) {
-    bool all_finished = true;
-    for (const auto& c : channels) {
-      all_finished = all_finished && c.finished.load(std::memory_order_acquire);
+    } catch (...) {
+      failed.store(true, std::memory_order_relaxed);
+      throw;
     }
-    bool any = false;
-    for (auto& c : channels) {
-      while (c.queue->try_pop(batch)) {
-        any = true;
-        for (std::uint32_t i = 0; i < batch.count; ++i) {
-          const DeviceResult& r = batch.results[i];
-          const auto block = static_cast<std::size_t>(r.device / config.block_size);
-          result.progress.blocks[block].add(r);
-          devices_this_run += 1;
-          if (++filled[block] == block_device_count(config, block, num_blocks)) {
-            result.progress.done[block] = 1;
-            result.blocks_done_this_run += 1;
-            since_checkpoint += 1;
-            if (control.on_block) {
-              control.on_block(result.blocks_done_this_run, num_blocks);
-            }
-            if (control.checkpoint_every != 0 && control.on_checkpoint &&
-                since_checkpoint >= control.checkpoint_every) {
-              control.on_checkpoint(result.progress);
-              since_checkpoint = 0;
-            }
-          }
-        }
-      }
-    }
-    if (all_finished && !any) break;
-    if (!any) std::this_thread::yield();
-  }
-  for (auto& worker : workers) worker.join();
+  };
+  // The caller is one of the `jobs` threads, so jobs = 1 starts none; the
+  // first exception of any worker is rethrown here.
+  util::ThreadPool(jobs).parallel_for(jobs, work);
   for (const auto& table : tables) {
     if (!table) continue;
     result.decision_table.merge(table->counters());

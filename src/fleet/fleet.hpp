@@ -10,13 +10,13 @@
 //   - the device range is partitioned into fixed BLOCKS of consecutive ids
 //     (the aggregation + checkpoint grain, fleet::progress.hpp);
 //   - blocks are grouped into SHARDS (contiguous, block-aligned ranges);
-//   - each of J worker threads owns the shards `s ≡ w (mod J)` and simulates
-//     their devices in ascending id order (QoS event generation + policy
-//     decisions fused in the worker — both are per-device local);
-//   - each worker streams batched DeviceResults through its own bounded
-//     SPSC queue (spsc_queue.hpp) to the single accumulator (the calling
-//     thread), which folds them into the per-block sums — the only stage
-//     that touches shared aggregates, so the pipeline needs no locks at all.
+//   - each of J workers (util::ThreadPool indices; the calling thread is one
+//     of them) owns the shards `s ≡ w (mod J)` and simulates their devices in
+//     ascending id order (QoS event generation + policy decisions fused in
+//     the worker — both are per-device local);
+//   - a worker sums each block into a local BlockSum and publishes it under
+//     one mutex, the only touch of shared state: devices share nothing but
+//     their block sums.
 //
 // Determinism rule (absolute): every aggregate is bit-identical at any
 // shards/jobs combination. Per-device SplitMix64 seeding (util::substream_seed)
@@ -59,8 +59,6 @@ struct FleetConfig {
   /// (it pins the floating-point fold grouping), so it is part of the param
   /// hash — unlike shards/jobs.
   std::uint64_t block_size = 1024;
-  /// Device batches in flight per worker queue before backpressure.
-  std::size_t queue_capacity = 64;
   /// Per-device evaluation knobs: policy kind, pRC, simulation horizon, QoS
   /// process, fault environment. Mirrors exp::evaluate_policy_with exactly —
   /// fleet device d is bit-identical to
@@ -101,9 +99,16 @@ struct ShardSummary {
   BlockSum totals;
 };
 
+/// The callbacks run under the lock that publishes a completed block, on the
+/// worker that completed it (the final checkpoint flush runs on the caller
+/// after every worker ended), so they never overlap. A worker checks the stop
+/// token before each block and finishes a block it started (blocks stay
+/// all-or-nothing), so a stop requested from on_block ends the run at most
+/// jobs − 1 blocks later, at any shard count; at jobs = 1, at exactly that
+/// block. An exception from a callback or a device ends the run the same way
+/// and is rethrown by run_fleet.
 struct FleetControl {
-  /// Cooperative stop; workers honor it at block boundaries (a started block
-  /// always finishes, keeping blocks all-or-nothing).
+  /// Cooperative stop, honored at block boundaries.
   util::StopToken stop;
   /// Completed-block table to resume from (validated against the param hash
   /// by the session layer); nullptr = fresh run.
@@ -111,10 +116,10 @@ struct FleetControl {
   /// Invoke on_checkpoint after every N newly completed blocks (and once at
   /// the end when anything new completed). 0 = never.
   std::uint64_t checkpoint_every = 0;
-  /// Called from the accumulator thread with the current progress table.
+  /// Called with the current progress table.
   std::function<void(const FleetProgress&)> on_checkpoint;
-  /// Called from the accumulator thread after every completed block with
-  /// (blocks newly done this run, total blocks) — the budget/progress hook.
+  /// Called after every completed block with (blocks newly done this run,
+  /// total blocks) — the budget/progress hook.
   std::function<void(std::uint64_t, std::uint64_t)> on_block;
 };
 
@@ -125,7 +130,7 @@ struct FleetResult {
   bool complete = true;           ///< false when stopped early
   std::uint64_t devices_done = 0; ///< devices in completed blocks
   std::uint64_t blocks_done_this_run = 0;
-  double wall_seconds = 0.0;      ///< this run's simulate+accumulate wall time
+  double wall_seconds = 0.0;      ///< this run's simulate+publish wall time
   double devices_per_second = 0.0;///< devices simulated this run / wall time
   /// The workers' uRA/AuRA decision-table counters, summed (observability
   /// only: how lookups split depends on which worker ran which device).
@@ -143,9 +148,9 @@ inline std::uint64_t device_seed(std::uint64_t base, std::uint64_t device) {
 
 /// FNV-1a over every result-affecting fleet parameter: devices, seed,
 /// block_size, policy/simulation/QoS/fault knobs and the ranges box.
-/// Deliberately excludes shards, jobs and queue_capacity — pure partitioning
-/// knobs, so a checkpoint taken at --shards 16 --jobs 8 resumes fine at
-/// --shards 1 --jobs 1.
+/// Deliberately excludes shards and jobs — pure partitioning knobs, so a
+/// checkpoint taken at --shards 16 --jobs 8 resumes fine at --shards 1
+/// --jobs 1.
 std::uint64_t fleet_param_hash(const FleetConfig& config);
 
 /// Number of aggregation blocks: ceil(devices / block_size).
@@ -176,7 +181,8 @@ DeviceResult simulate_device(const dse::DesignDb& db, const rt::DrcMatrix& drc,
 /// Run the fleet. `clr_space` gives fault injection the struck task's CLR
 /// coverage (nullptr falls back to FaultParams::fallback_coverage, exactly
 /// as exp::evaluate_policy_with). Throws std::invalid_argument on a config
-/// the partitioning cannot honor (0 devices is fine and returns empty).
+/// the partitioning cannot honor (0 devices is fine and returns empty), and
+/// rethrows the first exception of a worker or a FleetControl callback.
 FleetResult run_fleet(const dse::DesignDb& db, const rt::DrcMatrix& drc,
                       const rel::ClrSpace* clr_space, const FleetConfig& config,
                       const FleetControl& control = {});

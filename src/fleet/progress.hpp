@@ -12,8 +12,7 @@
 //     device ids; the partition depends only on (devices, block_size), never
 //     on shards or jobs;
 //   - each block is summed sequentially in device order by exactly one
-//     worker/accumulator pair, so its floating-point sums have one fixed
-//     association order;
+//     worker, so its floating-point sums have one fixed association order;
 //   - every aggregate (per-shard and global) is a fold of whole BlockSums in
 //     block-index order, so the final association order is also fixed.
 //
@@ -29,9 +28,9 @@
 
 namespace clr::fleet {
 
-/// Streamed per-device outcome: the mergeable slice of rt::RuntimeStats
-/// (traces are never kept at fleet scale). One record flows through the
-/// SPSC channel per simulated device.
+/// Per-device outcome: the mergeable slice of rt::RuntimeStats (traces are
+/// never kept at fleet scale). A worker folds one per simulated device into
+/// its block's BlockSum.
 struct DeviceResult {
   std::uint64_t device = 0;  ///< fleet-wide device id (determines the block)
   std::uint64_t events = 0;
@@ -89,7 +88,7 @@ struct BlockSum {
   bool operator==(const BlockSum&) const = default;
 
   /// Fold one device in (must be called in ascending device order within a
-  /// block — the SPSC FIFO guarantees arrival order).
+  /// block — the worker that owns the block simulates it in that order).
   void add(const DeviceResult& r) {
     devices += 1;
 #define CLR_ADD(stat, fold, since, device, block, ...) \

@@ -1,10 +1,11 @@
 // Fleet pipeline unit tests (DESIGN.md §5.13): partition math, block-sum
 // algebra, the per-device seeding/equality contract against
 // exp::evaluate_policy_with, param-hash sensitivity (block_size in,
-// shards/jobs/queue_capacity out), cooperative stop + checkpoint cadence,
-// the FleetState checkpoint codec (round trip + hostile bytes), and the
-// session layer's budget/resume discipline. The cross-configuration
-// bit-identity matrix lives in test_fleet_determinism.cpp.
+// shards/jobs out), cooperative stop + checkpoint cadence, the stop bound
+// and exceptions reaching the caller, the FleetState checkpoint codec (round
+// trip + hostile bytes), and the session layer's budget/resume discipline.
+// The cross-configuration bit-identity matrix lives in
+// test_fleet_determinism.cpp.
 
 #include "fleet/fleet.hpp"
 
@@ -255,15 +256,14 @@ TEST(FleetParamHash, ResultAffectingKnobsChangeTheHash) {
 }
 
 TEST(FleetParamHash, PartitioningKnobsNeverChangeTheHash) {
-  // The checkpoint-compatibility contract: shards, jobs and queue_capacity
-  // are pure partitioning/flow-control knobs, so a checkpoint taken at any
-  // of them resumes at any other.
+  // The checkpoint-compatibility contract: shards and jobs are pure
+  // partitioning knobs, so a checkpoint taken at any of them resumes at any
+  // other.
   const FleetConfig base = make_config();
   const std::uint64_t h = fleet_param_hash(base);
   FleetConfig c = base;
   c.shards = 16;
   c.jobs = 8;
-  c.queue_capacity = 4;
   EXPECT_EQ(h, fleet_param_hash(c));
 }
 
@@ -310,16 +310,12 @@ TEST(FleetRun, StopAtBlockBoundaryThenResumeMatchesUninterruptedBitwise) {
   const auto drc = make_drc();
   FleetConfig config = make_config(256, 16);  // 16 blocks
   config.jobs = 1;
-  // The worker pipelines ahead of the accumulator by queue_capacity batches,
-  // so a stop armed at accumulation time lands a few blocks later. A tiny
-  // queue bounds that run-ahead (~3 blocks) well below the 16-block total.
-  config.queue_capacity = 2;
 
   const FleetResult reference = run_fleet(db, drc, nullptr, config);
   ASSERT_TRUE(reference.complete);
 
-  // Stop once 2 blocks have been accumulated: the run must end incomplete
-  // with whole blocks only (all-or-nothing grain).
+  // Stop once 2 blocks are done: one worker checks the stop before its next
+  // block, so the run ends with exactly those 2 whole blocks.
   util::StopSource stop;
   FleetControl control;
   control.stop = stop.token();
@@ -328,10 +324,8 @@ TEST(FleetRun, StopAtBlockBoundaryThenResumeMatchesUninterruptedBitwise) {
   };
   const FleetResult partial = run_fleet(db, drc, nullptr, config, control);
   EXPECT_FALSE(partial.complete);
-  EXPECT_LT(partial.progress.blocks_done(), 16u);
-  EXPECT_GE(partial.progress.blocks_done(), 2u);
-  EXPECT_EQ(partial.devices_done % config.block_size, 0u)
-      << "a stopped run must hold whole blocks only";
+  EXPECT_EQ(partial.progress.blocks_done(), 2u);
+  EXPECT_EQ(partial.devices_done, 2 * config.block_size);
 
   // Every completed block already carries its final bits.
   for (std::size_t b = 0; b < partial.progress.done.size(); ++b) {
@@ -368,6 +362,54 @@ TEST(FleetRun, CheckpointCadenceFiresEveryNBlocksAndFlushesAtTheEnd) {
   EXPECT_EQ(checkpoint_blocks[0], 2u);
   EXPECT_EQ(checkpoint_blocks[1], 4u);
   EXPECT_EQ(checkpoint_blocks[2], 6u);
+}
+
+TEST(FleetRun, WorkerExceptionReachesTheCaller) {
+  // Each device builds its policy on the worker that simulates it; AuraPolicy
+  // rejects gamma = 1 there, and run_fleet rethrows that on the caller.
+  const auto db = make_db();
+  const auto drc = make_drc();
+  for (const std::size_t jobs : {1u, 4u}) {
+    FleetConfig config = make_config();
+    config.params.kind = exp::PolicyKind::Aura;
+    config.params.aura.gamma = 1.0;
+    config.jobs = jobs;
+    try {
+      (void)run_fleet(db, drc, nullptr, config);
+      ADD_FAILURE() << "jobs " << jobs << ": no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "AuraPolicy: gamma must be in [0,1)") << "jobs " << jobs;
+    }
+  }
+}
+
+TEST(FleetRun, CheckpointExceptionReachesTheCallerAndStopsEveryWorker) {
+  // on_checkpoint fails once, at the first completed block. Each other worker
+  // may still publish the block it had started, and starts none after, so
+  // on_block runs at most `jobs` times in all.
+  const auto db = make_db();
+  const auto drc = make_drc();
+  for (const std::size_t jobs : {1u, 4u}) {
+    FleetConfig config = make_config(256, 16);  // 16 blocks
+    config.shards = 16;
+    config.jobs = jobs;
+    std::uint64_t blocks = 0;  // callbacks never overlap: no atomics needed
+    std::uint64_t checkpoints = 0;
+    FleetControl control;
+    control.checkpoint_every = 1;
+    control.on_block = [&](std::uint64_t, std::uint64_t) { ++blocks; };
+    control.on_checkpoint = [&](const FleetProgress&) {
+      if (checkpoints++ == 0) throw std::runtime_error("cannot write the checkpoint");
+    };
+    try {
+      (void)run_fleet(db, drc, nullptr, config, control);
+      ADD_FAILURE() << "jobs " << jobs << ": no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "cannot write the checkpoint") << "jobs " << jobs;
+    }
+    EXPECT_GE(blocks, 1u) << "jobs " << jobs;
+    EXPECT_LE(blocks, jobs) << "jobs " << jobs;
+  }
 }
 
 // --- summarize / summarize_shards --------------------------------------------
@@ -468,7 +510,6 @@ TEST_F(FleetTempDir, SessionStepBudgetStopsWholeBlocksAndResumeCompletes) {
   const auto drc = make_drc();
   FleetConfig config = make_config(256, 16);  // 16 blocks
   config.jobs = 1;
-  config.queue_capacity = 2;  // bound the pipeline run-ahead past the budget
 
   const FleetResult reference = run_fleet(db, drc, nullptr, config);
 
@@ -479,11 +520,9 @@ TEST_F(FleetTempDir, SessionStepBudgetStopsWholeBlocksAndResumeCompletes) {
   control.step_budget = 3;
   const FleetSessionOutcome cut = run_fleet_session(db, drc, nullptr, config, control);
   EXPECT_FALSE(cut.result.complete);
-  // The budget arms the stop at exactly 3 accumulated blocks; blocks already
-  // in the pipeline still land, so the cut holds at least 3 and well under
-  // the total (run-ahead ≤ queue_capacity + 1 blocks).
-  EXPECT_GE(cut.result.blocks_done_this_run, 3u);
-  EXPECT_LT(cut.result.blocks_done_this_run, 16u);
+  // The budget arms the stop at the third completed block, and one worker
+  // starts no block after it.
+  EXPECT_EQ(cut.result.blocks_done_this_run, 3u);
   EXPECT_EQ(cut.stop_reason, util::StopReason::Budget);
   EXPECT_GE(cut.checkpoints_written, 1u);
   EXPECT_FALSE(cut.resumed);
@@ -513,6 +552,45 @@ TEST_F(FleetTempDir, SessionResumeRefusesParamHashMismatch) {
   config.seed ^= 0xDEADULL;  // different fleet identity, same checkpoint path
   control.step_budget = 0;
   EXPECT_THROW(run_fleet_session(db, drc, nullptr, config, control), std::runtime_error);
+}
+
+TEST(FleetSession, StepBudgetStopsAtMostJobsMinusOneBlocksLate) {
+  // The budget stops the run from on_block at the third completed block; each
+  // other worker may finish the block it had started, so 3 + jobs - 1 bounds
+  // the cut at any shard count.
+  const auto db = make_db();
+  const auto drc = make_drc();
+  exp::SessionControl control;
+  control.checkpoint_every = 1;
+  control.step_budget = 3;
+  for (const std::size_t jobs : {2u, 4u}) {
+    FleetConfig config = make_config(256, 16);  // 16 blocks
+    config.shards = 16;
+    config.jobs = jobs;
+    for (int run = 0; run < 20; ++run) {
+      SCOPED_TRACE("jobs " + std::to_string(jobs) + ", run " + std::to_string(run));
+      const FleetSessionOutcome cut = run_fleet_session(db, drc, nullptr, config, control);
+      EXPECT_EQ(cut.stop_reason, util::StopReason::Budget);
+      EXPECT_GE(cut.result.blocks_done_this_run, 3u);
+      EXPECT_LE(cut.result.blocks_done_this_run, 3 + jobs - 1);
+    }
+  }
+}
+
+TEST(FleetSession, BudgetOfThreeOfFiveBlocksNeverCompletesAtTwoJobs) {
+  // 3 + (2 - 1) = 4 of 5 blocks at most: the fleet can never complete.
+  const auto db = make_db();
+  const auto drc = make_drc();
+  FleetConfig config = make_config(80, 16);  // 5 blocks
+  config.jobs = 2;
+  exp::SessionControl control;
+  control.checkpoint_every = 1;
+  control.step_budget = 3;
+  for (int run = 0; run < 20; ++run) {
+    const FleetSessionOutcome cut = run_fleet_session(db, drc, nullptr, config, control);
+    EXPECT_FALSE(cut.result.complete) << "run " << run;
+    EXPECT_LE(cut.result.blocks_done_this_run, 4u) << "run " << run;
+  }
 }
 
 TEST(FleetSession, RejectsZeroCadenceAndPathlessResume) {

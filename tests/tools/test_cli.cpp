@@ -550,13 +550,11 @@ TEST(CliFleet, StepBudgetInterruptsWithExitCode3AndResumeMatchesTheUninterrupted
       "--fault-rate 1e-4 --prefetch --db " + db + " ";
 
   ASSERT_EQ(run_tool(common + "--jobs 2 --report " + full).first, 0);
-  // A worker stops at the first block boundary after the budget, but the
-  // blocks already in its queue (64 records of one 8-device block each) are
-  // still folded. One worker and 125 blocks therefore always stop short of
-  // completion, however the threads are scheduled.
+  // One worker starts no block after the budget: exactly 3 blocks of 8.
   const auto [icode, iout] =
       run_tool(common + "--jobs 1 --checkpoint " + ckpt + " --step-budget 3");
   EXPECT_EQ(icode, 3) << iout;
+  EXPECT_NE(iout.find("fleet result (24 of 1000 devices)"), std::string::npos) << iout;
   EXPECT_NE(iout.find("--resume to continue"), std::string::npos) << iout;
   const auto [rcode, rout] = run_tool(common + "--checkpoint " + ckpt +
                                       " --resume --shards 5 --jobs 2 --report " + resumed);
@@ -569,6 +567,23 @@ TEST(CliFleet, StepBudgetInterruptsWithExitCode3AndResumeMatchesTheUninterrupted
   for (const std::string& path : {db, full, resumed, ckpt + ".a", ckpt + ".b"}) {
     std::remove(path.c_str());
   }
+}
+
+TEST(CliFleet, UnwritableCheckpointExitsOneWithTheWriteErrorLikeExplore) {
+  // The checkpoint write fails on a worker; fleet reports it the way explore
+  // does, instead of aborting.
+  const std::string db = explore_small_db("clrtool_fleet_unwritable.json");
+  const std::string ckpt = ::testing::TempDir() + "clrtool_no_such_dir/f.clrdb";
+  const std::string expected = "clrtool: snapshot: cannot open " + ckpt + ".a.tmp for writing";
+  const std::string commands[] = {
+      "explore --tasks 6 --seed 5 --pop 8 --gens 3",
+      "fleet --tasks 6 --seed 5 --devices 200 --block 8 --cycles 2000 --jobs 2 --db " + db};
+  for (const std::string& command : commands) {
+    const auto [code, out] = run_tool(command + " --checkpoint " + ckpt);
+    EXPECT_EQ(code, 1) << command << "\n" << out;
+    EXPECT_NE(out.find(expected), std::string::npos) << command << "\n" << out;
+  }
+  std::remove(db.c_str());
 }
 
 TEST(CliCheckpointFixtures, OlderCheckpointsResumeThroughTheCliToTheUninterruptedTable) {
