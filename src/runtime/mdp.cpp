@@ -12,25 +12,81 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-/// Bellman backup of one state: max over allowed actions of
-/// R(s,a) + gamma * E[V(s')]. Returns the best action through `best_action`.
-double backup(const Mdp& mdp, const std::vector<double>& value, double gamma, std::size_t s,
-              std::uint32_t& best_action) {
-  double best = kNegInf;
-  std::uint32_t arg = 0;
-  for (std::size_t a = 0; a < mdp.num_actions; ++a) {
-    if (!mdp.action_allowed(s, a)) continue;
-    double expected = 0.0;
-    for (const auto& [next, prob] : mdp.row(s, a)) expected += prob * value[next];
-    const double q = mdp.reward[s * mdp.num_actions + a] + gamma * expected;
-    if (q > best) {
-      best = q;
-      arg = static_cast<std::uint32_t>(a);
+/// The row-expectation cache (DESIGN.md §5.14). For every distinct row r it
+/// keeps E[r] = sum of p * V(next) over r's entries in stored order, and
+/// re-sums r only when r is read after a write to a state it lists (a CSR
+/// reverse index maps each state to those rows). An expectation is therefore
+/// always the double a fresh sum over the current values would give, and so
+/// is every Q value built from it.
+class RowExpectations {
+ public:
+  explicit RowExpectations(const Mdp& mdp)
+      : mdp_(mdp), sum_(mdp.rows.size(), 0.0), stale_(mdp.rows.size(), 1),
+        first_reader_(mdp.num_states + 1, 0) {
+    for (const MdpRow& row : mdp.rows) {
+      for (const auto& entry : row) ++first_reader_[entry.first + 1];
+    }
+    for (std::size_t s = 0; s < mdp.num_states; ++s) first_reader_[s + 1] += first_reader_[s];
+    readers_.resize(first_reader_.back());
+    std::vector<std::size_t> next_slot(first_reader_.begin(), first_reader_.end() - 1);
+    for (std::size_t r = 0; r < mdp.rows.size(); ++r) {
+      for (const auto& entry : mdp.rows[r]) {
+        readers_[next_slot[entry.first]++] = static_cast<std::uint32_t>(r);
+      }
     }
   }
-  best_action = arg;
-  return best;
-}
+
+  /// Every state's value was rewritten.
+  void invalidate_all() { std::fill(stale_.begin(), stale_.end(), 1); }
+
+  /// V(s) was written: the rows listing s are re-summed at their next read.
+  void wrote(std::size_t s) {
+    for (std::size_t i = first_reader_[s]; i < first_reader_[s + 1]; ++i) stale_[readers_[i]] = 1;
+  }
+
+  double expected(std::uint32_t r, const std::vector<double>& value) {
+    if (stale_[r] != 0) {
+      double sum = 0.0;
+      for (const auto& [next, prob] : mdp_.rows[r]) sum += prob * value[next];
+      sum_[r] = sum;
+      stale_[r] = 0;
+      ++rows_summed_;
+    }
+    return sum_[r];
+  }
+
+  /// Bellman backup of one state: max over allowed actions of
+  /// R(s,a) + gamma * E[V(s')]. Returns the best action through
+  /// `best_action`.
+  double backup(const std::vector<double>& value, double gamma, std::size_t s,
+                std::uint32_t& best_action) {
+    double best = kNegInf;
+    std::uint32_t arg = 0;
+    const std::size_t base = s * mdp_.num_actions;
+    for (std::size_t a = 0; a < mdp_.num_actions; ++a) {
+      if (!mdp_.action_allowed(s, a)) continue;
+      const double q = mdp_.reward[base + a] + gamma * expected(mdp_.row_of[base + a], value);
+      if (q > best) {
+        best = q;
+        arg = static_cast<std::uint32_t>(a);
+      }
+    }
+    best_action = arg;
+    return best;
+  }
+
+  std::uint64_t rows_summed() const { return rows_summed_; }
+
+ private:
+  const Mdp& mdp_;
+  std::vector<double> sum_;
+  std::vector<std::uint8_t> stale_;
+  /// readers_[first_reader_[s] .. first_reader_[s + 1]) are the rows listing
+  /// state s, once per listing.
+  std::vector<std::size_t> first_reader_;
+  std::vector<std::uint32_t> readers_;
+  std::uint64_t rows_summed_ = 0;
+};
 
 }  // namespace
 
@@ -78,27 +134,24 @@ MdpSolution solve_value_iteration(const Mdp& mdp, const ValueIterationOptions& o
   MdpSolution sol;
   sol.value.assign(mdp.num_states, 0.0);
   sol.policy.assign(mdp.num_states, 0);
+  RowExpectations rows(mdp);
 
+  // Gauss-Seidel: V(s) updated in place; later states of the same sweep read
+  // the fresh values, which only accelerates the contraction (the fixed point
+  // is the same — proven sweep-order-independent by the oracle suite).
+  const auto update = [&](std::size_t s, double& residual) {
+    std::uint32_t a = 0;
+    const double v = rows.backup(sol.value, opts.gamma, s, a);
+    residual = std::max(residual, std::abs(v - sol.value[s]));
+    sol.value[s] = v;
+    rows.wrote(s);
+  };
   for (std::size_t sweep = 0; sweep < opts.max_sweeps; ++sweep) {
     double residual = 0.0;
-    // Gauss-Seidel: V(s) updated in place; later states of the same sweep
-    // read the fresh values, which only accelerates the contraction (the
-    // fixed point is the same — proven sweep-order-independent by the oracle
-    // suite).
     if (opts.order == SweepOrder::Forward) {
-      for (std::size_t s = 0; s < mdp.num_states; ++s) {
-        std::uint32_t a = 0;
-        const double v = backup(mdp, sol.value, opts.gamma, s, a);
-        residual = std::max(residual, std::abs(v - sol.value[s]));
-        sol.value[s] = v;
-      }
+      for (std::size_t s = 0; s < mdp.num_states; ++s) update(s, residual);
     } else {
-      for (std::size_t s = mdp.num_states; s-- > 0;) {
-        std::uint32_t a = 0;
-        const double v = backup(mdp, sol.value, opts.gamma, s, a);
-        residual = std::max(residual, std::abs(v - sol.value[s]));
-        sol.value[s] = v;
-      }
+      for (std::size_t s = mdp.num_states; s-- > 0;) update(s, residual);
     }
     sol.iterations = sweep + 1;
     sol.residual = residual;
@@ -111,8 +164,9 @@ MdpSolution solve_value_iteration(const Mdp& mdp, const ValueIterationOptions& o
   // Greedy policy of the final value function (one more consistent pass so
   // the reported policy matches `value` regardless of sweep order).
   for (std::size_t s = 0; s < mdp.num_states; ++s) {
-    backup(mdp, sol.value, opts.gamma, s, sol.policy[s]);
+    rows.backup(sol.value, opts.gamma, s, sol.policy[s]);
   }
+  sol.rows_summed = rows.rows_summed();
   return sol;
 }
 
@@ -181,23 +235,22 @@ MdpSolution solve_policy_iteration(const Mdp& mdp, double gamma, std::size_t max
       }
     }
   }
+  RowExpectations rows(mdp);
   for (std::size_t round = 0; round < max_rounds; ++round) {
     sol.value = evaluate_stationary_policy(mdp, sol.policy, gamma);
+    rows.invalidate_all();
     sol.iterations = round + 1;
     bool stable = true;
     double residual = 0.0;
     for (std::size_t s = 0; s < mdp.num_states; ++s) {
       std::uint32_t best = 0;
-      const double v = backup(mdp, sol.value, gamma, s, best);
+      const double v = rows.backup(sol.value, gamma, s, best);
       residual = std::max(residual, std::abs(v - sol.value[s]));
       if (best != sol.policy[s]) {
         // Accept strictly-improving switches only: ties keep the incumbent,
         // or PI can cycle between equal-value policies forever.
-        double incumbent = 0.0;
-        for (const auto& [next, prob] : mdp.row(s, sol.policy[s])) {
-          incumbent += prob * sol.value[next];
-        }
-        incumbent = mdp.reward[s * mdp.num_actions + sol.policy[s]] + gamma * incumbent;
+        const std::size_t sa = s * mdp.num_actions + sol.policy[s];
+        const double incumbent = mdp.reward[sa] + gamma * rows.expected(mdp.row_of[sa], sol.value);
         if (v > incumbent) {
           sol.policy[s] = best;
           stable = false;
@@ -210,6 +263,7 @@ MdpSolution solve_policy_iteration(const Mdp& mdp, double gamma, std::size_t max
       break;
     }
   }
+  sol.rows_summed = rows.rows_summed();
   return sol;
 }
 
@@ -217,11 +271,14 @@ FiniteHorizonSolution solve_finite_horizon(const Mdp& mdp, std::size_t horizon, 
   FiniteHorizonSolution sol;
   sol.value.assign(mdp.num_states, 0.0);
   sol.policy.assign(horizon, std::vector<std::uint32_t>(mdp.num_states, 0));
+  RowExpectations rows(mdp);
+  std::vector<double> v_next(mdp.num_states, 0.0);
   // Backward induction: V_H = 0, V_t(s) = max_a R(s,a) + gamma * E[V_{t+1}].
   for (std::size_t t = horizon; t-- > 0;) {
-    std::vector<double> v_next = sol.value;
+    v_next.swap(sol.value);
+    rows.invalidate_all();
     for (std::size_t s = 0; s < mdp.num_states; ++s) {
-      sol.value[s] = backup(mdp, v_next, gamma, s, sol.policy[t][s]);
+      sol.value[s] = rows.backup(v_next, gamma, s, sol.policy[t][s]);
     }
   }
   return sol;

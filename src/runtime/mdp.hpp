@@ -14,6 +14,12 @@
 // table points into B×A distinct rows instead of materializing a dense
 // S×A×S tensor (which would not fit for production-sized databases).
 //
+// The solvers back up through one row-expectation cache: each distinct row's
+// expectation of V is summed once and re-summed only after a write to a state
+// it lists, so a Q value costs a lookup, and every result is the same double
+// a per-(state, action) sum would give (tests/runtime/test_mdp_differential.cpp
+// holds them to that bitwise).
+//
 // All solvers are deterministic: no RNG, fixed sweep orders, and the sweep
 // order is a caller-visible knob precisely so tests can prove the fixed point
 // does not depend on it.
@@ -74,6 +80,9 @@ struct MdpSolution {
   /// Final Bellman residual max_s |V(s) - (TV)(s)|.
   double residual = 0.0;
   bool converged = false;
+  /// Row expectations the solve summed (each distinct row once, then again
+  /// only when read after a write to a state it lists).
+  std::uint64_t rows_summed = 0;
 };
 
 /// In-place (Gauss-Seidel) value iteration: sweeps update V(s) immediately so

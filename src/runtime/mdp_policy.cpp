@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "common/stats.hpp"
-#include "runtime/mdp.hpp"
+#include "trace/trace.hpp"
 
 namespace clr::rt {
 
@@ -60,10 +60,10 @@ std::size_t MdpTable::bin_of(const dse::QosSpec& spec) const {
   return s * func_rel_bins + f;
 }
 
-MdpTable build_mdp_table(const dse::DesignDb& db, const DrcMatrix& drc,
-                         const dse::MetricRanges& ranges, double p_rc,
-                         const QosProcessParams& qos, const flt::FaultParams& faults,
-                         const MdpPolicyParams& params) {
+Mdp build_selection_mdp(const dse::DesignDb& db, const DrcMatrix& drc,
+                        const dse::MetricRanges& ranges, double p_rc,
+                        const QosProcessParams& qos, const flt::FaultParams& faults,
+                        const MdpPolicyParams& params) {
   if (db.empty()) throw std::invalid_argument("build_mdp_table: empty database");
   if (params.makespan_bins == 0 || params.func_rel_bins == 0) {
     throw std::invalid_argument("build_mdp_table: bin counts must be >= 1");
@@ -168,22 +168,44 @@ MdpTable build_mdp_table(const dse::DesignDb& db, const DrcMatrix& drc,
     }
   }
   mdp.validate();
+  return mdp;
+}
 
+MdpTable build_mdp_table(const dse::DesignDb& db, const DrcMatrix& drc,
+                         const dse::MetricRanges& ranges, double p_rc,
+                         const QosProcessParams& qos, const flt::FaultParams& faults,
+                         const MdpPolicyParams& params) {
+  CLR_TRACE_SPAN(solve_span, trace::Category::Runtime, "rt.mdp_solve");
+  const Mdp mdp = build_selection_mdp(db, drc, ranges, p_rc, qos, faults, params);
   ValueIterationOptions opts;
   opts.gamma = params.gamma;
   opts.tolerance = params.tolerance;
   opts.max_sweeps = params.max_sweeps;
   MdpSolution sol = solve_value_iteration(mdp, opts);
-  if (!sol.converged) {
+  const std::size_t sweeps = sol.iterations;
+  std::uint64_t rows_summed = sol.rows_summed;
+  const bool fallback = !sol.converged;
+  if (fallback) {
     // Slow contraction (gamma near 1): Howard policy iteration terminates in
     // finitely many exact evaluation/improvement rounds instead.
     sol = solve_policy_iteration(mdp, params.gamma);
+    rows_summed += sol.rows_summed;
+  }
+  if (solve_span.active()) {
+    solve_span.arg({"states", mdp.num_states});
+    solve_span.arg({"actions", mdp.num_actions});
+    solve_span.arg({"rows", mdp.rows.size()});
+    solve_span.arg({"sweeps", sweeps});
+    solve_span.arg({"residual", sol.residual});
+    solve_span.arg({"converged", sol.converged});
+    solve_span.arg({"pi_fallback", fallback});
+    solve_span.arg({"rows_summed", rows_summed});
   }
 
   MdpTable table;
   table.makespan_bins = static_cast<std::uint32_t>(params.makespan_bins);
   table.func_rel_bins = static_cast<std::uint32_t>(params.func_rel_bins);
-  table.num_points = points;
+  table.num_points = db.size();
   table.gamma = params.gamma;
   table.p_rc = p_rc;
   table.ranges = ranges;

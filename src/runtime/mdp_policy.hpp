@@ -23,6 +23,7 @@
 #include "dse/design_db.hpp"
 #include "faults/fault_model.hpp"
 #include "runtime/drc_matrix.hpp"
+#include "runtime/mdp.hpp"
 #include "runtime/policy.hpp"
 #include "runtime/qos_process.hpp"
 
@@ -67,10 +68,19 @@ struct MdpTable {
   bool operator==(const MdpTable&) const = default;
 };
 
+/// The validated MDP build_mdp_table solves: state = bin * points + current,
+/// action = next point, one transition row per (bin, action) shared by every
+/// current point. Throws as build_mdp_table does.
+Mdp build_selection_mdp(const dse::DesignDb& db, const DrcMatrix& drc,
+                        const dse::MetricRanges& ranges, double p_rc,
+                        const QosProcessParams& qos, const flt::FaultParams& faults,
+                        const MdpPolicyParams& params = {});
+
 /// Build + solve the tabular policy offline. Deterministic (no RNG): the
 /// kernel integrates the AR(1) step distribution analytically. Throws
 /// std::invalid_argument on degenerate inputs (empty db, zero bins, a state
-/// space above the 2^22 safety cap).
+/// space above the 2^22 safety cap). Traced as an `rt.mdp_solve` span
+/// (trace::Category::Runtime) carrying the solve's size and telemetry.
 MdpTable build_mdp_table(const dse::DesignDb& db, const DrcMatrix& drc,
                          const dse::MetricRanges& ranges, double p_rc,
                          const QosProcessParams& qos, const flt::FaultParams& faults,

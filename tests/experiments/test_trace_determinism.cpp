@@ -1,7 +1,8 @@
 // Satellite of the tracing tentpole: the tracer only observes. A traced
 // exp::Runner grid must produce bit-for-bit the results of an untraced one,
 // at any worker count — tracing draws nothing from any Rng, reorders no
-// work, and grid reports (modulo wall-clock fields) stay byte-identical.
+// work, and grid reports (modulo wall-clock fields) stay byte-identical. The
+// same holds for the offline MDP solve and its `rt.mdp_solve` span.
 
 #include <string>
 #include <vector>
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "experiments/runner.hpp"
+#include "runtime/mdp_policy.hpp"
 #include "trace/trace.hpp"
 
 namespace clr::exp {
@@ -182,6 +184,41 @@ TEST(TraceDeterminism, TracedRunActuallyRecordsSpans) {
   EXPECT_TRUE(saw_cell);
   EXPECT_TRUE(saw_run);
   EXPECT_TRUE(saw_qos);
+}
+
+TEST(TraceDeterminism, TracedMdpSolveEqualsUntracedAndRecordsItsTelemetry) {
+  const auto db = make_db();
+  const auto drc = make_drc();
+  const rt::QosProcessParams qos;
+  flt::FaultParams faults;
+  faults.transient_rate = 5e-4;
+  faults.pe_mtbf = 4e4;
+  auto& tracer = trace::Tracer::instance();
+  tracer.disable();
+  const rt::MdpTable untraced = rt::build_mdp_table(db, drc, make_ranges(), 0.5, qos, faults);
+  tracer.clear();
+  tracer.enable();
+  const rt::MdpTable traced = rt::build_mdp_table(db, drc, make_ranges(), 0.5, qos, faults);
+  tracer.disable();
+  EXPECT_EQ(traced, untraced);
+
+  std::vector<trace::Event> solves;
+  for (const auto& ev : tracer.collect()) {
+    if (ev.name == "rt.mdp_solve") solves.push_back(ev);
+  }
+  tracer.clear();
+  ASSERT_EQ(solves.size(), 1u);
+  EXPECT_EQ(solves[0].category, trace::Category::Runtime);
+  std::string args;
+  for (const auto& arg : solves[0].args) args += arg.key + "=" + arg.value + " ";
+  // 6 x 6 bins x 3 points; rows are shared per (bin, action).
+  for (const char* expected : {"states=108 ", "actions=3 ", "rows=108 ", "converged=true ",
+                               "pi_fallback=false "}) {
+    EXPECT_NE(args.find(expected), std::string::npos) << expected << " in " << args;
+  }
+  for (const char* key : {"sweeps=", "residual=", "rows_summed="}) {
+    EXPECT_NE(args.find(key), std::string::npos) << key << " in " << args;
+  }
 }
 
 }  // namespace
