@@ -72,7 +72,10 @@ ExploreOutcome run_explore_session(const AppInstance& app, const FlowParams& par
   util::RunBudget budget(session_stop, control.step_budget);
 
   std::optional<io::CheckpointStore> store;
-  if (!control.checkpoint_path.empty()) store.emplace(control.checkpoint_path);
+  if (!control.checkpoint_path.empty()) {
+    store.emplace(control.checkpoint_path);
+    store->check_writable();
+  }
 
   std::optional<io::ExploreCheckpoint> restored;
   if (control.resume && store) {
@@ -200,7 +203,10 @@ RunnerOutcome run_runner_session(Runner& runner, const SessionControl& control) 
   util::RunBudget budget(session_stop, control.step_budget);
 
   std::optional<io::CheckpointStore> store;
-  if (!control.checkpoint_path.empty()) store.emplace(control.checkpoint_path);
+  if (!control.checkpoint_path.empty()) {
+    store.emplace(control.checkpoint_path);
+    store->check_writable();
+  }
 
   RunnerOutcome out;
   RunnerProgress restored;

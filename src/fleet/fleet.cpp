@@ -332,7 +332,10 @@ FleetSessionOutcome run_fleet_session(const dse::DesignDb& db, const rt::DrcMatr
   util::RunBudget budget(session_stop, control.step_budget);
 
   std::optional<io::CheckpointStore> store;
-  if (!control.checkpoint_path.empty()) store.emplace(control.checkpoint_path);
+  if (!control.checkpoint_path.empty()) {
+    store.emplace(control.checkpoint_path);
+    store->check_writable();
+  }
 
   FleetSessionOutcome out;
   std::optional<FleetProgress> restored;

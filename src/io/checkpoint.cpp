@@ -1,7 +1,9 @@
 #include "io/checkpoint.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <type_traits>
 
 namespace clr::io {
@@ -514,6 +516,14 @@ void CheckpointStore::save(std::string_view bytes) {
   write_file_durable(write_slot_ == 0 ? slot_a() : slot_b(), bytes);
   write_slot_ ^= 1;
   ++next_sequence_;
+}
+
+void CheckpointStore::check_writable() const {
+  const std::string tmp = slot_a() + ".tmp";
+  if (!std::ofstream(tmp, std::ios::binary | std::ios::trunc)) {
+    fail(SnapshotError::Kind::Io, "cannot open " + tmp + " for writing");
+  }
+  std::remove(tmp.c_str());
 }
 
 }  // namespace clr::io

@@ -137,6 +137,11 @@ class CheckpointStore {
   /// write it durably into the current write slot, and flip slots.
   void save(std::string_view bytes);
 
+  /// Open `<base>.a.tmp` for writing, as a save does, then remove it: throws
+  /// the SnapshotError the first save() would ("cannot open … for writing").
+  /// Sessions call it before any work, so an unwritable path loses none.
+  void check_writable() const;
+
  private:
   std::string base_;
   int write_slot_ = 0;  ///< 0 = slot A, 1 = slot B

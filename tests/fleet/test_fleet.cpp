@@ -593,6 +593,24 @@ TEST(FleetSession, BudgetOfThreeOfFiveBlocksNeverCompletesAtTwoJobs) {
   }
 }
 
+TEST(FleetSession, UnwritableCheckpointThrowsBeforeAnyBlock) {
+  // The session checks the path before the run, so no block is lost. Its
+  // on_block is the only reader of the external stop token, and an expired
+  // deadline latches on the first read: an unlatched source proves that
+  // on_block never ran.
+  const auto db = make_db();
+  const auto drc = make_drc();
+  util::StopSource external;
+  external.set_deadline_after(-1.0);
+  exp::SessionControl control;
+  control.stop = external.token();
+  control.checkpoint_every = 1;
+  control.checkpoint_path =
+      (fs::temp_directory_path() / "clr_fleet_no_such_dir" / "f.clrdb").string();
+  EXPECT_THROW(run_fleet_session(db, drc, nullptr, make_config(), control), io::SnapshotError);
+  EXPECT_EQ(external.reason(), util::StopReason::None) << "a block finished before the error";
+}
+
 TEST(FleetSession, RejectsZeroCadenceAndPathlessResume) {
   const auto db = make_db();
   const auto drc = make_drc();

@@ -469,6 +469,22 @@ TEST_F(TempDir, SaveValidatesBytesBeforeTouchingDisk) {
   EXPECT_FALSE(fs::exists(store.slot_b()));
 }
 
+TEST_F(TempDir, CheckWritableFailsAsTheFirstSaveWouldAndLeavesNothing) {
+  CheckpointStore store(path("run.clrdb"));
+  store.check_writable();
+  EXPECT_TRUE(fs::is_empty(dir_)) << "the probe must remove its tmp file";
+
+  CheckpointStore missing(path("no_such_dir/run.clrdb"));
+  try {
+    missing.check_writable();
+    FAIL() << "probe of a missing directory succeeded";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.kind(), SnapshotError::Kind::Io);
+    EXPECT_EQ(std::string(e.what()),
+              "snapshot: cannot open " + missing.slot_a() + ".tmp for writing");
+  }
+}
+
 // --- Durable writes ----------------------------------------------------------
 
 TEST_F(TempDir, DurableWriteFailureLeavesGoodFileUntouchedAndNoTmp) {

@@ -50,6 +50,7 @@
 #include "experiments/session.hpp"
 #include "faults/fault_model.hpp"
 #include "fleet/fleet.hpp"
+#include "io/checkpoint.hpp"
 #include "io/json.hpp"
 #include "io/serialize.hpp"
 #include "io/snapshot.hpp"
@@ -341,8 +342,10 @@ Design load_design(const Args& args) {
 }
 
 /// Parse the shared checkpoint/budget flags into a SessionControl, validate
-/// their dependencies (--resume and --checkpoint-every require --checkpoint)
-/// and arm the global stop source's deadline from --time-budget.
+/// their dependencies (--resume and --checkpoint-every require --checkpoint),
+/// check that the checkpoint can be written before any work (an inline
+/// explore included) and arm the global stop source's deadline from
+/// --time-budget.
 exp::SessionControl session_control(const Args& args) {
   exp::SessionControl control;
   control.checkpoint_path = args.str("checkpoint");
@@ -361,6 +364,9 @@ exp::SessionControl session_control(const Args& args) {
   }
   control.step_budget = args.integer("step-budget", 0);
   control.stop = global_stop().token();
+  if (!control.checkpoint_path.empty()) {
+    io::CheckpointStore(control.checkpoint_path).check_writable();
+  }
   return control;
 }
 
