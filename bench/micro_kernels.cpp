@@ -1,9 +1,10 @@
 // google-benchmark micro-kernels for the library's hot paths: schedule
 // evaluation, Table 2 metric evaluation, dRC computation, hypervolume,
-// NSGA-II generations and run-time policy selection.
+// NSGA-II generations, run-time policy selection and util::Rng's draws.
 
 #include <benchmark/benchmark.h>
 
+#include "common/rng.hpp"
 #include "dse/design_time.hpp"
 #include "experiments/app.hpp"
 #include "experiments/flow.hpp"
@@ -150,6 +151,48 @@ void BM_DrcMatrixBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DrcMatrixBuild)->Arg(16)->Arg(64);
+
+// util::Rng: the raw engine word and the samplers drawn per QoS event (two
+// normals and an exponential gap), per gene (chance) and per operator pick
+// (index); a fleet also constructs two to three Rngs per device.
+void BM_RngEngine(benchmark::State& state) {
+  util::Rng rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.engine()());
+}
+BENCHMARK(BM_RngEngine);
+
+void BM_RngNormal(benchmark::State& state) {
+  util::Rng rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.normal(0.0, 1.0));
+}
+BENCHMARK(BM_RngNormal);
+
+void BM_RngExponential(benchmark::State& state) {
+  util::Rng rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.exponential_mean(100.0));
+}
+BENCHMARK(BM_RngExponential);
+
+void BM_RngChance(benchmark::State& state) {
+  util::Rng rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.chance(0.03));
+}
+BENCHMARK(BM_RngChance);
+
+void BM_RngIndex(benchmark::State& state) {
+  util::Rng rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.index(13));
+}
+BENCHMARK(BM_RngIndex);
+
+void BM_RngConstruct(benchmark::State& state) {
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    util::Rng rng(++seed);
+    benchmark::DoNotOptimize(rng.engine()());
+  }
+}
+BENCHMARK(BM_RngConstruct);
 
 }  // namespace
 

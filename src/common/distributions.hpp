@@ -20,7 +20,12 @@ class BivariateGaussian {
  public:
   /// @param rho correlation coefficient in (-1, 1).
   BivariateGaussian(double mean_x, double mean_y, double sd_x, double sd_y, double rho)
-      : mean_x_(mean_x), mean_y_(mean_y), sd_x_(sd_x), sd_y_(sd_y), rho_(rho) {
+      : mean_x_(mean_x),
+        mean_y_(mean_y),
+        sd_x_(sd_x),
+        sd_y_(sd_y),
+        rho_(rho),
+        rho_complement_(std::sqrt(1.0 - rho * rho)) {
     if (sd_x <= 0.0 || sd_y <= 0.0) {
       throw std::invalid_argument("BivariateGaussian: standard deviations must be > 0");
     }
@@ -34,7 +39,7 @@ class BivariateGaussian {
     const double z1 = rng.normal(0.0, 1.0);
     const double z2 = rng.normal(0.0, 1.0);
     const double x = mean_x_ + sd_x_ * z1;
-    const double y = mean_y_ + sd_y_ * (rho_ * z1 + std::sqrt(1.0 - rho_ * rho_) * z2);
+    const double y = mean_y_ + sd_y_ * (rho_ * z1 + rho_complement_ * z2);
     return {x, y};
   }
 
@@ -46,6 +51,7 @@ class BivariateGaussian {
 
  private:
   double mean_x_, mean_y_, sd_x_, sd_y_, rho_;
+  double rho_complement_;  // sqrt(1 - rho²), the weight of the independent draw
 };
 
 /// Normal distribution clamped (not re-sampled) to [lo, hi].

@@ -26,8 +26,9 @@ namespace clr::moea {
 /// but no offspring generation has run yet. `archive` holds the archive
 /// members in insertion-compatible order: re-inserting them into a fresh
 /// ParetoArchive reproduces the same archive (all members are feasible,
-/// mutually non-dominated and deduplicated). `rng_state` is the serialized
-/// mt19937_64 stream (util::Rng::save_state).
+/// mutually non-dominated and deduplicated). `rng_state` is the master Rng's
+/// engine state as util::Rng::save_state writes it: the MT19937-64 words and
+/// position in std::mt19937_64's stream text (DESIGN.md §5.5).
 struct GaState {
   std::uint64_t generations_done = 0;
   std::vector<Individual> population;

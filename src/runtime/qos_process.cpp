@@ -18,7 +18,10 @@ util::BivariateGaussian make_dist(const dse::MetricRanges& r, const QosProcessPa
 }  // namespace
 
 QosProcess::QosProcess(const dse::MetricRanges& ranges, QosProcessParams params)
-    : ranges_(ranges), params_(params), dist_(make_dist(ranges, params)) {
+    : ranges_(ranges),
+      params_(params),
+      dist_(make_dist(ranges, params)),
+      innovation_scale_(std::sqrt(std::max(0.0, 1.0 - params.ar1_phi * params.ar1_phi))) {
   if (params.mean_event_gap <= 0.0) {
     throw std::invalid_argument("QosProcess: mean_event_gap must be > 0");
   }
@@ -36,11 +39,10 @@ dse::QosSpec QosProcess::next_spec(const dse::QosSpec& prev, util::Rng& rng) con
   const double phi = params_.ar1_phi;
   if (phi == 0.0) return sample_spec(rng);
   const auto [s_inn, f_inn] = dist_.sample(rng);
-  const double scale = std::sqrt(std::max(0.0, 1.0 - phi * phi));
   const double s = dist_.mean_x() + phi * (prev.max_makespan - dist_.mean_x()) +
-                   scale * (s_inn - dist_.mean_x());
+                   innovation_scale_ * (s_inn - dist_.mean_x());
   const double f = dist_.mean_y() + phi * (prev.min_func_rel - dist_.mean_y()) +
-                   scale * (f_inn - dist_.mean_y());
+                   innovation_scale_ * (f_inn - dist_.mean_y());
   dse::QosSpec spec;
   spec.max_makespan = std::clamp(s, ranges_.makespan_min, ranges_.makespan_max);
   spec.min_func_rel = std::clamp(f, ranges_.func_rel_min, ranges_.func_rel_max);

@@ -57,6 +57,7 @@ class QosProcess {
   dse::MetricRanges ranges_;
   QosProcessParams params_;
   util::BivariateGaussian dist_;
+  double innovation_scale_;  // sqrt(max(0, 1 - phi²)) of next_spec
 };
 
 }  // namespace clr::rt
