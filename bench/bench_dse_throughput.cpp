@@ -1,15 +1,11 @@
 // Throughput of the design-time DSE under the parallel evaluation
-// subsystem: wall-clock, evals/sec (actual ListScheduler invocations) and
-// schedule-cache hit rate for DesignTimeDse::run, crossing evaluation mode
-// (scalar kernel vs the batched SoA kernel, DseConfig::batched_eval) with
-// 1 / 2 / N threads so the two modes read side by side at every thread
-// count.
+// subsystem: wall-clock, evals/sec (actual schedule-kernel invocations) and
+// schedule-cache hit rate for DesignTimeDse::run at 1 / 2 / N threads.
 //
-// The front produced at every (mode, thread count) cell must be identical —
-// the generate-then-evaluate contract keeps all RNG draws on the sequential
-// master Rng, and the batched kernel is bit-identical to the scalar one —
-// so the bench cross-checks all fronts against the first run before
-// reporting speedups.
+// The front produced at every thread count must be identical (the
+// generate-then-evaluate contract keeps all RNG draws on the sequential
+// master Rng), so the bench cross-checks all fronts against the first run
+// before reporting speedups, and exits 1 when any differs.
 //
 // Usage: bench_dse_throughput [tasks] [seed]   (defaults: 20 tasks, seed 1)
 
@@ -28,7 +24,6 @@ namespace {
 using namespace clr;
 
 struct RunReport {
-  bool batched = false;
   std::size_t threads = 0;
   double seconds = 0.0;
   std::uint64_t schedule_runs = 0;  ///< actual scheduler invocations (misses)
@@ -45,7 +40,6 @@ RunReport run_once(const exp::AppInstance& app, const dse::QosSpec& spec,
   dse::DesignTimeDse flow(problem, reconfig, cfg);
 
   RunReport report;
-  report.batched = cfg.batched_eval;
   report.threads = util::resolve_threads(cfg.threads);
   util::Rng rng(seed);
   const auto t0 = std::chrono::steady_clock::now();
@@ -95,45 +89,31 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> thread_counts{1, 2};
   if (hw > 2) thread_counts.push_back(hw);
 
-  // Scalar first, then batched, at every thread count: reports pair up as
-  // reports[i] (scalar) vs reports[i + thread_counts.size()] (batched).
   std::vector<RunReport> reports;
-  for (const bool batched : {false, true}) {
-    for (std::size_t t : thread_counts) {
-      cfg.batched_eval = batched;
-      cfg.threads = t;
-      reports.push_back(run_once(*app, spec, cfg, seed ^ 0xD5EULL));
-    }
+  for (std::size_t t : thread_counts) {
+    cfg.threads = t;
+    reports.push_back(run_once(*app, spec, cfg, seed ^ 0xD5EULL));
   }
-  const RunReport& base = reports.front();  // scalar, 1 thread
+  const RunReport& base = reports.front();  // 1 thread
 
   util::TextTable table("DesignTimeDse::run throughput");
-  table.set_header({"mode", "threads", "wall [s]", "scheduler runs", "evals/sec",
-                    "cache hit rate", "speedup vs scalar 1T"});
+  table.set_header({"threads", "wall [s]", "scheduler runs", "evals/sec", "cache hit rate",
+                    "speedup vs 1T"});
   for (const auto& r : reports) {
-    table.add_row({r.batched ? "batched" : "scalar", std::to_string(r.threads),
-                   util::TextTable::fmt(r.seconds, 3), std::to_string(r.schedule_runs),
+    table.add_row({std::to_string(r.threads), util::TextTable::fmt(r.seconds, 3),
+                   std::to_string(r.schedule_runs),
                    util::TextTable::fmt(static_cast<double>(r.schedule_runs) / r.seconds, 0),
                    util::TextTable::fmt(100.0 * r.hit_rate, 1) + " %",
                    util::TextTable::fmt(base.seconds / r.seconds, 2) + "x"});
   }
   std::printf("%s", table.to_string().c_str());
 
-  std::printf("\nbatched vs scalar at equal thread count:");
-  for (std::size_t i = 0; i < thread_counts.size(); ++i) {
-    const RunReport& s = reports[i];
-    const RunReport& b = reports[i + thread_counts.size()];
-    std::printf("  %zuT %.2fx", s.threads, s.seconds / b.seconds);
-  }
-  std::printf("\n");
-
   bool identical = true;
   for (const auto& r : reports) {
     identical &= same_front(base.result.based, r.result.based) &&
                  same_front(base.result.red, r.result.red);
   }
-  std::printf("fronts identical across modes and thread counts: %s\n",
-              identical ? "yes" : "NO (BUG)");
+  std::printf("fronts identical across thread counts: %s\n", identical ? "yes" : "NO (BUG)");
   std::printf("memoization: %llu of %llu evaluation requests served from cache\n",
               static_cast<unsigned long long>(base.lookups - base.schedule_runs),
               static_cast<unsigned long long>(base.lookups));
@@ -143,21 +123,12 @@ int main(int argc, char** argv) {
   io::JsonArray runs;
   for (const auto& r : reports) {
     runs.push_back(io::Json(io::JsonObject{
-        {"mode", io::Json(std::string(r.batched ? "batched" : "scalar"))},
         {"threads", io::Json(static_cast<std::uint64_t>(r.threads))},
         {"wall_seconds", io::Json(r.seconds)},
         {"schedule_runs", io::Json(r.schedule_runs)},
         {"evals_per_sec", io::Json(static_cast<double>(r.schedule_runs) / r.seconds)},
         {"cache_hit_rate", io::Json(r.hit_rate)},
-        {"speedup_vs_scalar_1t", io::Json(base.seconds / r.seconds)},
-    }));
-  }
-  io::JsonArray pairs;
-  for (std::size_t i = 0; i < thread_counts.size(); ++i) {
-    pairs.push_back(io::Json(io::JsonObject{
-        {"threads", io::Json(static_cast<std::uint64_t>(reports[i].threads))},
-        {"batched_speedup_vs_scalar",
-         io::Json(reports[i].seconds / reports[i + thread_counts.size()].seconds)},
+        {"speedup_vs_1t", io::Json(base.seconds / r.seconds)},
     }));
   }
   bench::write_report("BENCH_dse_throughput",
@@ -166,7 +137,6 @@ int main(int argc, char** argv) {
                           {"seed", io::Json(seed)},
                           {"fronts_identical", io::Json(identical)},
                           {"runs", io::Json(std::move(runs))},
-                          {"batched_vs_scalar", io::Json(std::move(pairs))},
                       }));
   return identical ? 0 : 1;
 }

@@ -92,9 +92,9 @@ int main() {
     std::vector<FrontPoint> raw;
     std::vector<FrontPoint> front;
   };
-  std::vector<System> systems{{"HW-Only", rel::ClrGranularity::HwOnly, {}},
-                              {"CLR1", rel::ClrGranularity::Coarse, {}},
-                              {"CLR2", rel::ClrGranularity::Full, {}}};
+  std::vector<System> systems{{"HW-Only", rel::ClrGranularity::HwOnly, {}, {}},
+                              {"CLR1", rel::ClrGranularity::Coarse, {}, {}},
+                              {"CLR2", rel::ClrGranularity::Full, {}, {}}};
 
   // One shared QoS reference corner so the three explorations target the
   // same feasible region (derived once on the richest space).

@@ -61,29 +61,6 @@ std::string TextTable::to_string() const {
   return out;
 }
 
-std::string TextTable::to_csv() const {
-  auto escape = [](const std::string& cell) {
-    if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-    std::string s = "\"";
-    for (char ch : cell) {
-      if (ch == '"') s += "\"\"";
-      else s += ch;
-    }
-    return s + "\"";
-  };
-  std::string out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) out += ",";
-      out += escape(row[c]);
-    }
-    out += "\n";
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& r : rows_) emit(r);
-  return out;
-}
-
 void TextTable::print(std::ostream& os) const { os << to_string(); }
 
 void write_file(const std::string& path, const std::string& contents) {

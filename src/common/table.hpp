@@ -1,6 +1,6 @@
 #pragma once
-// ASCII table / CSV emission used by the benchmark harnesses to print the
-// paper's tables and figure data series.
+// ASCII table emission used by the benchmark harnesses to print the paper's
+// tables and figure data series.
 
 #include <iosfwd>
 #include <string>
@@ -25,9 +25,6 @@ class TextTable {
 
   /// Render with box-drawing '-', '|' separators.
   std::string to_string() const;
-
-  /// Render as CSV (no title line).
-  std::string to_csv() const;
 
   void print(std::ostream& os) const;
 

@@ -105,8 +105,6 @@ StageOutcome DesignTimeDse::run_base_resumable(util::Rng& rng, const BaseControl
   CLR_TRACE_SPAN(base_span, trace::Category::Dse, "dse.base",
                  {{"pop", cfg_.base_ga.population}, {"gens", cfg_.base_ga.generations}});
   util::ThreadPool pool(cfg_.threads);
-  moea::EvalCache cache(cfg_.eval_cache_capacity);
-  const moea::EvalOptions eval_opts{&pool, &cache, cfg_.batched_eval};
 
   const std::size_t dim = problem_->num_objectives();
   std::vector<double> ref(dim);
@@ -135,7 +133,7 @@ StageOutcome DesignTimeDse::run_base_resumable(util::Rng& rng, const BaseControl
         s.genes = problem_->random_genes(rng);
         batch.push_back(&s);
       }
-      moea::BatchEvaluator(*problem_, eval_opts).evaluate(batch);
+      moea::BatchEvaluator(*problem_, &pool).evaluate(batch);
       for (const auto& s : samples) {
         for (std::size_t k = 0; k < dim; ++k) {
           lo[k] = std::min(lo[k], s.eval.objectives[k]);
@@ -190,7 +188,7 @@ StageOutcome DesignTimeDse::run_base_resumable(util::Rng& rng, const BaseControl
     };
   }
   if (control.resume != nullptr) ga_control.resume = &control.resume->ga;
-  const auto result = ga.run(*problem_, rng, seeds, eval_opts, &ga_control);
+  const auto result = ga.run(*problem_, rng, seeds, &pool, &ga_control);
 
   // Thin the raw front to the storage budget, preferring well-spread points
   // (crowding distance keeps the extremes first). Pure recomputation from
@@ -247,10 +245,10 @@ StageOutcome DesignTimeDse::run_red_resumable(const DesignDb& base, util::Rng& r
     seed_idx.push_back(i * n / want);
   }
 
-  // One pool for all per-seed runs. Each run gets a FRESH Evaluation memo
-  // because RedProblem's constraint violations are seed-relative; cross-seed
-  // schedule sharing happens in the problem's schedule cache. The average
-  // dRC is recomputed from the flat table, which is cheaper than a memo.
+  // One pool for all per-seed runs. The runs share the problem's schedule
+  // memo; each RedProblem evaluation (seed-relative violations, average dRC
+  // from the flat table) is recomputed from the memoized metrics, which is
+  // cheaper than a second memo.
   util::ThreadPool pool(cfg_.threads);
 
   moea::Nsga2 nsga(cfg_.red_ga);
@@ -299,9 +297,7 @@ StageOutcome DesignTimeDse::run_red_resumable(const DesignDb& base, util::Rng& r
     }
     if (resuming_here) ga_control.resume = &control.resume->ga;
 
-    moea::EvalCache eval_cache(cfg_.eval_cache_capacity);
-    const auto result = nsga.run(red_problem, rng, seeds, {&pool, &eval_cache, cfg_.batched_eval},
-                                 &ga_control);
+    const auto result = nsga.run(red_problem, rng, seeds, &pool, &ga_control);
 
     if (!result.complete) {
       // Stopped mid-seed: the boundary callback already reported the

@@ -61,16 +61,6 @@ struct DseConfig {
   /// 0 = std::thread::hardware_concurrency(). Results are identical at any
   /// thread count — see DESIGN.md "Parallel evaluation & determinism".
   std::size_t threads = 0;
-  /// Route GA evaluation through the batched SIMD kernel
-  /// (CompiledGraph::evaluate_batch) instead of per-genome scalar calls.
-  /// Bit-identical either way (DESIGN.md §5.10); the switch exists for the
-  /// side-by-side throughput bench and A/B debugging.
-  bool batched_eval = true;
-  /// Capacity of the chromosome -> Evaluation memo handed to the engines.
-  /// The BaseD run keeps one across all generations; each ReD run gets a
-  /// fresh one (its constraint violations are seed-relative), with the
-  /// cross-seed sharing happening in MappingProblem's schedule cache.
-  std::size_t eval_cache_capacity = 1 << 16;
 };
 
 /// The secondary ReD optimization problem: minimize (avg dRC to the BaseD

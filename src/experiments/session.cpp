@@ -54,9 +54,9 @@ std::uint64_t explore_param_hash(const AppInstance& app, const FlowParams& param
   util::fnv1a_value<std::uint64_t>(h, params.dse.calibration_samples);
   util::fnv1a_value<std::uint8_t>(h, params.dse.heft_seeding ? 1 : 0);
   util::fnv1a_value<std::uint64_t>(h, params.dse.max_base_points);
-  // dse.threads, dse.batched_eval and dse.eval_cache_capacity deliberately
-  // excluded: all three are bit-identical performance knobs (DESIGN.md §5.6,
-  // §5.10), so a checkpoint taken at --jobs 8 resumes fine at --jobs 1.
+  // dse.threads deliberately excluded: it is a bit-identical performance
+  // knob (DESIGN.md §5.6), so a checkpoint taken at --jobs 8 resumes fine
+  // at --jobs 1.
   return h;
 }
 

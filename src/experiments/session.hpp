@@ -56,9 +56,9 @@ struct ExploreOutcome {
 
 /// FNV-1a over every result-affecting explore parameter: the app's shape
 /// (graph/platform/CLR-space sizes), the flow seed and both GA configs.
-/// Deliberately excludes thread counts and the batched_eval toggle — they
-/// never affect results (DESIGN.md §5.6), so a checkpoint taken at --jobs 8
-/// resumes fine at --jobs 1.
+/// Deliberately excludes thread counts: they never affect results
+/// (DESIGN.md §5.6), so a checkpoint taken at --jobs 8 resumes fine at
+/// --jobs 1.
 std::uint64_t explore_param_hash(const AppInstance& app, const FlowParams& params,
                                  std::uint64_t flow_seed);
 

@@ -15,8 +15,10 @@ std::uint64_t hash_genes(const std::vector<int>& genes) {
 }
 
 void BatchEvaluator::evaluate(const std::vector<Individual*>& batch) const {
-  // Resolve cache hits and collapse within-batch duplicates; only the first
-  // occurrence of each distinct genome is evaluated.
+  // Collapse within-batch duplicates; only the first occurrence of each
+  // distinct genome is evaluated. This matters even over a memoizing
+  // problem: MappingProblem::evaluate_metrics_batch looks every genome of a
+  // chunk up before it stores any, so a duplicate would run the kernel again.
   std::vector<Individual*> unique;
   std::vector<std::pair<Individual*, Individual*>> copies;  // (dup, source)
   unique.reserve(batch.size());
@@ -36,7 +38,6 @@ void BatchEvaluator::evaluate(const std::vector<Individual*>& batch) const {
     std::unordered_set<Individual*, GenesHash, GenesEq> seen;
     seen.reserve(batch.size());
     for (Individual* ind : batch) {
-      if (cache_ != nullptr && cache_->lookup(ind->genes, &ind->eval)) continue;
       const auto [it, inserted] = seen.insert(ind);
       if (inserted) {
         unique.push_back(ind);
@@ -46,35 +47,24 @@ void BatchEvaluator::evaluate(const std::vector<Individual*>& batch) const {
     }
   }
 
-  // Each iteration writes only its own individual's eval — safe to fan out.
-  // Batched mode hands the pool SoA-block-sized chunks so every pool task
-  // amortizes one full SIMD block through Problem::evaluate_batch; the chunk
-  // boundaries are fixed by index arithmetic, so block composition — and
-  // with it every result bit — is identical at any thread count (the
-  // sequential path evaluates the same [0,8), [8,16), ... blocks).
+  // Each chunk writes only its own individuals' evals, so the chunks can fan
+  // out. Every chunk is one full SIMD block through Problem::evaluate_batch;
+  // the boundaries are fixed by index arithmetic, so block composition, and
+  // with it every result bit, is identical at any thread count.
   constexpr std::size_t kChunk = 8;  // == sched::BatchGenomes::kLanes
+  const std::size_t chunks = (unique.size() + kChunk - 1) / kChunk;
+  const auto evaluate_chunk = [&](std::size_t c) {
+    const std::size_t begin = c * kChunk;
+    const std::size_t count = std::min(kChunk, unique.size() - begin);
+    problem_->evaluate_batch({unique.data() + begin, count});
+  };
   if (pool_ != nullptr) {
-    if (batched_) {
-      const std::size_t chunks = (unique.size() + kChunk - 1) / kChunk;
-      pool_->parallel_for(chunks, [&](std::size_t c) {
-        const std::size_t begin = c * kChunk;
-        const std::size_t count = std::min(kChunk, unique.size() - begin);
-        problem_->evaluate_batch({unique.data() + begin, count});
-      });
-    } else {
-      pool_->parallel_for(
-          unique.size(), [&](std::size_t i) { unique[i]->eval = problem_->evaluate(unique[i]->genes); });
-    }
-  } else if (batched_) {
-    problem_->evaluate_batch({unique.data(), unique.size()});
+    pool_->parallel_for(chunks, evaluate_chunk);
   } else {
-    for (Individual* ind : unique) ind->eval = problem_->evaluate(ind->genes);
+    for (std::size_t c = 0; c < chunks; ++c) evaluate_chunk(c);
   }
 
   for (auto& [dup, source] : copies) dup->eval = source->eval;
-  if (cache_ != nullptr) {
-    for (const Individual* ind : unique) cache_->store(ind->genes, ind->eval);
-  }
 }
 
 }  // namespace clr::moea

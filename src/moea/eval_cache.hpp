@@ -1,19 +1,20 @@
 #pragma once
-// Memoizing evaluation cache + parallel batch evaluator for the DSE engines.
+// The genome memo table and the batch evaluator of the DSE engines.
 //
 // Crossover and mutation re-produce identical chromosomes (per-gene reset
 // mutation at p = 0.03 leaves short chromosomes untouched), and the ReD stage
-// re-seeds every secondary run from the same BaseD front — so a genome-keyed
-// memo table turns those repeats into hash lookups. On long chromosomes the
-// repeats are rare (about 2% of schedule requests on the 40- and 90-task
-// perfbench apps), so a memo operation must cost little next to a kernel run:
-// one hash per call and one stored copy of each key (DESIGN.md §5.6).
+// re-seeds every secondary run from the same BaseD front, so
+// dse::MappingProblem keeps a genome-keyed memo of schedule metrics that
+// turns those repeats into hash lookups. On long chromosomes the repeats are
+// rare (under 3% of schedule requests on the 40- and 90-task perfbench
+// apps), so a memo operation must cost little next to a kernel run: one hash
+// per call and one stored copy of each key (DESIGN.md §5.6).
 //
 // The cache is sharded (one mutex + map per shard) so parallel evaluation
 // batches do not serialize on a single lock, and bounded: each shard evicts
 // its oldest entries (FIFO) once it reaches capacity / kShards entries.
 // Lookups compare the full gene vector, never the hash alone, so a hash
-// collision degrades to a miss instead of returning a wrong evaluation.
+// collision degrades to a miss instead of returning a wrong value.
 
 #include <array>
 #include <atomic>
@@ -41,8 +42,7 @@ namespace clr::moea {
 std::uint64_t hash_genes(const std::vector<int>& genes);
 
 /// Bounded, sharded, thread-safe memo table: chromosome -> payload.
-/// Generic over the payload so the DSE layer can reuse it for schedule
-/// results (see MappingProblem) as well as the engines' Evaluations.
+/// dse::MappingProblem keeps the one instance, for schedule metrics.
 ///
 /// Each lookup/store hashes its genome once: the hash picks the shard and is
 /// kept in the key, so neither the map nor an eviction re-hashes. Each key is
@@ -170,30 +170,16 @@ class GenomeCache {
   mutable std::atomic<std::uint64_t> evictions_{0};
 };
 
-/// The chromosome -> Evaluation memo shared by the GA engines.
-using EvalCache = GenomeCache<Evaluation>;
-
-/// Execution context for the generate-then-evaluate phase of the engines:
-/// an optional shared thread pool and an optional shared memo cache. Both
-/// nullptr reproduce the sequential, uncached behavior.
-struct EvalOptions {
-  util::ThreadPool* pool = nullptr;
-  EvalCache* cache = nullptr;
-  /// Route misses through Problem::evaluate_batch in SoA-block-sized chunks
-  /// (bit-identical to the scalar path; off = per-genome evaluate(), kept
-  /// for the side-by-side throughput bench and A/B debugging).
-  bool batched = true;
-};
-
-/// Evaluates a batch of individuals against a Problem: consults the cache,
-/// deduplicates identical genomes within the batch, fans the remaining
-/// misses out over the pool, and stores the results back. Results are
-/// independent of thread count and batch order because Problem::evaluate is
-/// deterministic and the batched chunking is fixed by index arithmetic.
+/// Evaluates a batch of individuals against a Problem: deduplicates
+/// identical genomes within the batch, hands the distinct ones to
+/// Problem::evaluate_batch in fixed 8-genome chunks (fanned out over the
+/// pool when there is one) and copies the results to the duplicates.
+/// Results are independent of thread count and batch order because
+/// evaluation is deterministic and the chunks are fixed by index arithmetic.
 class BatchEvaluator {
  public:
-  BatchEvaluator(const Problem& problem, const EvalOptions& opts)
-      : problem_(&problem), pool_(opts.pool), cache_(opts.cache), batched_(opts.batched) {}
+  explicit BatchEvaluator(const Problem& problem, util::ThreadPool* pool = nullptr)
+      : problem_(&problem), pool_(pool) {}
 
   /// Fill ind->eval for every individual in the batch.
   void evaluate(const std::vector<Individual*>& batch) const;
@@ -201,8 +187,6 @@ class BatchEvaluator {
  private:
   const Problem* problem_;
   util::ThreadPool* pool_;
-  EvalCache* cache_;
-  bool batched_;
 };
 
 }  // namespace clr::moea

@@ -1,12 +1,9 @@
 #include "moea/hvga.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 
-#include "common/parallel.hpp"
 #include "moea/hypervolume.hpp"
-#include "trace/trace.hpp"
 
 namespace clr::moea {
 
@@ -18,137 +15,29 @@ double HvGa::fitness_of(const Evaluation& eval) const {
 }
 
 HvGa::Result HvGa::run(const Problem& problem, util::Rng& rng,
-                       const std::vector<std::vector<int>>& seeds,
-                       const EvalOptions& opts, const GaRunControl* control) const {
+                       const std::vector<std::vector<int>>& seeds, util::ThreadPool* pool,
+                       const GaRunControl* control) const {
   if (params_.population < 2) throw std::invalid_argument("HvGa: population must be >= 2");
-
-  // Private pool when the caller did not share one (a 1-thread pool runs
-  // everything inline on this thread).
-  std::unique_ptr<util::ThreadPool> owned_pool;
-  EvalOptions eval_opts = opts;
-  if (eval_opts.pool == nullptr && util::resolve_threads(params_.threads) > 1) {
-    owned_pool = std::make_unique<util::ThreadPool>(params_.threads);
-    eval_opts.pool = owned_pool.get();
-  }
-  const BatchEvaluator evaluator(problem, eval_opts);
-  const auto evaluate_all = [&](std::vector<Individual>& group) {
-    std::vector<Individual*> batch;
-    batch.reserve(group.size());
-    for (auto& ind : group) batch.push_back(&ind);
-    evaluator.evaluate(batch);
+  GenerationSteps steps;
+  steps.generation_span = "hvga.generation";
+  steps.eval_span = "hvga.eval_batch";
+  steps.prefer = [](const Individual& a, const Individual& b) { return a.fitness > b.fitness; };
+  steps.evaluated = [this](Individual& ind) { ind.fitness = fitness_of(ind.eval); };
+  // (mu + lambda) truncation on scalar fitness keeps the best sweepers; the
+  // archive preserves diversity of the non-dominated set.
+  steps.select = [this](std::vector<Individual>& candidates) {
+    if (candidates.size() <= params_.population) return;
+    std::sort(candidates.begin(), candidates.end(),
+              [](const Individual& a, const Individual& b) { return a.fitness > b.fitness; });
+    candidates.resize(params_.population);
   };
+  MoeaResult run = run_generations(problem, rng, params_, seeds, pool, control, steps);
 
   Result result;
-  auto& pop = result.population;
-  pop.reserve(params_.population);
-
-  // Boundary reporting: the full restartable state at a generation boundary
-  // is {population, archive, RNG stream, generation counter} — every RNG
-  // draw happens sequentially on `rng`, so nothing else is hidden.
-  const auto report_boundary = [&](std::uint64_t generations_done) {
-    if (control == nullptr || !control->on_boundary) return;
-    GaState state;
-    state.generations_done = generations_done;
-    state.population = pop;
-    state.archive = result.archive.members();
-    state.rng_state = rng.save_state();
-    control->on_boundary(state);
-  };
-  const auto stop_requested = [&] {
-    return control != nullptr && control->stop.stop_requested();
-  };
-
-  std::uint64_t gen_start = 0;
-  if (control != nullptr && control->resume != nullptr) {
-    // Resume: restore the boundary state verbatim. Re-inserting the archive
-    // members in order reproduces the archive (they are feasible, mutually
-    // non-dominated and deduplicated by construction). The boundary callback
-    // is not re-fired for the restored state.
-    const GaState& saved = *control->resume;
-    pop = saved.population;
-    for (const auto& member : saved.archive) result.archive.insert(member);
-    rng.restore_state(saved.rng_state);
-    gen_start = saved.generations_done;
-  } else {
-    for (const auto& seed : seeds) {
-      if (pop.size() >= params_.population) break;
-      Individual ind;
-      ind.genes = seed;
-      problem.repair(ind.genes);
-      pop.push_back(std::move(ind));
-    }
-    while (pop.size() < params_.population) {
-      Individual ind;
-      ind.genes = problem.random_genes(rng);
-      pop.push_back(std::move(ind));
-    }
-    evaluate_all(pop);
-    for (auto& ind : pop) {
-      ind.fitness = fitness_of(ind.eval);
-      result.archive.insert(ind);
-    }
-    report_boundary(0);
-  }
-
-  for (std::size_t gen = gen_start; gen < params_.generations; ++gen) {
-    if (stop_requested()) {
-      result.complete = false;
-      break;
-    }
-    CLR_TRACE_SPAN(gen_span, trace::Category::Dse, "hvga.generation", {{"gen", gen}});
-    // Generate phase: every RNG draw (tournaments, crossover, mutation)
-    // happens here, sequentially on the master Rng — the draw order is
-    // independent of how the subsequent evaluations are scheduled.
-    auto better = [&](std::size_t a, std::size_t b) { return pop[a].fitness > pop[b].fitness; };
-    std::vector<Individual> offspring;
-    offspring.reserve(params_.population);
-    while (offspring.size() < params_.population) {
-      const std::size_t pa = tournament(pop.size(), params_.tournament_size, better, rng);
-      const std::size_t pb = tournament(pop.size(), params_.tournament_size, better, rng);
-      Individual ca, cb;
-      ca.genes = pop[pa].genes;
-      cb.genes = pop[pb].genes;
-      uniform_crossover(ca.genes, cb.genes, params_.crossover_prob, rng);
-      reset_mutation(problem, ca.genes, params_.mutation_prob, rng);
-      reset_mutation(problem, cb.genes, params_.mutation_prob, rng);
-      offspring.push_back(std::move(ca));
-      // With an odd population the second child of the last pair is surplus:
-      // drop it before evaluation (its mutation draws above keep the RNG
-      // stream aligned with the even-population case).
-      if (offspring.size() < params_.population) offspring.push_back(std::move(cb));
-    }
-
-    // Evaluate phase: one parallel, memoized batch per generation.
-    {
-      CLR_TRACE_SPAN(eval_span, trace::Category::Dse, "hvga.eval_batch",
-                     {{"gen", gen}, {"batch", offspring.size()}});
-      evaluate_all(offspring);
-    }
-    if (eval_opts.cache != nullptr) {
-      CLR_TRACE_COUNTER(trace::Category::Dse, "hvga.eval_cache.hits",
-                        static_cast<double>(eval_opts.cache->hits()));
-      CLR_TRACE_COUNTER(trace::Category::Dse, "hvga.eval_cache.misses",
-                        static_cast<double>(eval_opts.cache->misses()));
-    }
-    for (auto& child : offspring) {
-      child.fitness = fitness_of(child.eval);
-      result.archive.insert(child);
-    }
-
-    // (mu + lambda) truncation on scalar fitness keeps the best sweepers;
-    // the archive preserves diversity of the non-dominated set.
-    std::vector<Individual> merged;
-    merged.reserve(pop.size() + offspring.size());
-    std::move(pop.begin(), pop.end(), std::back_inserter(merged));
-    std::move(offspring.begin(), offspring.end(), std::back_inserter(merged));
-    std::sort(merged.begin(), merged.end(),
-              [](const Individual& a, const Individual& b) { return a.fitness > b.fitness; });
-    merged.resize(params_.population);
-    pop = std::move(merged);
-    report_boundary(static_cast<std::uint64_t>(gen) + 1);
-  }
-
-  result.best_fitness = pop.empty() ? 0.0 : pop.front().fitness;
+  result.population = std::move(run.population);
+  result.archive = std::move(run.archive);
+  result.best_fitness = result.population.empty() ? 0.0 : result.population.front().fitness;
+  result.complete = run.complete;
   return result;
 }
 

@@ -8,11 +8,7 @@
 // hypervolume pushes the population onto a spread Pareto front, which is
 // accumulated in a feasible non-dominated archive (the BaseD database).
 
-#include "moea/archive.hpp"
-#include "moea/control.hpp"
-#include "moea/eval_cache.hpp"
-#include "moea/operators.hpp"
-#include "moea/problem.hpp"
+#include "moea/generational.hpp"
 
 namespace clr::moea {
 
@@ -34,16 +30,15 @@ class HvGa {
     bool complete = true;
   };
 
-  /// Run the optimization. Each generation is generate-then-evaluate: all
-  /// RNG draws happen sequentially on `rng`, then the pending genomes are
-  /// evaluated as one parallel batch (`opts.pool` / params().threads) with
-  /// optional memoization (`opts.cache`) — results are bit-for-bit identical
-  /// at any thread count. `control` (optional) adds cooperative stop,
-  /// per-generation boundary callbacks and resume-from-checkpoint; see
-  /// moea/control.hpp.
+  /// Run the optimization through run_generations (moea/generational.hpp):
+  /// all RNG draws happen sequentially on `rng`, then the pending genomes
+  /// are evaluated as one batch on `pool` (or params().threads) — results
+  /// are bit-for-bit identical at any thread count. `control` (optional)
+  /// adds cooperative stop, per-generation boundary callbacks and
+  /// resume-from-checkpoint; see moea/control.hpp.
   Result run(const Problem& problem, util::Rng& rng,
              const std::vector<std::vector<int>>& seeds = {},
-             const EvalOptions& opts = {},
+             util::ThreadPool* pool = nullptr,
              const GaRunControl* control = nullptr) const;
 
   const GaParams& params() const { return params_; }

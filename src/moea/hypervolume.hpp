@@ -1,12 +1,9 @@
 #pragma once
 // Hypervolume computation for the Eq. (5) fitness (Fig. 4a) and for DSE
-// quality metrics: exact 2-D and 3-D algorithms plus a Monte-Carlo estimator
-// for higher dimensions.
+// quality metrics: exact 2-D and 3-D algorithms.
 
 #include <array>
 #include <vector>
-
-#include "common/rng.hpp"
 
 namespace clr::moea {
 
@@ -17,12 +14,6 @@ double hypervolume_2d(std::vector<std::array<double, 2>> points, const std::arra
 
 /// Exact 3-D hypervolume by slicing along the third objective.
 double hypervolume_3d(std::vector<std::array<double, 3>> points, const std::array<double, 3>& ref);
-
-/// Monte-Carlo hypervolume for any dimension; `lower` bounds the sampling
-/// box from below. Deterministic given the Rng state.
-double hypervolume_mc(const std::vector<std::vector<double>>& points,
-                      const std::vector<double>& lower, const std::vector<double>& ref,
-                      std::size_t samples, util::Rng& rng);
 
 /// Exact hypervolume of an arbitrary-dimension point set, dispatching to the
 /// 2-D/3-D exact routines; throws for other dimensions.

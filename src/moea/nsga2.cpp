@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <stdexcept>
-
-#include "common/parallel.hpp"
-#include "trace/trace.hpp"
 
 namespace clr::moea {
 
@@ -87,150 +83,41 @@ bool crowded_better(const Individual& a, const Individual& b) {
 }  // namespace
 
 MoeaResult Nsga2::run(const Problem& problem, util::Rng& rng,
-                      const std::vector<std::vector<int>>& seeds,
-                      const EvalOptions& opts, const GaRunControl* control) const {
+                      const std::vector<std::vector<int>>& seeds, util::ThreadPool* pool,
+                      const GaRunControl* control) const {
   if (params_.population < 2) throw std::invalid_argument("Nsga2: population must be >= 2");
-
-  // Private pool when the caller did not share one (a 1-thread pool runs
-  // everything inline on this thread).
-  std::unique_ptr<util::ThreadPool> owned_pool;
-  EvalOptions eval_opts = opts;
-  if (eval_opts.pool == nullptr && util::resolve_threads(params_.threads) > 1) {
-    owned_pool = std::make_unique<util::ThreadPool>(params_.threads);
-    eval_opts.pool = owned_pool.get();
-  }
-  const BatchEvaluator evaluator(problem, eval_opts);
-  const auto evaluate_all = [&](std::vector<Individual>& group) {
-    std::vector<Individual*> batch;
-    batch.reserve(group.size());
-    for (auto& ind : group) batch.push_back(&ind);
-    evaluator.evaluate(batch);
-  };
-
-  MoeaResult result;
-  auto& pop = result.population;
-  pop.reserve(params_.population);
-
-  // Boundary reporting: the full restartable state at a generation boundary
-  // is {population (incl. rank/crowding), archive, RNG stream, generation
-  // counter} — every RNG draw happens sequentially on `rng`.
-  const auto report_boundary = [&](std::uint64_t generations_done) {
-    if (control == nullptr || !control->on_boundary) return;
-    GaState state;
-    state.generations_done = generations_done;
-    state.population = pop;
-    state.archive = result.archive.members();
-    state.rng_state = rng.save_state();
-    control->on_boundary(state);
-  };
-  const auto stop_requested = [&] {
-    return control != nullptr && control->stop.stop_requested();
-  };
-
-  std::uint64_t gen_start = 0;
-  if (control != nullptr && control->resume != nullptr) {
-    // Resume: rank/crowding travel inside Individual, so the restored
-    // population feeds crowded-tournament selection unchanged. The archive
-    // is rebuilt by in-order re-insertion (members are feasible, mutually
-    // non-dominated, deduplicated).
-    const GaState& saved = *control->resume;
-    pop = saved.population;
-    for (const auto& member : saved.archive) result.archive.insert(member);
-    rng.restore_state(saved.rng_state);
-    gen_start = saved.generations_done;
-  } else {
-    for (const auto& seed : seeds) {
-      if (pop.size() >= params_.population) break;
-      Individual ind;
-      ind.genes = seed;
-      problem.repair(ind.genes);
-      pop.push_back(std::move(ind));
-    }
-    while (pop.size() < params_.population) {
-      Individual ind;
-      ind.genes = problem.random_genes(rng);
-      pop.push_back(std::move(ind));
-    }
-    evaluate_all(pop);
-    for (auto& ind : pop) result.archive.insert(ind);
-    {
-      auto fronts = non_dominated_sort(pop);
-      for (const auto& f : fronts) assign_crowding(pop, f);
-    }
-    report_boundary(0);
-  }
-
-  for (std::size_t gen = gen_start; gen < params_.generations; ++gen) {
-    if (stop_requested()) {
-      result.complete = false;
-      break;
-    }
-    CLR_TRACE_SPAN(gen_span, trace::Category::Dse, "nsga2.generation", {{"gen", gen}});
-    // Generate phase: offspring genomes via the binary-operator pipeline —
-    // every RNG draw happens here, sequentially on the master Rng.
-    std::vector<Individual> offspring;
-    offspring.reserve(params_.population);
-    auto better = [&](std::size_t a, std::size_t b) { return crowded_better(pop[a], pop[b]); };
-    while (offspring.size() < params_.population) {
-      const std::size_t pa = tournament(pop.size(), params_.tournament_size, better, rng);
-      const std::size_t pb = tournament(pop.size(), params_.tournament_size, better, rng);
-      Individual ca, cb;
-      ca.genes = pop[pa].genes;
-      cb.genes = pop[pb].genes;
-      uniform_crossover(ca.genes, cb.genes, params_.crossover_prob, rng);
-      reset_mutation(problem, ca.genes, params_.mutation_prob, rng);
-      reset_mutation(problem, cb.genes, params_.mutation_prob, rng);
-      offspring.push_back(std::move(ca));
-      // With an odd population the second child of the last pair is surplus:
-      // drop it before evaluation (its mutation draws above keep the RNG
-      // stream aligned with the even-population case).
-      if (offspring.size() < params_.population) offspring.push_back(std::move(cb));
-    }
-
-    // Evaluate phase: one parallel, memoized batch per generation.
-    {
-      CLR_TRACE_SPAN(eval_span, trace::Category::Dse, "nsga2.eval_batch",
-                     {{"gen", gen}, {"batch", offspring.size()}});
-      evaluate_all(offspring);
-    }
-    if (eval_opts.cache != nullptr) {
-      CLR_TRACE_COUNTER(trace::Category::Dse, "nsga2.eval_cache.hits",
-                        static_cast<double>(eval_opts.cache->hits()));
-      CLR_TRACE_COUNTER(trace::Category::Dse, "nsga2.eval_cache.misses",
-                        static_cast<double>(eval_opts.cache->misses()));
-    }
-    for (auto& child : offspring) result.archive.insert(child);
-
-    // Environmental selection over parents + offspring.
-    std::vector<Individual> merged;
-    merged.reserve(pop.size() + offspring.size());
-    std::move(pop.begin(), pop.end(), std::back_inserter(merged));
-    std::move(offspring.begin(), offspring.end(), std::back_inserter(merged));
-    auto fronts = non_dominated_sort(merged);
-    for (const auto& f : fronts) assign_crowding(merged, f);
+  GenerationSteps steps;
+  steps.generation_span = "nsga2.generation";
+  steps.eval_span = "nsga2.eval_batch";
+  steps.prefer = crowded_better;
+  // Environmental selection: rank and crowd the candidates, then fill the
+  // next population front by front, breaking the last front by crowding.
+  // Archive copies are taken before this, so they carry no rank or crowding.
+  steps.select = [this](std::vector<Individual>& candidates) {
+    const auto fronts = non_dominated_sort(candidates);
+    for (const auto& f : fronts) assign_crowding(candidates, f);
+    if (candidates.size() <= params_.population) return;
 
     std::vector<Individual> next;
     next.reserve(params_.population);
     for (const auto& front : fronts) {
       if (next.size() + front.size() <= params_.population) {
-        for (std::size_t i : front) next.push_back(merged[i]);
+        for (std::size_t i : front) next.push_back(candidates[i]);
       } else {
         std::vector<std::size_t> sorted(front);
         std::sort(sorted.begin(), sorted.end(), [&](std::size_t a, std::size_t b) {
-          return merged[a].crowding > merged[b].crowding;
+          return candidates[a].crowding > candidates[b].crowding;
         });
         for (std::size_t i : sorted) {
           if (next.size() >= params_.population) break;
-          next.push_back(merged[i]);
+          next.push_back(candidates[i]);
         }
       }
       if (next.size() >= params_.population) break;
     }
-    pop = std::move(next);
-    report_boundary(static_cast<std::uint64_t>(gen) + 1);
-  }
-
-  return result;
+    candidates = std::move(next);
+  };
+  return run_generations(problem, rng, params_, seeds, pool, control, steps);
 }
 
 }  // namespace clr::moea

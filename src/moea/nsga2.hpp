@@ -5,11 +5,7 @@
 
 #include <vector>
 
-#include "moea/archive.hpp"
-#include "moea/control.hpp"
-#include "moea/eval_cache.hpp"
-#include "moea/operators.hpp"
-#include "moea/problem.hpp"
+#include "moea/generational.hpp"
 
 namespace clr::moea {
 
@@ -20,31 +16,20 @@ std::vector<std::vector<std::size_t>> non_dominated_sort(std::vector<Individual>
 /// Crowding distance within one front (writes Individual::crowding).
 void assign_crowding(std::vector<Individual>& pop, const std::vector<std::size_t>& front);
 
-/// NSGA-II result: final population plus the feasible non-dominated archive
-/// accumulated over all generations.
-struct MoeaResult {
-  std::vector<Individual> population;
-  ParetoArchive archive;
-  /// False when a cooperative stop cut the run short at a generation
-  /// boundary (the state reported via GaRunControl::on_boundary resumes it).
-  bool complete = true;
-};
-
 class Nsga2 {
  public:
   explicit Nsga2(GaParams params) : params_(params) {}
 
-  /// Run the optimization. `seeds` (optional) are injected into the initial
-  /// population after repair. Each generation is generate-then-evaluate: all
-  /// RNG draws happen sequentially on `rng`, then the pending genomes are
-  /// evaluated as one parallel batch (`opts.pool` / params().threads) with
-  /// optional memoization (`opts.cache`) — results are bit-for-bit identical
-  /// at any thread count. `control` (optional) adds cooperative stop,
-  /// per-generation boundary callbacks and resume-from-checkpoint; see
-  /// moea/control.hpp.
+  /// Run the optimization through run_generations (moea/generational.hpp).
+  /// `seeds` (optional) are injected into the initial population after
+  /// repair. All RNG draws happen sequentially on `rng`, then the pending
+  /// genomes are evaluated as one batch on `pool` (or params().threads) —
+  /// results are bit-for-bit identical at any thread count. `control`
+  /// (optional) adds cooperative stop, per-generation boundary callbacks and
+  /// resume-from-checkpoint; see moea/control.hpp.
   MoeaResult run(const Problem& problem, util::Rng& rng,
                  const std::vector<std::vector<int>>& seeds = {},
-                 const EvalOptions& opts = {},
+                 util::ThreadPool* pool = nullptr,
                  const GaRunControl* control = nullptr) const;
 
   const GaParams& params() const { return params_; }

@@ -17,8 +17,8 @@ struct GaParams {
   double crossover_prob = 0.7;   ///< per-pair (paper §5.1)
   double mutation_prob = 0.03;   ///< per-gene reset (paper §5.1)
   std::size_t tournament_size = 5;  ///< (paper §5.1)
-  /// Evaluation concurrency when the caller does not share a pool through
-  /// EvalOptions: 0 = std::thread::hardware_concurrency(). Results are
+  /// Evaluation concurrency when the caller does not share a pool with the
+  /// engine's run(): 0 = std::thread::hardware_concurrency(). Results are
   /// identical at any thread count (generate-then-evaluate contract).
   std::size_t threads = 0;
 };

@@ -267,51 +267,4 @@ MdpSolution solve_policy_iteration(const Mdp& mdp, double gamma, std::size_t max
   return sol;
 }
 
-FiniteHorizonSolution solve_finite_horizon(const Mdp& mdp, std::size_t horizon, double gamma) {
-  FiniteHorizonSolution sol;
-  sol.value.assign(mdp.num_states, 0.0);
-  sol.policy.assign(horizon, std::vector<std::uint32_t>(mdp.num_states, 0));
-  RowExpectations rows(mdp);
-  std::vector<double> v_next(mdp.num_states, 0.0);
-  // Backward induction: V_H = 0, V_t(s) = max_a R(s,a) + gamma * E[V_{t+1}].
-  for (std::size_t t = horizon; t-- > 0;) {
-    v_next.swap(sol.value);
-    rows.invalidate_all();
-    for (std::size_t s = 0; s < mdp.num_states; ++s) {
-      sol.value[s] = rows.backup(v_next, gamma, s, sol.policy[t][s]);
-    }
-  }
-  return sol;
-}
-
-double evaluate_finite_horizon_policy(const Mdp& mdp,
-                                      const std::vector<std::vector<std::uint32_t>>& policy,
-                                      std::span<const double> initial, double gamma) {
-  if (initial.size() != mdp.num_states) {
-    throw std::invalid_argument("evaluate_finite_horizon_policy: initial size mismatch");
-  }
-  std::vector<double> dist(initial.begin(), initial.end());
-  std::vector<double> next(mdp.num_states, 0.0);
-  double total = 0.0;
-  double discount = 1.0;
-  for (const auto& step : policy) {
-    if (step.size() != mdp.num_states) {
-      throw std::invalid_argument("evaluate_finite_horizon_policy: step size mismatch");
-    }
-    std::fill(next.begin(), next.end(), 0.0);
-    for (std::size_t s = 0; s < mdp.num_states; ++s) {
-      if (dist[s] == 0.0) continue;
-      const std::size_t a = step[s];
-      if (a >= mdp.num_actions || !mdp.action_allowed(s, a)) {
-        throw std::invalid_argument("evaluate_finite_horizon_policy: disallowed action");
-      }
-      total += discount * dist[s] * mdp.reward[s * mdp.num_actions + a];
-      for (const auto& [n, prob] : mdp.row(s, a)) next[n] += dist[s] * prob;
-    }
-    dist.swap(next);
-    discount *= gamma;
-  }
-  return total;
-}
-
 }  // namespace clr::rt

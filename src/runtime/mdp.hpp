@@ -104,24 +104,4 @@ std::vector<double> evaluate_stationary_policy(const Mdp& mdp,
                                                std::span<const std::uint32_t> policy,
                                                double gamma);
 
-/// Finite-horizon solution by backward induction: policy[t][s] is the action
-/// at step t (t = 0 first), value[s] the optimal expected return over
-/// `horizon` steps starting in s.
-struct FiniteHorizonSolution {
-  std::vector<std::vector<std::uint32_t>> policy;
-  std::vector<double> value;
-};
-FiniteHorizonSolution solve_finite_horizon(const Mdp& mdp, std::size_t horizon,
-                                           double gamma = 1.0);
-
-/// Exact expected return of an arbitrary (possibly non-stationary) policy
-/// over policy.size() steps, starting from the distribution `initial`
-/// (size num_states, sums to 1). Forward propagation of the full state
-/// distribution — every enumerated candidate AND the solver's policy are
-/// scored by this same routine, so "attains the optimum exactly" is a
-/// bit-exact comparison, not a tolerance check.
-double evaluate_finite_horizon_policy(const Mdp& mdp,
-                                      const std::vector<std::vector<std::uint32_t>>& policy,
-                                      std::span<const double> initial, double gamma = 1.0);
-
 }  // namespace clr::rt

@@ -75,11 +75,4 @@ class ListScheduler {
   ScheduleResult run(const EvalContext& ctx, const Configuration& cfg) const;
 };
 
-/// Structural validation of a schedule against its configuration: precedence
-/// + communication delays respected, no overlap on any PE, makespan equals
-/// the last finish time. Returns an empty string when valid, else a
-/// diagnostic message (used by the property tests).
-std::string validate_schedule(const EvalContext& ctx, const Configuration& cfg,
-                              const ScheduleResult& result);
-
 }  // namespace clr::sched

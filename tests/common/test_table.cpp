@@ -33,7 +33,9 @@ TEST(TextTable, PadsShortRows) {
   while (start < s.size()) {
     const auto end = s.find('\n', start);
     const std::size_t len = end - start;
-    if (!first) EXPECT_EQ(len, prev_len);
+    if (!first) {
+      EXPECT_EQ(len, prev_len);
+    }
     prev_len = len;
     first = false;
     start = end + 1;
@@ -52,22 +54,6 @@ TEST(TextTable, FmtFixedPrecision) {
   EXPECT_EQ(TextTable::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(TextTable::fmt(2.0, 0), "2");
   EXPECT_EQ(TextTable::fmt(-0.5, 1), "-0.5");
-}
-
-TEST(TextTable, CsvEscaping) {
-  TextTable t;
-  t.set_header({"name", "value"});
-  t.add_row({"with,comma", "with\"quote"});
-  const std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("\"with,comma\""), std::string::npos);
-  EXPECT_NE(csv.find("\"with\"\"quote\""), std::string::npos);
-}
-
-TEST(TextTable, CsvOmitsTitle) {
-  TextTable t("the title");
-  t.set_header({"a"});
-  t.add_row({"1"});
-  EXPECT_EQ(t.to_csv().find("the title"), std::string::npos);
 }
 
 TEST(WriteFile, RoundTrips) {

@@ -61,6 +61,10 @@ class ParallelDeterminismTest : public ::testing::Test {
   }
 
   static constexpr std::uint64_t kRunSeed = 4242;
+  /// Schedule-kernel runs of one small_config(1) flow. Every repeated
+  /// genome must stay a schedule-memo lookup, so a memo change that costs
+  /// kernel runs fails here.
+  static constexpr std::uint64_t kRecordedScheduleRuns = 572;
   static exp::AppInstance* app_;
   static QosSpec spec_;
 };
@@ -97,6 +101,7 @@ TEST_F(ParallelDeterminismTest, ScheduleMemoAbsorbsRepeatEvaluations) {
   const auto& cache = problem.schedule_cache();
   EXPECT_GT(cache.hits(), 0u);
   EXPECT_EQ(cache.misses(), problem.schedule_runs());
+  EXPECT_EQ(problem.schedule_runs(), kRecordedScheduleRuns);
 
   // An already-evaluated genome must not re-run the scheduler when turned
   // into a design point (the old make_point path re-scheduled every archived

@@ -16,6 +16,7 @@
 #include "experiments/app.hpp"
 #include "experiments/flow.hpp"
 #include "schedule/scheduler.hpp"
+#include "validate_schedule.hpp"
 
 namespace clr::exp {
 namespace {

@@ -187,7 +187,6 @@ TEST(Session, ParamHashTracksResultAffectingKnobsOnly) {
   other = params;
   other.dse.threads = 8;
   other.dse.base_ga.threads = 8;
-  other.dse.batched_eval = !other.dse.batched_eval;
   EXPECT_EQ(explore_param_hash(*app, other, 77), base);
 }
 

@@ -5,6 +5,7 @@
 
 #include "dse/mapping_problem.hpp"
 #include "experiments/flow.hpp"
+#include "hypervolume_mc.hpp"
 #include "io/json.hpp"
 #include "moea/hypervolume.hpp"
 #include "reconfig/reconfig.hpp"
@@ -156,7 +157,9 @@ io::Json random_json(util::Rng& rng, int depth) {
       io::JsonObject obj;
       const int len = rng.uniform_int(0, 5);
       for (int i = 0; i < len; ++i) {
-        obj.emplace_back("k" + std::to_string(i), random_json(rng, depth - 1));
+        std::string key = "k";
+        key += std::to_string(i);
+        obj.emplace_back(std::move(key), random_json(rng, depth - 1));
       }
       return io::Json(std::move(obj));
     }

@@ -36,8 +36,12 @@ TEST(HashGenes, IsDeterministicAndDiscriminates) {
   hash_genes({});  // empty chromosome must not crash
 }
 
-TEST(EvalCache, HitReturnsTheExactCachedEvaluation) {
-  EvalCache cache(64);
+/// A payload that owns heap storage (the objective vector), so copies into
+/// and out of the memo are checked too.
+using EvaluationCache = GenomeCache<Evaluation>;
+
+TEST(GenomeCache, HitReturnsTheExactCachedEvaluation) {
+  EvaluationCache cache(64);
   const std::vector<int> genes{4, 8, 15, 16};
   const Evaluation stored{{1.25, -3.5, 7.0}, 0.125};
   cache.store(genes, stored);
@@ -50,8 +54,8 @@ TEST(EvalCache, HitReturnsTheExactCachedEvaluation) {
   EXPECT_EQ(cache.misses(), 0u);
 }
 
-TEST(EvalCache, MissLeavesOutputUntouchedAndCounts) {
-  EvalCache cache(64);
+TEST(GenomeCache, MissLeavesOutputUntouchedAndCounts) {
+  EvaluationCache cache(64);
   Evaluation out{{9.0}, 9.0};
   EXPECT_FALSE(cache.lookup({1, 2}, &out));
   EXPECT_EQ(out.objectives, (std::vector<double>{9.0}));
@@ -59,8 +63,8 @@ TEST(EvalCache, MissLeavesOutputUntouchedAndCounts) {
   EXPECT_DOUBLE_EQ(cache.hit_rate(), 0.0);
 }
 
-TEST(EvalCache, StoreOverwritesExistingKey) {
-  EvalCache cache(64);
+TEST(GenomeCache, StoreOverwritesExistingKey) {
+  EvaluationCache cache(64);
   cache.store({7}, Evaluation{{1.0}, 0.0});
   cache.store({7}, Evaluation{{2.0}, 0.5});
   Evaluation out;
@@ -70,8 +74,8 @@ TEST(EvalCache, StoreOverwritesExistingKey) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(EvalCache, BoundedSizeEvictsOldestEntries) {
-  EvalCache cache(32);  // 2 entries per shard
+TEST(GenomeCache, BoundedSizeEvictsOldestEntries) {
+  EvaluationCache cache(32);  // 2 entries per shard
   for (int i = 0; i < 500; ++i) {
     cache.store({i, i + 1}, Evaluation{{static_cast<double>(i)}, 0.0});
   }
@@ -83,8 +87,8 @@ TEST(EvalCache, BoundedSizeEvictsOldestEntries) {
   EXPECT_DOUBLE_EQ(out.objectives[0], 499.0);
 }
 
-TEST(EvalCache, ClearEmptiesEveryShard) {
-  EvalCache cache(64);
+TEST(GenomeCache, ClearEmptiesEveryShard) {
+  EvaluationCache cache(64);
   for (int i = 0; i < 40; ++i) cache.store({i}, Evaluation{{0.0}, 0.0});
   EXPECT_GT(cache.size(), 0u);
   cache.clear();
@@ -270,7 +274,7 @@ TEST(HashGenes, SpreadsNinetyTaskGenomesOverEveryShard) {
 
 TEST(BatchEvaluator, DeduplicatesIdenticalGenomesWithinABatch) {
   CountingProblem prob;
-  BatchEvaluator evaluator(prob, {});
+  BatchEvaluator evaluator(prob);
   std::vector<Individual> group(6);
   group[0].genes = {1, 2, 3, 4};
   group[1].genes = {5, 6, 7, 8};
@@ -288,28 +292,6 @@ TEST(BatchEvaluator, DeduplicatesIdenticalGenomesWithinABatch) {
   EXPECT_DOUBLE_EQ(group[5].eval.objectives[0], 36.0);
 }
 
-TEST(BatchEvaluator, CacheSkipsReEvaluationAcrossBatches) {
-  CountingProblem prob;
-  EvalCache cache(1 << 10);
-  BatchEvaluator evaluator(prob, {nullptr, &cache});
-  std::vector<Individual> group(3);
-  group[0].genes = {1, 0, 0, 0};
-  group[1].genes = {2, 0, 0, 0};
-  group[2].genes = {3, 0, 0, 0};
-  std::vector<Individual*> batch;
-  for (auto& ind : group) batch.push_back(&ind);
-
-  evaluator.evaluate(batch);
-  EXPECT_EQ(prob.evaluations.load(), 3u);
-
-  // Second batch with the same genomes: pure cache hits.
-  for (auto& ind : group) ind.eval = Evaluation{};
-  evaluator.evaluate(batch);
-  EXPECT_EQ(prob.evaluations.load(), 3u);
-  EXPECT_EQ(cache.hits(), 3u);
-  EXPECT_DOUBLE_EQ(group[2].eval.objectives[0], 3.0);
-}
-
 TEST(BatchEvaluator, ParallelAndSequentialResultsMatch) {
   CountingProblem prob;
   util::ThreadPool pool(4);
@@ -322,8 +304,8 @@ TEST(BatchEvaluator, ParallelAndSequentialResultsMatch) {
   for (auto& ind : seq) seq_batch.push_back(&ind);
   for (auto& ind : par) par_batch.push_back(&ind);
 
-  BatchEvaluator(prob, {}).evaluate(seq_batch);
-  BatchEvaluator(prob, {&pool, nullptr}).evaluate(par_batch);
+  BatchEvaluator(prob).evaluate(seq_batch);
+  BatchEvaluator(prob, &pool).evaluate(par_batch);
   for (int i = 0; i < 64; ++i) {
     EXPECT_EQ(par[i].eval.objectives, seq[i].eval.objectives) << "individual " << i;
     EXPECT_EQ(par[i].eval.violation, seq[i].eval.violation);

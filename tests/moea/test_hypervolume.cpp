@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "hypervolume_mc.hpp"
+
 namespace clr::moea {
 namespace {
 

@@ -176,25 +176,6 @@ TEST(Nsga2, ThreadCountDoesNotChangeTheResult) {
   }
 }
 
-TEST(Nsga2, SharedCacheDoesNotChangeTheResult) {
-  Zdt1Lite prob;
-  GaParams params;
-  params.population = 20;
-  params.generations = 10;
-  params.threads = 1;
-  util::Rng a(31), b(31);
-  const auto plain = Nsga2(params).run(prob, a);
-  EvalCache cache(1 << 12);
-  const auto cached = Nsga2(params).run(prob, b, {}, {nullptr, &cache});
-  EXPECT_GT(cache.hits(), 0u);
-  ASSERT_EQ(plain.archive.size(), cached.archive.size());
-  for (std::size_t i = 0; i < plain.archive.size(); ++i) {
-    EXPECT_EQ(plain.archive.members()[i].genes, cached.archive.members()[i].genes);
-    EXPECT_EQ(plain.archive.members()[i].eval.objectives,
-              cached.archive.members()[i].eval.objectives);
-  }
-}
-
 TEST(Nsga2, ConvergesTowardZdt1Front) {
   Zdt1Lite prob;
   GaParams params;

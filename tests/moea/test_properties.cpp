@@ -70,7 +70,9 @@ TEST(ArchiveProperty, InsertReportsExactlyTheSurvivors) {
           std::any_of(m.begin(), m.end(),
                       [&](const Individual& ind) { return ind.genes == cand.genes; });
       EXPECT_EQ(added, present) << "seed " << seed << " candidate " << i;
-      if (!added) EXPECT_EQ(archive.size(), before);
+      if (!added) {
+        EXPECT_EQ(archive.size(), before);
+      }
       expect_archive_invariant(archive);
     }
   }

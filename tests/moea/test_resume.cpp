@@ -209,8 +209,6 @@ TEST(GaResume, ResumeStateFromHigherThreadCountMatches) {
   const auto full = ga.run(prob, full_rng);
 
   util::ThreadPool pool(4);
-  EvalOptions threaded;
-  threaded.pool = &pool;
 
   util::StopSource stop;
   GaState saved;
@@ -223,7 +221,7 @@ TEST(GaResume, ResumeStateFromHigherThreadCountMatches) {
     }
   };
   util::Rng rng(53);
-  (void)ga.run(prob, rng, {}, threaded, &control);
+  (void)ga.run(prob, rng, {}, &pool, &control);
   ASSERT_EQ(saved.generations_done, 4u);
 
   GaRunControl resume;

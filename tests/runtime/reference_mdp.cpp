@@ -127,17 +127,4 @@ MdpSolution solve_policy_iteration(const Mdp& mdp, double gamma, std::size_t max
   return sol;
 }
 
-FiniteHorizonSolution solve_finite_horizon(const Mdp& mdp, std::size_t horizon, double gamma) {
-  FiniteHorizonSolution sol;
-  sol.value.assign(mdp.num_states, 0.0);
-  sol.policy.assign(horizon, std::vector<std::uint32_t>(mdp.num_states, 0));
-  for (std::size_t t = horizon; t-- > 0;) {
-    std::vector<double> v_next = sol.value;
-    for (std::size_t s = 0; s < mdp.num_states; ++s) {
-      sol.value[s] = backup(mdp, v_next, gamma, s, sol.policy[t][s]);
-    }
-  }
-  return sol;
-}
-
 }  // namespace clr::rt::reference

@@ -1,10 +1,10 @@
 #pragma once
-// Reference oracle for the MDP solvers: value iteration, policy iteration's
-// improvement step and backward induction as they stood before the
-// row-expectation cache — one Bellman backup per (state, action) that re-sums
-// the action's transition row on every call. test_mdp_differential.cpp holds
-// rt::solve_value_iteration, rt::solve_policy_iteration and
-// rt::solve_finite_horizon to bitwise equality with these (DESIGN.md §5.14).
+// Reference oracle for the MDP solvers: value iteration and policy
+// iteration's improvement step as they stood before the row-expectation
+// cache — one Bellman backup per (state, action) that re-sums the action's
+// transition row on every call. test_mdp_differential.cpp holds
+// rt::solve_value_iteration and rt::solve_policy_iteration to bitwise
+// equality with these (DESIGN.md §5.14).
 // Keep them as plain and as unchanged as possible.
 
 #include <cstddef>
@@ -26,9 +26,5 @@ MdpSolution solve_value_iteration(const Mdp& mdp, const ValueIterationOptions& o
 
 /// Howard policy iteration over rt::evaluate_stationary_policy.
 MdpSolution solve_policy_iteration(const Mdp& mdp, double gamma, std::size_t max_rounds = 1000);
-
-/// Backward induction.
-FiniteHorizonSolution solve_finite_horizon(const Mdp& mdp, std::size_t horizon,
-                                           double gamma = 1.0);
 
 }  // namespace clr::rt::reference

@@ -1,7 +1,6 @@
 // Differential test of the MDP solvers' row-expectation cache (DESIGN.md
-// §5.14): rt::solve_value_iteration, rt::solve_policy_iteration and
-// rt::solve_finite_horizon must equal the per-(state, action) oracle in
-// reference_mdp.cpp bit for bit — value, policy, iterations, residual and
+// §5.14): rt::solve_value_iteration and rt::solve_policy_iteration must
+// equal the per-(state, action) oracle in reference_mdp.cpp bit for bit — value, policy, iterations, residual and
 // converged — on fuzzed MDPs in four row shapes (one row per (s, a); rows
 // shared by action; production-shaped rows keyed by (bin, a) with the
 // zero-probability entries dropped; a state listed twice in one row), with
@@ -214,23 +213,6 @@ TEST(MdpDifferential, PolicyIterationMatchesTheReferenceBitwise) {
                               std::to_string(instance) + " gamma " + std::to_string(gamma);
     expect_same(solve_policy_iteration(mdp, gamma, rounds),
                 reference::solve_policy_iteration(mdp, gamma, rounds), where);
-  }
-}
-
-TEST(MdpDifferential, FiniteHorizonMatchesTheReferenceBitwise) {
-  util::Rng rng(0x5EED0003);
-  const double gammas[] = {1.0, 0.9, 0.0};
-  for (int instance = 0; instance < 120; ++instance) {
-    const Shape shape = kShapes[instance % 4];
-    const Mdp mdp = fuzz_mdp(rng, shape);
-    const double gamma = gammas[(instance / 4) % 3];
-    const std::size_t horizon = rng.index(9);
-    const std::string where = std::string(name(shape)) + " instance " +
-                              std::to_string(instance) + " horizon " + std::to_string(horizon);
-    const FiniteHorizonSolution got = solve_finite_horizon(mdp, horizon, gamma);
-    const FiniteHorizonSolution want = reference::solve_finite_horizon(mdp, horizon, gamma);
-    EXPECT_EQ(got.policy, want.policy) << where;
-    expect_values(got.value, want.value, where);
   }
 }
 

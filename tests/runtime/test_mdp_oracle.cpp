@@ -6,11 +6,8 @@
 // optimal" is a bit-exact comparison against a brute-force maximum — not a
 // tolerance check against a reimplementation that could share a bug.
 //
-//   - finite horizon: ALL (possibly non-stationary) action sequences are
-//     enumerated and evaluate_finite_horizon_policy-scored; backward
-//     induction must attain the enumerated maximum exactly;
-//   - infinite horizon: all stationary deterministic policies are enumerated
-//     and evaluate_stationary_policy-scored; the value-iteration and
+//   - all stationary deterministic policies are enumerated and
+//     evaluate_stationary_policy-scored; the value-iteration and
 //     policy-iteration policies must attain the per-state maximum exactly
 //     (an optimal policy maximizes the value in every state simultaneously);
 //   - the converged Bellman residual is independently recomputed and checked
@@ -112,63 +109,6 @@ std::vector<std::uint32_t> nth_stationary(
   return policy;
 }
 
-TEST(MdpOracle, BackwardInductionAttainsTheExhaustiveFiniteHorizonOptimumExactly) {
-  util::Rng rng(20260808);
-  int instances = 0;
-  // >= 50 fuzzed instances; the horizon shrinks as the per-step policy count
-  // grows so the full (A^S)^H non-stationary enumeration stays ~<= 20000.
-  while (instances < 56) {
-    const std::size_t S = static_cast<std::size_t>(rng.uniform_int(2, 6));
-    const std::size_t A = static_cast<std::size_t>(rng.uniform_int(2, 4));
-    const Mdp mdp = fuzz_mdp(rng, S, A);
-    const auto per_state = allowed_actions(mdp);
-    const std::uint64_t per_step = stationary_count(per_state);
-    std::size_t horizon = 1;
-    std::uint64_t total = per_step;
-    while (horizon < 4 && total * per_step <= 20000) {
-      ++horizon;
-      total *= per_step;
-    }
-    ++instances;
-
-    // Uniform start distribution: optimality must hold from every state, so
-    // a mixture catches a solver wrong in any of them.
-    const std::vector<double> initial(S, 1.0 / static_cast<double>(S));
-
-    // Enumerate EVERY non-stationary policy (an independent stationary map
-    // per step) — for a finite MDP this sweeps the whole deterministic
-    // policy space, Markov policies being sufficient for optimality.
-    double best = -std::numeric_limits<double>::infinity();
-    std::vector<std::vector<std::uint32_t>> candidate(horizon);
-    for (std::uint64_t code = 0; code < total; ++code) {
-      std::uint64_t c = code;
-      for (std::size_t t = 0; t < horizon; ++t) {
-        candidate[t] = nth_stationary(per_state, c % per_step);
-        c /= per_step;
-      }
-      best = std::max(best, evaluate_finite_horizon_policy(mdp, candidate, initial));
-    }
-
-    const FiniteHorizonSolution solved = solve_finite_horizon(mdp, horizon);
-    const double solver_score = evaluate_finite_horizon_policy(mdp, solved.policy, initial);
-    // Bit-exact: the solver's policy is inside the enumerated set and both
-    // sides are scored by the same routine, so any suboptimality — even one
-    // ulp — fails here.
-    EXPECT_EQ(solver_score, best)
-        << "instance " << instances << " (S=" << S << " A=" << A << " H=" << horizon << ")";
-
-    // The solver's own value function must agree with its policy's exact
-    // score state-by-state (start distribution concentrated on s).
-    for (std::size_t s = 0; s < S; ++s) {
-      std::vector<double> delta(S, 0.0);
-      delta[s] = 1.0;
-      EXPECT_NEAR(evaluate_finite_horizon_policy(mdp, solved.policy, delta), solved.value[s],
-                  1e-12 * (1.0 + std::abs(solved.value[s])));
-    }
-  }
-  EXPECT_GE(instances, 50);
-}
-
 TEST(MdpOracle, ValueIterationAttainsTheExhaustiveStationaryOptimumExactly) {
   util::Rng rng(777);
   const double gamma = 0.9;
@@ -195,9 +135,9 @@ TEST(MdpOracle, ValueIterationAttainsTheExhaustiveStationaryOptimumExactly) {
     ASSERT_TRUE(vi.converged);
     const auto vi_value = evaluate_stationary_policy(mdp, vi.policy, gamma);
     for (std::size_t s = 0; s < S; ++s) {
-      // Bit-exact for the same measure-zero-ties reason as the finite
-      // horizon test: the VI policy is one of the enumerated candidates and
-      // both sides went through evaluate_stationary_policy.
+      // Bit-exact: the VI policy is one of the enumerated candidates, both
+      // sides went through evaluate_stationary_policy, and exact ties are
+      // measure-zero.
       EXPECT_EQ(vi_value[s], best[s]) << "instance " << instance << " state " << s;
     }
 

@@ -105,7 +105,9 @@ TEST_F(SimulatorTest, TraceRecordsFirstEvents) {
     EXPECT_GT(ev.time, prev);
     prev = ev.time;
     EXPECT_LT(ev.point, db_.size());
-    if (!ev.reconfigured) EXPECT_DOUBLE_EQ(ev.drc, 0.0);
+    if (!ev.reconfigured) {
+      EXPECT_DOUBLE_EQ(ev.drc, 0.0);
+    }
   }
 }
 

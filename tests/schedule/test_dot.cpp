@@ -12,8 +12,13 @@ TEST(Dot, PlainGraphContainsAllNodesAndEdges) {
   const std::string dot = to_dot(g);
   EXPECT_NE(dot.find("digraph"), std::string::npos);
   for (const auto& t : g.tasks()) {
-    EXPECT_NE(dot.find("n" + std::to_string(t.id) + " ["), std::string::npos);
-    if (!t.name.empty()) EXPECT_NE(dot.find(t.name), std::string::npos);
+    std::string node = "n";
+    node += std::to_string(t.id);
+    node += " [";
+    EXPECT_NE(dot.find(node), std::string::npos);
+    if (!t.name.empty()) {
+      EXPECT_NE(dot.find(t.name), std::string::npos);
+    }
   }
   std::size_t arrow_count = 0;
   for (std::size_t pos = dot.find("->"); pos != std::string::npos; pos = dot.find("->", pos + 2)) {

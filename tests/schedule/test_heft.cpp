@@ -4,6 +4,7 @@
 
 #include "dse/mapping_problem.hpp"
 #include "experiments/app.hpp"
+#include "validate_schedule.hpp"
 
 namespace clr::sched {
 namespace {

@@ -6,6 +6,7 @@
 #include "reliability/clr_config.hpp"
 #include "reliability/implementation.hpp"
 #include "taskgraph/generator.hpp"
+#include "validate_schedule.hpp"
 
 namespace clr::sched {
 namespace {

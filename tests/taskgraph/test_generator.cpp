@@ -38,7 +38,9 @@ TEST_P(GeneratorSweep, GraphIsConnectedFromSources) {
     if (!g.predecessors(t).empty()) ++with_preds;
   }
   EXPECT_EQ(with_preds + g.sources().size(), g.num_tasks());
-  if (g.num_tasks() > 1) EXPECT_LT(g.sources().size(), g.num_tasks());
+  if (g.num_tasks() > 1) {
+    EXPECT_LT(g.sources().size(), g.num_tasks());
+  }
 }
 
 TEST_P(GeneratorSweep, RespectsOutDegreeCap) {
