@@ -36,7 +36,7 @@ ReplicatedStats replicate_stats(const std::vector<rt::RuntimeStats>& runs) {
   };
   ReplicatedStats s;
   s.replications = runs.size();
-#define CLR_REPLICATE(stat, fold, since, device, block, mean, replicated) \
+#define CLR_REPLICATE(stat, fold, device, block, mean, replicated) \
   CLR_STAT_IF(replicated)(s.replicated = summarize_runs(&rt::RuntimeStats::stat);)
   CLR_RUNTIME_STATS(CLR_REPLICATE)
 #undef CLR_REPLICATE
@@ -326,7 +326,7 @@ io::Json grid_report(const std::string& experiment, const RunnerConfig& config,
         {"pe_mtbf", io::Json(res.params.faults.pe_mtbf)},
         {"prefetch", io::Json(res.params.prefetch)},
     };
-#define CLR_SUMMARY_KEY(stat, fold, since, device, block, mean, replicated) \
+#define CLR_SUMMARY_KEY(stat, fold, device, block, mean, replicated) \
   CLR_STAT_IF(replicated)(cell.emplace_back(#replicated, summary_json(res.stats.replicated));)
     CLR_RUNTIME_STATS(CLR_SUMMARY_KEY)
 #undef CLR_SUMMARY_KEY

@@ -71,7 +71,7 @@ struct ReplicatedStats {
 };
 
 // Every summary has a row in runtime/stat_table.hpp.
-#define CLR_SUMMARY_BYTES(stat, fold, since, device, block, mean, replicated) \
+#define CLR_SUMMARY_BYTES(stat, fold, device, block, mean, replicated) \
   CLR_STAT_IF(replicated)(+sizeof(ReplicatedStats::replicated))
 static_assert(sizeof(ReplicatedStats) ==
               sizeof(std::size_t) CLR_RUNTIME_STATS(CLR_SUMMARY_BYTES));

@@ -22,7 +22,7 @@ namespace {
 DeviceResult to_result(std::uint64_t id, const rt::RuntimeStats& s) {
   DeviceResult r;
   r.device = id;
-#define CLR_COPY(stat, fold, since, device, ...) CLR_STAT_IF(device)(r.device = s.stat;)
+#define CLR_COPY(stat, fold, device, ...) CLR_STAT_IF(device)(r.device = s.stat;)
   CLR_RUNTIME_STATS(CLR_COPY)
 #undef CLR_COPY
   return r;
@@ -145,7 +145,7 @@ FleetSummary summarize(const FleetProgress& progress) {
   }
   const double n = static_cast<double>(s.totals.devices);
   if (s.totals.devices > 0) {
-#define CLR_MEAN(stat, fold, since, device, block, mean, ...) \
+#define CLR_MEAN(stat, fold, device, block, mean, ...) \
   CLR_STAT_IF(mean)(s.mean = s.totals.block / n;)
     CLR_RUNTIME_STATS(CLR_MEAN)
 #undef CLR_MEAN

@@ -84,7 +84,7 @@ struct FleetSummary {
 };
 
 // Every mean has a row in runtime/stat_table.hpp.
-#define CLR_MEAN_BYTES(stat, fold, since, device, block, mean, ...) \
+#define CLR_MEAN_BYTES(stat, fold, device, block, mean, ...) \
   CLR_STAT_IF(mean)(+rt::stat_bytes<rt::Fold::fold, decltype(FleetSummary::mean)>())
 static_assert(sizeof(FleetSummary) == sizeof(BlockSum) CLR_RUNTIME_STATS(CLR_MEAN_BYTES));
 #undef CLR_MEAN_BYTES

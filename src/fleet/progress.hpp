@@ -91,7 +91,7 @@ struct BlockSum {
   /// block — the worker that owns the block simulates it in that order).
   void add(const DeviceResult& r) {
     devices += 1;
-#define CLR_ADD(stat, fold, since, device, block, ...) \
+#define CLR_ADD(stat, fold, device, block, ...) \
   CLR_STAT_IF(block)(rt::fold_stat<rt::Fold::fold>(block, r.device);)
     CLR_RUNTIME_STATS(CLR_ADD)
 #undef CLR_ADD
@@ -101,7 +101,7 @@ struct BlockSum {
   /// order for the double sums to have their one canonical grouping).
   void merge(const BlockSum& b) {
     devices += b.devices;
-#define CLR_MERGE(stat, fold, since, device, block, ...) \
+#define CLR_MERGE(stat, fold, device, block, ...) \
   CLR_STAT_IF(block)(rt::fold_stat<rt::Fold::fold>(block, b.block);)
     CLR_RUNTIME_STATS(CLR_MERGE)
 #undef CLR_MERGE
@@ -110,23 +110,23 @@ struct BlockSum {
 
 // Every stat member of DeviceResult and BlockSum has a row in
 // runtime/stat_table.hpp.
-#define CLR_DEVICE_BYTES(stat, fold, since, device, ...) \
+#define CLR_DEVICE_BYTES(stat, fold, device, ...) \
   CLR_STAT_IF(device)(+rt::stat_bytes<rt::Fold::fold, decltype(DeviceResult::device)>())
-#define CLR_BLOCK_BYTES(stat, fold, since, device, block, ...) \
+#define CLR_BLOCK_BYTES(stat, fold, device, block, ...) \
   CLR_STAT_IF(block)(+rt::stat_bytes<rt::Fold::fold, decltype(BlockSum::block)>())
 static_assert(sizeof(DeviceResult) == sizeof(std::uint64_t) CLR_RUNTIME_STATS(CLR_DEVICE_BYTES));
 static_assert(sizeof(BlockSum) == sizeof(std::uint64_t) CLR_RUNTIME_STATS(CLR_BLOCK_BYTES));
 #undef CLR_DEVICE_BYTES
 #undef CLR_BLOCK_BYTES
 
-/// Calls visit(name, since, member) for every BlockSum stat in FleetState
+/// Calls visit(name, member) for every BlockSum stat in FleetState
 /// wire order: the counts, then the sums, then the max, each group in table
 /// order. `member` points to the BlockSum member, `name` is its name.
 template <typename Visit>
 void for_each_block_stat(Visit&& visit) {
   for (const rt::Fold group : rt::kFoldOrder) {
-#define CLR_VISIT(stat, fold, since, device, block, ...) \
-  CLR_STAT_IF(block)(if (group == rt::Fold::fold) visit(#block, since, &BlockSum::block);)
+#define CLR_VISIT(stat, fold, device, block, ...) \
+  CLR_STAT_IF(block)(if (group == rt::Fold::fold) visit(#block, &BlockSum::block);)
     CLR_RUNTIME_STATS(CLR_VISIT)
 #undef CLR_VISIT
   }

@@ -1,6 +1,5 @@
 #include "io/checkpoint.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -20,20 +19,9 @@ constexpr std::uint64_t kMaxCkptJobs = std::uint64_t{1} << 24;
 /// from overflow.
 constexpr std::uint64_t kMaxFleetDevices = std::uint64_t{1} << 40;
 
-[[noreturn]] void fail(SnapshotError::Kind kind, const std::string& message) {
-  throw SnapshotError(kind, message);
-}
-
-// --- Little-endian append (mirrors io/snapshot.cpp's container encoding) ---
-
-template <typename T>
-void append_scalar(std::string& out, T v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  out.append(buf, sizeof v);
-}
-
-void pad_to_8(std::string& out) { out.append((8 - out.size() % 8) % 8, '\0'); }
+using detail::append_scalar;
+using detail::fail;
+using detail::pad_to_8;
 
 // --- Bounded decode cursor ---------------------------------------------------
 
@@ -192,71 +180,36 @@ dse::DesignDb decode_design_db(Cursor& cursor) {
   return db;
 }
 
-// A row first stored in a version this build cannot write would be encoded
-// under an older header and then skipped by the decoder.
-#define CLR_SINCE(stat, fold, since, ...) \
-  static_assert(since <= kSnapshotVersion, "bump kSnapshotVersion for " #stat);
-CLR_RUNTIME_STATS(CLR_SINCE)
-#undef CLR_SINCE
-
-/// RuntimeStats without the trace, in table order (runtime/stat_table.hpp).
-/// Versions <= 3 stored the 18 stats that predate the reconfiguration port
-/// (144 bytes per job); version 4 stores all 23 (184 bytes).
+/// RuntimeStats without the trace, in table order (runtime/stat_table.hpp):
+/// 23 stats, 184 bytes per job.
 void encode_stats(std::string& out, const rt::RuntimeStats& s) {
 #define CLR_ENCODE(stat, fold, ...) append_scalar<rt::StatValue<rt::Fold::fold>>(out, s.stat);
   CLR_RUNTIME_STATS(CLR_ENCODE)
 #undef CLR_ENCODE
 }
 
-rt::RuntimeStats decode_stats(Cursor& cursor, std::uint32_t version) {
+rt::RuntimeStats decode_stats(Cursor& cursor) {
   rt::RuntimeStats s;
-#define CLR_DECODE(stat, fold, since, ...) \
-  if (version >= since) s.stat = cursor.take<rt::StatValue<rt::Fold::fold>>("stats " #stat);
+#define CLR_DECODE(stat, fold, ...) \
+  s.stat = cursor.take<rt::StatValue<rt::Fold::fold>>("stats " #stat);
   CLR_RUNTIME_STATS(CLR_DECODE)
 #undef CLR_DECODE
-  if (version < 4) {
-    // Pre-v4 runs had no reconfiguration port model: every reconfiguration
-    // stalled in full, so the split is reconstructible exactly — stall equals
-    // the folded cost, nothing was hidden or prefetched (those stats keep
-    // their zero defaults), and service availability is the same clamp the
-    // simulator applies (bit-identical inputs, same formula).
-    s.reconfig_stall_time = s.total_reconfig_cost;
-    s.service_availability =
-        s.total_cycles > 0.0
-            ? std::clamp(1.0 - (s.downtime + s.reconfig_stall_time) / s.total_cycles, 0.0, 1.0)
-            : 1.0;
-  }
   return s;
 }
 
 /// fleet::BlockSum in FleetState order (fleet::for_each_block_stat): devices,
-/// then the counts, the sums and the max. Versions <= 3 stored 10 counters +
-/// 7 doubles (136 bytes per block); version 4 stores 12 + 10 (176 bytes).
+/// then the 11 counts, the 9 sums and the max, 176 bytes per block.
 void encode_block_sum(std::string& out, const fleet::BlockSum& b) {
   append_scalar<std::uint64_t>(out, b.devices);
-  fleet::for_each_block_stat([&](const char*, std::uint32_t, auto member) {
-    append_scalar(out, b.*member);
-  });
+  fleet::for_each_block_stat([&](const char*, auto member) { append_scalar(out, b.*member); });
 }
 
-fleet::BlockSum decode_block_sum(Cursor& cursor, std::uint32_t version) {
+fleet::BlockSum decode_block_sum(Cursor& cursor) {
   fleet::BlockSum b;
   b.devices = cursor.take<std::uint64_t>("block devices");
-  fleet::for_each_block_stat([&](const char* name, std::uint32_t since, auto member) {
-    if (version >= since) {
-      b.*member = cursor.take<std::remove_reference_t<decltype(b.*member)>>("block ", name);
-    }
+  fleet::for_each_block_stat([&](const char* name, auto member) {
+    b.*member = cursor.take<std::remove_reference_t<decltype(b.*member)>>("block ", name);
   });
-  if (version < 4) {
-    // Pre-v4 fleets never prefetched, so every device stalled its full dRC:
-    // the stall fold is bit-identical to the cost fold (same addends, same
-    // block order), and nothing was hidden or prefetched (zero defaults). The
-    // per-device service-availability clamp is not recoverable from a folded
-    // sum; fault availability is its exact value whenever no device stalled
-    // and its upper bound otherwise — the closest reconstruction available.
-    b.stall_time_sum = b.reconfig_cost_sum;
-    b.service_availability_sum = b.availability_sum;
-  }
   return b;
 }
 
@@ -307,7 +260,7 @@ std::string serialize_explore_checkpoint(const ExploreCheckpoint& checkpoint) {
   std::vector<detail::RawSection> sections;
   sections.push_back(
       {static_cast<std::uint32_t>(SnapshotSection::ExploreState), std::move(payload)});
-  return detail::assemble_snapshot_container(kSnapshotVersion, std::move(sections));
+  return detail::assemble_snapshot_container(std::move(sections));
 }
 
 ExploreCheckpoint decode_explore_checkpoint(const SnapshotView& view) {
@@ -362,7 +315,7 @@ std::string serialize_runner_checkpoint(const RunnerCheckpoint& checkpoint) {
   std::vector<detail::RawSection> sections;
   sections.push_back(
       {static_cast<std::uint32_t>(SnapshotSection::RunnerState), std::move(payload)});
-  return detail::assemble_snapshot_container(kSnapshotVersion, std::move(sections));
+  return detail::assemble_snapshot_container(std::move(sections));
 }
 
 RunnerCheckpoint decode_runner_checkpoint(const SnapshotView& view) {
@@ -382,7 +335,7 @@ RunnerCheckpoint decode_runner_checkpoint(const SnapshotView& view) {
     c.done.push_back(flags[i]);
   }
   c.runs.reserve(static_cast<std::size_t>(jobs));
-  for (std::uint64_t i = 0; i < jobs; ++i) c.runs.push_back(decode_stats(cursor, view.version()));
+  for (std::uint64_t i = 0; i < jobs; ++i) c.runs.push_back(decode_stats(cursor));
   expect_only_padding(cursor, "runner checkpoint");
   return c;
 }
@@ -419,7 +372,7 @@ std::string serialize_fleet_checkpoint(const FleetCheckpoint& checkpoint) {
   std::vector<detail::RawSection> sections;
   sections.push_back(
       {static_cast<std::uint32_t>(SnapshotSection::FleetState), std::move(payload)});
-  return detail::assemble_snapshot_container(kSnapshotVersion, std::move(sections));
+  return detail::assemble_snapshot_container(std::move(sections));
 }
 
 FleetCheckpoint decode_fleet_checkpoint(const SnapshotView& view) {
@@ -455,8 +408,7 @@ FleetCheckpoint decode_fleet_checkpoint(const SnapshotView& view) {
     c.progress.done.push_back(flags[i]);
   }
   c.progress.blocks.reserve(static_cast<std::size_t>(blocks));
-  for (std::uint64_t i = 0; i < blocks; ++i)
-    c.progress.blocks.push_back(decode_block_sum(cursor, view.version()));
+  for (std::uint64_t i = 0; i < blocks; ++i) c.progress.blocks.push_back(decode_block_sum(cursor));
   expect_only_padding(cursor, "fleet checkpoint");
   return c;
 }
@@ -479,6 +431,7 @@ std::optional<Snapshot> CheckpointStore::load_newest() {
   std::optional<Snapshot> best;
   std::uint64_t best_sequence = 0;
   int best_slot = -1;
+  std::optional<SnapshotError> refused;
   for (int slot = 0; slot < 2; ++slot) {
     const std::string path = slot == 0 ? slot_a() : slot_b();
     try {
@@ -489,11 +442,15 @@ std::optional<Snapshot> CheckpointStore::load_newest() {
         best_slot = slot;
         best = std::move(snapshot);
       }
-    } catch (const SnapshotError&) {
-      // Missing, torn or corrupted slot: the sibling is the fallback.
+    } catch (const SnapshotError& e) {
+      // Missing, torn or corrupted slot: the sibling is the fallback. A slot
+      // of another format version is intact, so it is not overwritten by a
+      // fresh start.
+      if (e.kind() == SnapshotError::Kind::BadVersion && !refused) refused = e;
     }
   }
   if (best_slot < 0) {
+    if (refused) throw *refused;
     write_slot_ = 0;
     next_sequence_ = 1;
     return std::nullopt;

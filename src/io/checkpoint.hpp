@@ -127,6 +127,8 @@ class CheckpointStore {
   /// return the validated snapshot with the highest sequence (nullopt when
   /// neither slot loads). Marks the *other* slot as the next write target,
   /// so the newest good checkpoint is never overwritten by the next save.
+  /// When neither slot loads but one holds another format version, throws
+  /// that slot's BadVersion error instead: a fresh start would overwrite it.
   std::optional<Snapshot> load_newest();
 
   /// The sequence the next saved checkpoint must carry: 1 on a fresh store,

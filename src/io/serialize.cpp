@@ -171,10 +171,17 @@ rel::ClrSpace clr_space_from_json(const Json& j) {
   check_version(j, "CLR space");
   std::vector<rel::ClrConfig> configs;
   for (const auto& c : j.at("configs").as_array()) {
+    const std::int64_t hw = c.at("hw").as_int();
+    const std::int64_t ssw = c.at("ssw").as_int();
+    const std::int64_t asw = c.at("asw").as_int();
+    const std::string error = rel::technique_code_error(hw, ssw, asw);
+    if (!error.empty()) {
+      throw JsonError("CLR space config " + std::to_string(configs.size()) + ": " + error, 0);
+    }
     rel::ClrConfig config;
-    config.hw = static_cast<rel::HwTechnique>(c.at("hw").as_int());
-    config.ssw = static_cast<rel::SswTechnique>(c.at("ssw").as_int());
-    config.asw = static_cast<rel::AswTechnique>(c.at("asw").as_int());
+    config.hw = static_cast<rel::HwTechnique>(hw);
+    config.ssw = static_cast<rel::SswTechnique>(ssw);
+    config.asw = static_cast<rel::AswTechnique>(asw);
     config.ssw_param = static_cast<std::uint8_t>(c.at("ssw_param").as_int());
     configs.push_back(config);
   }

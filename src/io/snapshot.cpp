@@ -31,8 +31,8 @@ namespace {
 constexpr std::uint8_t kMagic[8] = {0x89, 'C', 'L', 'R', 'D', 'B', 0x0D, 0x0A};
 constexpr std::size_t kHeaderSize = 40;
 constexpr std::size_t kSectionEntrySize = 24;
-/// Backstop against absurd section tables in hostile headers; version 1
-/// defines three section kinds, so even future formats stay far below this.
+/// Backstop against absurd section tables in hostile headers; the format
+/// defines seven section kinds, so even future formats stay far below this.
 constexpr std::uint32_t kMaxSections = 256;
 /// Element-count caps keeping every size computation far from u64 overflow.
 constexpr std::uint64_t kMaxCount = std::uint64_t{1} << 32;
@@ -43,24 +43,18 @@ constexpr std::uint32_t kMaxMdpBins = 1u << 16;
 
 std::uint64_t align8(std::uint64_t n) { return (n + 7) & ~std::uint64_t{7}; }
 
-// --- Little-endian scalar access (memcpy: alignment-safe, optimizes to a
-// plain load/store on every supported target). ---
+using detail::append_scalar;
+using detail::fail;
+using detail::pad_to_8;
 
+/// Little-endian scalar load (memcpy: alignment-safe, a plain load on every
+/// supported target).
 template <typename T>
 T load_scalar(const std::uint8_t* p) {
   T v;
   std::memcpy(&v, p, sizeof v);
   return v;
 }
-
-template <typename T>
-void append_scalar(std::string& out, T v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  out.append(buf, sizeof v);
-}
-
-void pad_to_8(std::string& out) { out.append(align8(out.size()) - out.size(), '\0'); }
 
 std::string hex(std::uint64_t v) {
   char buf[19];
@@ -75,11 +69,11 @@ struct SectionEntry {
   std::uint64_t size = 0;
 };
 
-[[noreturn]] void fail(SnapshotError::Kind kind, const std::string& message) {
+}  // namespace
+
+void detail::fail(SnapshotError::Kind kind, const std::string& message) {
   throw SnapshotError(kind, message);
 }
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // SnapshotView::attach — full hostile-input validation
@@ -103,18 +97,16 @@ SnapshotView SnapshotView::attach(const void* data, std::size_t size) {
                                              std::to_string(kHeaderSize) + "-byte header");
   }
 
-  SnapshotView v;
-  v.version_ = load_scalar<std::uint32_t>(bytes + 8);
-  if (v.version_ == 0 || v.version_ > kSnapshotVersion) {
+  // The one version check of the format: no other version is readable.
+  const auto version = load_scalar<std::uint32_t>(bytes + 8);
+  if (version != kSnapshotVersion) {
     fail(SnapshotError::Kind::BadVersion,
-         "snapshot version " + std::to_string(v.version_) + " (this reader supports 1.." +
+         "format version " + std::to_string(version) + " (this reader supports only version " +
              std::to_string(kSnapshotVersion) + ")");
   }
   const auto flags = load_scalar<std::uint32_t>(bytes + 12);
   if (flags != 0) {
-    fail(SnapshotError::Kind::BadValue,
-         "unknown header flags " + hex(flags) + " (version " + std::to_string(v.version_) +
-             " defines none)");
+    fail(SnapshotError::Kind::BadValue, "unknown header flags " + hex(flags) + " (must be 0)");
   }
   const auto declared_size = load_scalar<std::uint64_t>(bytes + 16);
   if (declared_size != size) {
@@ -152,16 +144,8 @@ SnapshotView SnapshotView::attach(const void* data, std::size_t size) {
   }
 
   // Section table: bounds-check every entry against the buffer before any
-  // payload byte is interpreted. Version 1 defines kinds 1..3; version 2
-  // adds the checkpoint kinds 5..6; version 3 adds the fleet checkpoint
-  // kind 7; version 4 adds the MdpPolicy companion kind 8 (4 stays reserved
-  // throughout).
-  const auto kind_allowed = [&](std::uint32_t kind) {
-    if (kind >= 1 && kind <= 3) return true;
-    if (v.version_ >= 2 && (kind == 5 || kind == 6)) return true;
-    if (v.version_ >= 3 && kind == 7) return true;
-    return v.version_ >= 4 && kind == 8;
-  };
+  // payload byte is interpreted. Kinds 1..3 and 5..8 are defined; 4 stays
+  // reserved.
   std::vector<SectionEntry> sections;
   sections.reserve(section_count);
   bool seen[9] = {};
@@ -176,14 +160,9 @@ SnapshotView SnapshotView::attach(const void* data, std::size_t size) {
       fail(SnapshotError::Kind::BadValue,
            "section " + std::to_string(i) + ": reserved field is " + hex(reserved));
     }
-    if (!kind_allowed(s.kind)) {
-      fail(SnapshotError::Kind::BadValue,
-           "unknown section kind " + std::to_string(s.kind) + " (version " +
-               std::to_string(v.version_) +
-               (v.version_ == 1   ? " defines kinds 1..3)"
-                : v.version_ == 2 ? " defines kinds 1..3, 5..6)"
-                : v.version_ == 3 ? " defines kinds 1..3, 5..7)"
-                                  : " defines kinds 1..3, 5..8)"));
+    if (s.kind < 1 || s.kind > 8 || s.kind == 4) {
+      fail(SnapshotError::Kind::BadValue, "unknown section kind " + std::to_string(s.kind) +
+                                              " (the format defines kinds 1..3, 5..8)");
     }
     if (seen[s.kind]) {
       fail(SnapshotError::Kind::BadValue, "duplicate section kind " + std::to_string(s.kind));
@@ -202,10 +181,10 @@ SnapshotView SnapshotView::attach(const void* data, std::size_t size) {
     sections.push_back(s);
   }
   // Shape rule: a file is either a design database (ClrSpace + DesignPoints
-  // [+ DrcMatrix] [+ MdpPolicy from version 4]) or, from version 2, a single
-  // checkpoint section. The only-section rule below already forbids an
-  // MdpPolicy companion riding with a checkpoint; the required-sections rule
-  // forbids it without its design database.
+  // [+ DrcMatrix] [+ MdpPolicy]) or a single checkpoint section. The
+  // only-section rule below already forbids an MdpPolicy companion riding
+  // with a checkpoint; the required-sections rule forbids it without its
+  // design database.
   const bool has_checkpoint_section =
       seen[static_cast<std::uint32_t>(SnapshotSection::ExploreState)] ||
       seen[static_cast<std::uint32_t>(SnapshotSection::RunnerState)] ||
@@ -224,6 +203,7 @@ SnapshotView SnapshotView::attach(const void* data, std::size_t size) {
 
   // Per-section structural decode. Every count is validated against the
   // section's byte size before a span is formed.
+  SnapshotView v;
   for (const SectionEntry& s : sections) {
     const std::uint8_t* p = bytes + s.offset;
     switch (static_cast<SnapshotSection>(s.kind)) {
@@ -246,6 +226,14 @@ SnapshotView SnapshotView::attach(const void* data, std::size_t size) {
         }
         v.clr_count_ = static_cast<std::size_t>(count);
         v.clr_configs_ = {p + 8, static_cast<std::size_t>(count) * 4};
+        for (std::size_t i = 0; i < v.clr_count_; ++i) {
+          const std::uint8_t* c = p + 8 + i * 4;
+          const std::string error = rel::technique_code_error(c[0], c[1], c[2]);
+          if (!error.empty()) {
+            fail(SnapshotError::Kind::BadValue,
+                 "ClrSpace config " + std::to_string(i) + ": " + error);
+          }
+        }
         break;
       }
       case SnapshotSection::DesignPoints: {
@@ -440,7 +428,7 @@ rel::ClrConfig SnapshotView::clr_config(std::size_t i) const {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization (version-gated)
+// Serialization
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -524,8 +512,7 @@ std::string encode_mdp_table(const rt::MdpTable& mdp) {
 
 namespace detail {
 
-std::string assemble_snapshot_container(std::uint32_t version,
-                                        std::vector<RawSection> sections) {
+std::string assemble_snapshot_container(std::vector<RawSection> sections) {
   const std::uint64_t payload_start = kHeaderSize + sections.size() * kSectionEntrySize;
   std::string payload;
   std::vector<SectionEntry> table;
@@ -541,7 +528,7 @@ std::string assemble_snapshot_container(std::uint32_t version,
   std::string out;
   out.reserve(payload_start + payload.size());
   out.append(reinterpret_cast<const char*>(kMagic), sizeof kMagic);
-  append_scalar<std::uint32_t>(out, version);
+  append_scalar<std::uint32_t>(out, kSnapshotVersion);
   append_scalar<std::uint32_t>(out, 0);  // flags
   append_scalar<std::uint64_t>(out, payload_start + payload.size());
   append_scalar<std::uint64_t>(out, util::fnv1a(payload.data(), payload.size()));
@@ -559,28 +546,12 @@ std::string assemble_snapshot_container(std::uint32_t version,
 
 }  // namespace detail
 
-std::string serialize_snapshot_for_version(std::uint32_t version, const dse::DesignDb& db,
-                                           const rel::ClrSpace& space,
-                                           const rt::DrcMatrix* drc,
-                                           const rt::MdpTable* mdp) {
-  // The design-database sections are layout-identical in versions 1..4;
-  // only the header version differs (versions 2 and 3 additionally *allow*
-  // checkpoint sections, which this writer never emits, and version 4 the
-  // MdpPolicy companion below).
-  if (version != 1 && version != 2 && version != 3 && version != 4) {
-    fail(SnapshotError::Kind::BadVersion,
-         "cannot serialize snapshot version " + std::to_string(version) +
-             " (this writer supports 1.." + std::to_string(kSnapshotVersion) + ")");
-  }
+std::string serialize_snapshot(const dse::DesignDb& db, const rel::ClrSpace& space,
+                               const rt::DrcMatrix* drc, const rt::MdpTable* mdp) {
   if (drc != nullptr && drc->size() != db.size()) {
     fail(SnapshotError::Kind::BadValue,
          "DrcMatrix spans " + std::to_string(drc->size()) + " points but the database holds " +
              std::to_string(db.size()));
-  }
-  if (mdp != nullptr && version < 4) {
-    fail(SnapshotError::Kind::BadVersion,
-         "an MdpPolicy section needs format version 4, cannot emit it at version " +
-             std::to_string(version));
   }
   if (mdp != nullptr && mdp->num_points != db.size()) {
     fail(SnapshotError::Kind::BadValue,
@@ -601,12 +572,7 @@ std::string serialize_snapshot_for_version(std::uint32_t version, const dse::Des
     sections.push_back({static_cast<std::uint32_t>(SnapshotSection::MdpPolicy),
                         encode_mdp_table(*mdp)});
   }
-  return detail::assemble_snapshot_container(version, std::move(sections));
-}
-
-std::string serialize_snapshot(const dse::DesignDb& db, const rel::ClrSpace& space,
-                               const rt::DrcMatrix* drc, const rt::MdpTable* mdp) {
-  return serialize_snapshot_for_version(kSnapshotVersion, db, space, drc, mdp);
+  return detail::assemble_snapshot_container(std::move(sections));
 }
 
 void write_file_durable(const std::string& path, std::string_view bytes) {
@@ -749,9 +715,13 @@ Snapshot Snapshot::open(const std::string& path) {
 // Materialization
 // ---------------------------------------------------------------------------
 
-namespace {
-
-LoadedSnapshot materialize_v1(const SnapshotView& view) {
+LoadedSnapshot materialize(const SnapshotView& view) {
+  if (view.has_checkpoint()) {
+    fail(SnapshotError::Kind::BadValue,
+         "file holds a checkpoint (section kind " +
+             std::to_string(view.checkpoint_section_kind()) +
+             "), not a design database — resume it with --resume / io::checkpoint");
+  }
   LoadedSnapshot loaded;
 
   std::vector<rel::ClrConfig> configs;
@@ -804,32 +774,6 @@ LoadedSnapshot materialize_v1(const SnapshotView& view) {
     loaded.mdp = std::move(table);
   }
   return loaded;
-}
-
-}  // namespace
-
-LoadedSnapshot materialize(const SnapshotView& view) {
-  if (view.has_checkpoint()) {
-    fail(SnapshotError::Kind::BadValue,
-         "file holds a checkpoint (section kind " +
-             std::to_string(view.checkpoint_section_kind()) +
-             "), not a design database — resume it with --resume / io::checkpoint");
-  }
-  switch (view.version()) {
-    // The design-database sections are layout-identical in versions 1..4
-    // (version 4 can additionally carry the MdpPolicy companion, which
-    // materialize_v1 copies out when present).
-    case 1:
-    case 2:
-    case 3:
-    case 4:
-      return materialize_v1(view);
-    default: break;
-  }
-  // attach() already rejects unknown versions; keep the dispatch total anyway.
-  fail(SnapshotError::Kind::BadVersion,
-       "no materializer for snapshot version " + std::to_string(view.version()) +
-           " (this reader supports 1.." + std::to_string(kSnapshotVersion) + ")");
 }
 
 LoadedSnapshot load_snapshot(const std::string& path) {

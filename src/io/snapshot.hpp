@@ -13,8 +13,8 @@
 //
 //   [0..8)   magic        89 'C' 'L' 'R' 'D' 'B' 0D 0A   (PNG-style: catches
 //                         text-mode mangling and truncated/foreign files)
-//   [8..12)  u32 version  format version; readers accept 1..kSnapshotVersion
-//   [12..16) u32 flags    must be 0 (reserved in every defined version)
+//   [8..12)  u32 version  format version; readers accept kSnapshotVersion only
+//   [12..16) u32 flags    must be 0 (reserved)
 //   [16..24) u64 file_size  total byte size; must equal the actual size
 //   [24..32) u64 checksum   FNV-1a64 over [payload_start, file_size)
 //   [32..36) u32 section_count
@@ -29,11 +29,13 @@
 // safe: any truncation, bad magic, unknown version/flag/section, checksum
 // mismatch, out-of-bounds offset or inconsistent count throws SnapshotError
 // — never reads past the buffer (fuzzed by tests/io/test_snapshot.cpp under
-// ASan). Versioning follows the RethinkDB serialize_for_version idiom:
-// writers are version-gated, readers dispatch on the header version, and a
-// future version is rejected with a found-vs-supported message.
+// ASan). Versioning follows the RethinkDB serialize_for_version idiom with a
+// range of one: every writer emits kSnapshotVersion, and attach() is the one
+// place that reads the header version, refusing any other with a
+// found-vs-supported message.
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -48,23 +50,17 @@
 
 namespace clr::io {
 
-/// Current snapshot format version; bump on any layout change and keep the
-/// old decoder alive behind the version dispatch.
+/// The one snapshot format version this build reads and writes. Bump it on
+/// any layout change; files of every other version are refused (BadVersion).
 ///
-/// Version history:
+/// Version history (only version 4 is readable):
 ///   1 — design-database container: ClrSpace + DesignPoints [+ DrcMatrix].
-///   2 — adds the checkpoint section kinds (ExploreState, RunnerState,
-///       DESIGN.md §5.12). A version-2 file holds EITHER a design database
-///       (same sections as version 1, byte-identical layout) OR exactly one
-///       checkpoint section — never both. Version-1 files still load.
-///   3 — adds the FleetState checkpoint kind (completed fleet aggregation
-///       blocks, DESIGN.md §5.13). Same shape rule as version 2; version-1
-///       and version-2 files still load.
-///   4 — adds the MdpPolicy design-database companion section (kind 8, the
-///       solved rt::MdpTable; DESIGN.md §5.14) and extends the checkpoint
-///       stats/block-sum payloads with the reconfiguration-port fields
-///       (io/checkpoint.cpp decodes older payload layouts by version).
-///       Versions 1-3 still load.
+///   2 — adds the ExploreState and RunnerState checkpoint kinds: a file holds
+///       EITHER a design database OR exactly one checkpoint section.
+///   3 — adds the FleetState checkpoint kind.
+///   4 — adds the MdpPolicy companion section (kind 8, the solved
+///       rt::MdpTable) and the reconfiguration-port stats in the RunnerState
+///       and FleetState payloads.
 inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// Section kinds. Values are part of the format; never reuse.
@@ -88,7 +84,7 @@ class SnapshotError : public std::runtime_error {
     Io,          ///< cannot open/read/map the file
     Truncated,   ///< buffer shorter than the structures it declares
     BadMagic,    ///< not a .clrdb file
-    BadVersion,  ///< version from the future (or 0)
+    BadVersion,  ///< any format version but kSnapshotVersion
     Checksum,    ///< payload bytes do not match the stored checksum
     Bounds,      ///< a section offset/size/count escapes the buffer
     BadValue,    ///< a stored value is structurally invalid (flags, indices)
@@ -115,11 +111,10 @@ class SnapshotView {
   /// and the Snapshot arena both guarantee this).
   static SnapshotView attach(const void* data, std::size_t size);
 
-  std::uint32_t version() const { return version_; }
-
   // --- CLR space ---
   std::size_t clr_space_size() const { return clr_count_; }
-  /// Decoded configuration `i` (encoded as 4 technique bytes in the file).
+  /// Decoded configuration `i` (encoded as 4 technique bytes in the file;
+  /// attach() checks each technique against its menu).
   rel::ClrConfig clr_config(std::size_t i) const;
 
   // --- Design points (columnar) ---
@@ -143,7 +138,7 @@ class SnapshotView {
   /// Row-major num_points()² cost table (empty when the section is absent).
   std::span<const double> drc_costs() const { return drc_costs_; }
 
-  // --- Optional MdpPolicy companion section (version 4, DESIGN.md §5.14) ---
+  // --- Optional MdpPolicy companion section (DESIGN.md §5.14) ---
   bool has_mdp() const { return mdp_present_; }
   std::uint32_t mdp_makespan_bins() const { return mdp_makespan_bins_; }
   std::uint32_t mdp_func_rel_bins() const { return mdp_func_rel_bins_; }
@@ -158,7 +153,7 @@ class SnapshotView {
   /// Value function per state (same indexing).
   std::span<const double> mdp_values() const { return mdp_values_; }
 
-  // --- Checkpoint sections (versions 2-3, DESIGN.md §5.12-5.13) ---
+  // --- Checkpoint sections (DESIGN.md §5.12-5.13) ---
   /// True when the file holds a checkpoint instead of a design database.
   bool has_checkpoint() const { return checkpoint_kind_ != 0; }
   /// The checkpoint's section kind (ExploreState, RunnerState or
@@ -172,7 +167,6 @@ class SnapshotView {
   friend class Snapshot;
   SnapshotView() = default;
 
-  std::uint32_t version_ = 0;
   std::size_t clr_count_ = 0;
   std::span<const std::uint8_t> clr_configs_;  ///< 4 bytes per config
   std::size_t num_points_ = 0;
@@ -237,8 +231,8 @@ struct LoadedSnapshot {
   /// Present when the file carried a DrcMatrix section; loaders then skip
   /// the O(n²·tasks) rebuild entirely.
   std::optional<rt::DrcMatrix> drc;
-  /// Present when the file carried an MdpPolicy section (version 4); loaders
-  /// then skip the offline value-iteration solve entirely.
+  /// Present when the file carried an MdpPolicy section; loaders then skip
+  /// the offline value-iteration solve entirely.
   std::optional<rt::MdpTable> mdp;
 };
 
@@ -248,18 +242,8 @@ struct LoadedSnapshot {
 /// Rejects checkpoint-holding files (those go through io/checkpoint.hpp).
 LoadedSnapshot materialize(const SnapshotView& view);
 
-/// Serialize for an explicit format version (RethinkDB serialize_for_version
-/// idiom). The design-database sections are layout-identical in versions
-/// 1..4, so all are writable — the older versions stay available for
-/// cross-version compatibility tests and downgrade-friendly exports. `drc`
-/// and `mdp` are optional; an `mdp` table requires version >= 4 (older
-/// versions cannot carry the section and are rejected with BadValue).
-std::string serialize_snapshot_for_version(std::uint32_t version, const dse::DesignDb& db,
-                                           const rel::ClrSpace& space,
-                                           const rt::DrcMatrix* drc,
-                                           const rt::MdpTable* mdp = nullptr);
-
-/// Serialize at the current version.
+/// Serialize a design database. `drc` and `mdp` are optional; each must span
+/// the database's points (BadValue otherwise).
 std::string serialize_snapshot(const dse::DesignDb& db, const rel::ClrSpace& space,
                                const rt::DrcMatrix* drc = nullptr,
                                const rt::MdpTable* mdp = nullptr);
@@ -289,18 +273,33 @@ bool has_snapshot_magic(std::string_view bytes);
 
 namespace detail {
 
+/// Throw a SnapshotError of `kind`.
+[[noreturn]] void fail(SnapshotError::Kind kind, const std::string& message);
+
+/// Append `v`'s little-endian bytes (memcpy: alignment-safe, a plain store on
+/// every supported target).
+template <typename T>
+void append_scalar(std::string& out, T v) {
+  char buf[sizeof v];
+  std::memcpy(buf, &v, sizeof v);
+  out.append(buf, sizeof v);
+}
+
+/// Zero-pad `out` to a multiple of 8 bytes (every section is 8-aligned).
+inline void pad_to_8(std::string& out) { out.append((8 - out.size() % 8) % 8, '\0'); }
+
 /// One raw section destined for a .clrdb container.
 struct RawSection {
   std::uint32_t kind = 0;
   std::string bytes;
 };
 
-/// Assemble a complete .clrdb image (magic, header, checksum, section table,
-/// 8-aligned payload) around pre-encoded section bytes. Shared by the
-/// design-database serializer and the checkpoint writers so the container
-/// discipline (alignment, checksum coverage) cannot drift between them.
-std::string assemble_snapshot_container(std::uint32_t version,
-                                        std::vector<RawSection> sections);
+/// Assemble a complete .clrdb image (magic, header at kSnapshotVersion,
+/// checksum, section table, 8-aligned payload) around pre-encoded section
+/// bytes. Shared by the design-database serializer and the checkpoint writers
+/// so the container discipline (alignment, checksum coverage) cannot drift
+/// between them.
+std::string assemble_snapshot_container(std::vector<RawSection> sections);
 
 }  // namespace detail
 

@@ -18,6 +18,18 @@ std::string to_string(const ClrConfig& c) {
   return s;
 }
 
+std::string technique_code_error(std::int64_t hw, std::int64_t ssw, std::int64_t asw) {
+  const auto check = [](const char* layer, std::int64_t code, std::size_t count) {
+    if (code >= 0 && static_cast<std::uint64_t>(code) < count) return std::string();
+    return std::string(layer) + " technique " + std::to_string(code) + " (want 0.." +
+           std::to_string(count - 1) + ")";
+  };
+  std::string error = check("hw", hw, kNumHwTechniques);
+  if (error.empty()) error = check("ssw", ssw, kNumSswTechniques);
+  if (error.empty()) error = check("asw", asw, kNumAswTechniques);
+  return error;
+}
+
 ClrSpace::ClrSpace(std::vector<ClrConfig> configs) : granularity_(ClrGranularity::Full) {
   const ClrConfig unprotected{};
   if (configs.empty() || !(configs.front() == unprotected)) {

@@ -27,6 +27,12 @@ struct ClrConfig {
 
 std::string to_string(const ClrConfig& c);
 
+/// Empty when the technique codes `hw`, `ssw` and `asw` each name an entry of
+/// their menu (techniques.hpp), else the first one that does not, e.g.
+/// "hw technique 9 (want 0..2)". Both design-database loaders check every
+/// stored configuration with it.
+std::string technique_code_error(std::int64_t hw, std::int64_t ssw, std::int64_t asw);
+
 /// Granularity of the enumerated CLR space.
 enum class ClrGranularity : std::uint8_t { HwOnly, Coarse, Full };
 

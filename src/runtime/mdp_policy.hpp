@@ -15,7 +15,7 @@
 //
 // The resulting MdpTable is immutable and shareable (the fleet builds one per
 // run and hands it to every device) and serializable as the `.clrdb`
-// MdpPolicy section (io/snapshot.hpp, format version 4).
+// MdpPolicy section (io/snapshot.hpp).
 
 #include <cstdint>
 #include <vector>

@@ -9,10 +9,9 @@
 // its stat members to the rows that name them, so a row or a member added
 // on one side only fails to compile.
 //
-// Columns of X(stat, fold, since, device, block, mean, replicated):
+// Columns of X(stat, fold, device, block, mean, replicated):
 //   stat        the rt::RuntimeStats member; also the stat's report name
 //   fold        how fleet blocks fold it (Fold below)
-//   since       first .clrdb version whose checkpoints store it
 //   device      its fleet::DeviceResult member
 //   block       its fleet::BlockSum member
 //   mean        its fleet::FleetSummary member (block total / devices)
@@ -30,30 +29,30 @@
 #include <type_traits>
 
 // clang-format off
-#define CLR_RUNTIME_STATS(X)                                                                                                           \
-  X(total_cycles,             Sum,   2, none,                 none,                     none,                      none)                     \
-  X(num_events,               Count, 2, events,               events,                   none,                      num_events)               \
-  X(num_reconfigs,            Count, 2, reconfigs,            reconfigs,                none,                      num_reconfigs)            \
-  X(num_infeasible_events,    Count, 2, infeasible_events,    infeasible_events,        none,                      num_infeasible_events)    \
-  X(avg_energy,               Sum,   2, avg_energy,           energy_sum,               mean_energy,               avg_energy)               \
-  X(total_reconfig_cost,      Sum,   2, total_reconfig_cost,  reconfig_cost_sum,        mean_reconfig_cost,        total_reconfig_cost)      \
-  X(avg_reconfig_cost,        Sum,   2, none,                 none,                     none,                      avg_reconfig_cost)        \
-  X(max_drc,                  Max,   2, max_drc,              max_drc,                  none,                      max_drc)                  \
-  X(qos_violation_time,       Sum,   2, qos_violation_time,   violation_time_sum,       mean_violation_time,       qos_violation_time)       \
-  X(num_transient_faults,     Count, 2, transient_faults,     transient_faults,         none,                      num_transient_faults)     \
-  X(num_recovered_transients, Count, 2, recovered_transients, recovered_transients,     none,                      num_recovered_transients) \
-  X(num_unrecovered_failures, Count, 2, unrecovered_failures, unrecovered_failures,     none,                      num_unrecovered_failures) \
-  X(num_permanent_faults,     Count, 2, permanent_faults,     permanent_faults,         none,                      num_permanent_faults)     \
-  X(num_evacuations,          Count, 2, evacuations,          evacuations,              none,                      num_evacuations)          \
-  X(num_safe_mode_entries,    Count, 2, safe_mode_entries,    safe_mode_entries,        none,                      num_safe_mode_entries)    \
-  X(downtime,                 Sum,   2, downtime,             downtime_sum,             mean_downtime,             downtime)                 \
-  X(availability,             Sum,   2, availability,         availability_sum,         mean_availability,         availability)             \
-  X(mttr,                     Sum,   2, mttr,                 mttr_sum,                 mean_mttr,                 mttr)                     \
-  X(reconfig_stall_time,      Sum,   4, reconfig_stall_time,  stall_time_sum,           mean_stall_time,           reconfig_stall_time)      \
-  X(prefetch_hidden_time,     Sum,   4, prefetch_hidden_time, hidden_time_sum,          mean_hidden_time,          prefetch_hidden_time)     \
-  X(prefetch_hits,            Count, 4, prefetch_hits,        prefetch_hits,            none,                      prefetch_hits)            \
-  X(prefetch_misses,          Count, 4, prefetch_misses,      prefetch_misses,          none,                      prefetch_misses)          \
-  X(service_availability,     Sum,   4, service_availability, service_availability_sum, mean_service_availability, service_availability)
+#define CLR_RUNTIME_STATS(X)                                                                                                              \
+  X(total_cycles,             Sum,   none,                 none,                     none,                      none)                     \
+  X(num_events,               Count, events,               events,                   none,                      num_events)               \
+  X(num_reconfigs,            Count, reconfigs,            reconfigs,                none,                      num_reconfigs)            \
+  X(num_infeasible_events,    Count, infeasible_events,    infeasible_events,        none,                      num_infeasible_events)    \
+  X(avg_energy,               Sum,   avg_energy,           energy_sum,               mean_energy,               avg_energy)               \
+  X(total_reconfig_cost,      Sum,   total_reconfig_cost,  reconfig_cost_sum,        mean_reconfig_cost,        total_reconfig_cost)      \
+  X(avg_reconfig_cost,        Sum,   none,                 none,                     none,                      avg_reconfig_cost)        \
+  X(max_drc,                  Max,   max_drc,              max_drc,                  none,                      max_drc)                  \
+  X(qos_violation_time,       Sum,   qos_violation_time,   violation_time_sum,       mean_violation_time,       qos_violation_time)       \
+  X(num_transient_faults,     Count, transient_faults,     transient_faults,         none,                      num_transient_faults)     \
+  X(num_recovered_transients, Count, recovered_transients, recovered_transients,     none,                      num_recovered_transients) \
+  X(num_unrecovered_failures, Count, unrecovered_failures, unrecovered_failures,     none,                      num_unrecovered_failures) \
+  X(num_permanent_faults,     Count, permanent_faults,     permanent_faults,         none,                      num_permanent_faults)     \
+  X(num_evacuations,          Count, evacuations,          evacuations,              none,                      num_evacuations)          \
+  X(num_safe_mode_entries,    Count, safe_mode_entries,    safe_mode_entries,        none,                      num_safe_mode_entries)    \
+  X(downtime,                 Sum,   downtime,             downtime_sum,             mean_downtime,             downtime)                 \
+  X(availability,             Sum,   availability,         availability_sum,         mean_availability,         availability)             \
+  X(mttr,                     Sum,   mttr,                 mttr_sum,                 mean_mttr,                 mttr)                     \
+  X(reconfig_stall_time,      Sum,   reconfig_stall_time,  stall_time_sum,           mean_stall_time,           reconfig_stall_time)      \
+  X(prefetch_hidden_time,     Sum,   prefetch_hidden_time, hidden_time_sum,          mean_hidden_time,          prefetch_hidden_time)     \
+  X(prefetch_hits,            Count, prefetch_hits,        prefetch_hits,            none,                      prefetch_hits)            \
+  X(prefetch_misses,          Count, prefetch_misses,      prefetch_misses,          none,                      prefetch_misses)          \
+  X(service_availability,     Sum,   service_availability, service_availability_sum, mean_service_availability, service_availability)
 // clang-format on
 
 /// CLR_STAT_IF(column)(code) is `code` when the column names a member and

@@ -1,8 +1,8 @@
 // Checkpoint codec + A/B store tests (DESIGN.md §5.12): field-exact round
 // trips, hostile-byte rejection (every single-byte flip and every truncation
 // surfaces as a typed SnapshotError), the crash-fallback guarantee of the
-// CheckpointStore slot pair, and byte-exact decoding of v3/v4 checkpoints
-// written by older clrtool builds (tests/io/fixtures/).
+// CheckpointStore slot pair, byte-exact decoding of v4 checkpoints written
+// by older clrtool builds, and the refusal of v3 ones (tests/io/fixtures/).
 
 #include "io/checkpoint.hpp"
 
@@ -185,13 +185,17 @@ std::string read_file(const std::string& path) {
   return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
 }
 
+// Checkpoints written by older clrtool builds (tests/io/fixtures/README.md).
+std::string read_fixture(const std::string& name) {
+  return read_file(std::string(CLR_IO_FIXTURES) + "/" + name);
+}
+
 // --- Round trips -------------------------------------------------------------
 
 TEST(CheckpointCodec, ExploreRedStageRoundTripsFieldExactly) {
   const ExploreCheckpoint c = make_explore(1);
   const std::string bytes = serialize_explore_checkpoint(c);
   const Snapshot snap = Snapshot::from_bytes(std::string(bytes));
-  EXPECT_EQ(snap.view().version(), kSnapshotVersion);
   ASSERT_TRUE(snap.view().has_checkpoint());
   EXPECT_EQ(snap.view().checkpoint_section_kind(),
             static_cast<std::uint32_t>(SnapshotSection::ExploreState));
@@ -295,8 +299,7 @@ TEST(CheckpointCodec, InvalidDoneFlagIsRejected) {
   detail::RawSection section;
   section.kind = good.view().checkpoint_section_kind();
   section.bytes = std::move(corrupted);
-  const std::string rebuilt =
-      detail::assemble_snapshot_container(kSnapshotVersion, {std::move(section)});
+  const std::string rebuilt = detail::assemble_snapshot_container({std::move(section)});
   try {
     decode_runner_checkpoint(Snapshot::from_bytes(std::string(rebuilt)).view());
     FAIL() << "done flag 2 accepted";
@@ -370,8 +373,7 @@ TEST(CheckpointCodec, PayloadFlipWithFixedChecksumNeverCrashes) {
     detail::RawSection section;
     section.kind = snap.view().checkpoint_section_kind();
     section.bytes = std::move(corrupted);
-    const std::string rebuilt =
-        detail::assemble_snapshot_container(kSnapshotVersion, {std::move(section)});
+    const std::string rebuilt = detail::assemble_snapshot_container({std::move(section)});
     try {
       (void)decode_runner_checkpoint(Snapshot::from_bytes(std::string(rebuilt)).view());
     } catch (const SnapshotError&) {
@@ -462,6 +464,44 @@ TEST_F(TempDir, BothSlotsCorruptMeansFreshStart) {
   EXPECT_EQ(reopened.next_sequence(), 1u);
 }
 
+TEST_F(TempDir, SlotOfAnotherVersionYieldsToAGoodSibling) {
+  // A v3 slot is not loadable, but a good v4 sibling still wins, and the
+  // next save goes over the v3 slot.
+  const std::string v4 = read_fixture("runner_v4.clrdb");
+  CheckpointStore store(path("run.clrdb"));
+  write_file_durable(store.slot_a(), read_fixture("runner_v3.clrdb"));
+  write_file_durable(store.slot_b(), v4);
+  const auto newest = store.load_newest();
+  ASSERT_TRUE(newest.has_value());
+  EXPECT_EQ(serialize_runner_checkpoint(decode_runner_checkpoint(newest->view())), v4);
+  const std::uint64_t sequence = checkpoint_sequence(newest->view());
+  EXPECT_EQ(store.next_sequence(), sequence + 1);
+  RunnerCheckpoint next = decode_runner_checkpoint(newest->view());
+  next.sequence = sequence + 1;
+  store.save(serialize_runner_checkpoint(next));
+  EXPECT_EQ(read_file(store.slot_b()), v4);
+  EXPECT_EQ(checkpoint_sequence(Snapshot::open(store.slot_a()).view()), sequence + 1);
+}
+
+TEST_F(TempDir, SlotOfAnotherVersionAloneIsRefusedAndKept) {
+  // Without a loadable sibling, a resume must fail rather than start fresh
+  // and overwrite a checkpoint this build cannot read.
+  const std::string v3 = read_fixture("runner_v3.clrdb");
+  for (const bool in_slot_a : {true, false}) {
+    CheckpointStore store(path(in_slot_a ? "a.clrdb" : "b.clrdb"));
+    const std::string slot = in_slot_a ? store.slot_a() : store.slot_b();
+    write_file_durable(slot, v3);
+    try {
+      (void)store.load_newest();
+      ADD_FAILURE() << "a lone v3 slot was treated as a fresh start";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.kind(), SnapshotError::Kind::BadVersion);
+      EXPECT_NE(std::string(e.what()).find("format version 3"), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(read_file(slot), v3);
+  }
+}
+
 TEST_F(TempDir, SaveValidatesBytesBeforeTouchingDisk) {
   CheckpointStore store(path("run.clrdb"));
   EXPECT_THROW(store.save("not a checkpoint container"), SnapshotError);
@@ -511,58 +551,22 @@ TEST_F(TempDir, DurableWriteFailureLeavesGoodFileUntouchedAndNoTmp) {
   EXPECT_FALSE(fs::exists(target + ".tmp")) << "tmp file must not outlive the rename";
 }
 
-// --- Cross-version -----------------------------------------------------------
-
-TEST(CheckpointCodec, Version1DatabasesStillLoad) {
-  // Checkpoints forced the container to v2; pre-existing v1 design databases
-  // must keep loading unchanged.
-  const rel::ClrSpace space(rel::ClrGranularity::Full);
-  const dse::DesignDb db = make_db(4, 3);
-  const std::string v1 = serialize_snapshot_for_version(1, db, space, nullptr);
-  const Snapshot snap = Snapshot::from_bytes(std::string(v1));
-  EXPECT_EQ(snap.view().version(), 1u);
-  EXPECT_FALSE(snap.view().has_checkpoint());
-  const LoadedSnapshot loaded = materialize(snap.view());
-  expect_db_equal(loaded.db, db);
-}
-
-// Checkpoints written by older clrtool builds (tests/io/fixtures/README.md).
-std::string read_fixture(const std::string& name) {
-  return read_file(std::string(CLR_IO_FIXTURES) + "/" + name);
-}
+// --- Fixtures from older writers ---------------------------------------------
 
 TEST(CheckpointFixtures, RunnerV4ReserializesToItsOwnBytes) {
   const std::string bytes = read_fixture("runner_v4.clrdb");
   const Snapshot snap = Snapshot::from_bytes(std::string(bytes));
-  ASSERT_EQ(snap.view().version(), 4u);
   const RunnerCheckpoint c = decode_runner_checkpoint(snap.view());
   EXPECT_EQ(c.done, (std::vector<std::uint8_t>{1, 0, 0}));
   EXPECT_EQ(serialize_runner_checkpoint(c), bytes);
 }
 
-TEST(CheckpointFixtures, RunnerV3ReserializesToTheV4Bytes) {
-  const Snapshot snap = Snapshot::from_bytes(read_fixture("runner_v3.clrdb"));
-  ASSERT_EQ(snap.view().version(), 3u);
-  const RunnerCheckpoint c = decode_runner_checkpoint(snap.view());
-  EXPECT_EQ(c.done, (std::vector<std::uint8_t>{1, 0, 0}));
-  EXPECT_EQ(serialize_runner_checkpoint(c), read_fixture("runner_v3_as_v4.clrdb"));
-}
-
 TEST(CheckpointFixtures, FleetV4ReserializesToItsOwnBytes) {
   const std::string bytes = read_fixture("fleet_v4.clrdb");
   const Snapshot snap = Snapshot::from_bytes(std::string(bytes));
-  ASSERT_EQ(snap.view().version(), 4u);
   const FleetCheckpoint c = decode_fleet_checkpoint(snap.view());
   EXPECT_EQ(c.progress.done, (std::vector<std::uint8_t>{1, 1, 0}));
   EXPECT_EQ(serialize_fleet_checkpoint(c), bytes);
-}
-
-TEST(CheckpointFixtures, FleetV3ReserializesToTheV4Bytes) {
-  const Snapshot snap = Snapshot::from_bytes(read_fixture("fleet_v3.clrdb"));
-  ASSERT_EQ(snap.view().version(), 3u);
-  const FleetCheckpoint c = decode_fleet_checkpoint(snap.view());
-  EXPECT_EQ(c.progress.done, (std::vector<std::uint8_t>{1, 1, 0}));
-  EXPECT_EQ(serialize_fleet_checkpoint(c), read_fixture("fleet_v3_as_v4.clrdb"));
 }
 
 }  // namespace

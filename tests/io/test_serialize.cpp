@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
+#include <utility>
 
 #include "experiments/app.hpp"
 #include "experiments/flow.hpp"
@@ -152,6 +154,26 @@ TEST(SerializeErrors, VersionIsChecked) {
   EXPECT_THROW(platform_from_json(Json::parse(R"({"pe_types":[]})")), JsonError);
   EXPECT_THROW(task_graph_from_json(Json::parse(R"({"version": 999})")), JsonError);
   EXPECT_THROW(design_db_from_json(Json::parse(R"({"version": 0})")), JsonError);
+}
+
+TEST(SerializeErrors, OutOfMenuTechniqueNamesConfigAndCode) {
+  const std::pair<std::string, std::string> cases[] = {
+      {R"("hw":9,"ssw":0,"asw":0)", "CLR space config 1: hw technique 9 (want 0..2)"},
+      {R"("hw":0,"ssw":-1,"asw":1)", "CLR space config 1: ssw technique -1 (want 0..2)"},
+      {R"("hw":2,"ssw":1,"asw":4)", "CLR space config 1: asw technique 4 (want 0..3)"},
+  };
+  for (const auto& [codes, error] : cases) {
+    std::string db = R"({"version":1,"points":[],"clr_space":{"version":1,"configs":[)"
+                     R"({"hw":0,"ssw":0,"asw":0,"ssw_param":0},{)";
+    db += codes;
+    db += R"(,"ssw_param":1}]}})";
+    try {
+      (void)design_db_from_json(Json::parse(db));
+      ADD_FAILURE() << error << " accepted";
+    } catch (const JsonError& e) {
+      EXPECT_EQ(std::string(e.what()), error + " (at offset 0)");
+    }
+  }
 }
 
 }  // namespace

@@ -83,7 +83,6 @@ SnapshotError::Kind kind_of(const std::string& bytes) {
 TEST(Snapshot, RoundTripsDbSpaceAndDrc) {
   const Fixture f = make_fixture();
   const Snapshot snap = Snapshot::from_bytes(serialize_snapshot(f.db, f.space, &f.drc));
-  EXPECT_EQ(snap.view().version(), kSnapshotVersion);
   EXPECT_EQ(snap.view().num_points(), f.db.size());
   const LoadedSnapshot loaded = materialize(snap.view());
   expect_equal(loaded.db, f.db);
@@ -181,41 +180,61 @@ TEST(Snapshot, PathAndMagicHelpers) {
 
 // --- Version gating ----------------------------------------------------------
 
-TEST(Snapshot, WriterRejectsUnknownVersion) {
+/// Stamp `version` into a valid file's header and expect the reader to refuse
+/// it with BadVersion and a message naming the found and supported versions.
+void expect_version_refused(std::uint32_t version) {
   const Fixture f = make_fixture(1);
+  std::string bytes = serialize_snapshot(f.db, f.space);
+  patch<std::uint32_t>(bytes, 8, version);
   try {
-    (void)serialize_snapshot_for_version(7, f.db, f.space, nullptr);
-    FAIL() << "expected SnapshotError";
+    (void)Snapshot::from_bytes(std::move(bytes));
+    ADD_FAILURE() << "version " << version << " accepted";
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.kind(), SnapshotError::Kind::BadVersion);
-    EXPECT_NE(std::string(e.what()).find("7"), std::string::npos);
+    EXPECT_EQ(std::string(e.what()), "snapshot: format version " + std::to_string(version) +
+                                         " (this reader supports only version " +
+                                         std::to_string(kSnapshotVersion) + ")");
   }
 }
 
 TEST(Snapshot, ReaderRejectsVersionFromTheFutureWithFoundVsSupported) {
-  const Fixture f = make_fixture(1);
-  std::string bytes = serialize_snapshot(f.db, f.space);
-  patch<std::uint32_t>(bytes, 8, kSnapshotVersion + 1);
-  try {
-    (void)Snapshot::from_bytes(std::move(bytes));
-    FAIL() << "expected SnapshotError";
-  } catch (const SnapshotError& e) {
-    EXPECT_EQ(e.kind(), SnapshotError::Kind::BadVersion);
-    const std::string message = e.what();
-    EXPECT_NE(message.find("version " + std::to_string(kSnapshotVersion + 1)),
-              std::string::npos)
-        << message;
-    EXPECT_NE(message.find("supports 1.." + std::to_string(kSnapshotVersion)),
-              std::string::npos)
-        << message;
-  }
+  expect_version_refused(kSnapshotVersion + 1);
 }
 
-TEST(Snapshot, ReaderRejectsVersionZero) {
-  const Fixture f = make_fixture(1);
-  std::string bytes = serialize_snapshot(f.db, f.space);
-  patch<std::uint32_t>(bytes, 8, 0);
-  EXPECT_EQ(kind_of(bytes), SnapshotError::Kind::BadVersion);
+TEST(Snapshot, ReaderRejectsVersionZero) { expect_version_refused(0); }
+
+TEST(Snapshot, ReaderRejectsTheRetiredVersionsOneToThree) {
+  for (const std::uint32_t version : {1u, 2u, 3u}) expect_version_refused(version);
+}
+
+// --- Technique menus ---------------------------------------------------------
+
+TEST(Snapshot, OutOfMenuTechniqueIsBadValueNamingConfigAndCode) {
+  struct Case {
+    rel::ClrConfig config;
+    const char* error;
+  };
+  const Case cases[] = {
+      {{static_cast<rel::HwTechnique>(9), rel::SswTechnique::None, rel::AswTechnique::None, 0},
+       "hw technique 9 (want 0..2)"},
+      {{rel::HwTechnique::None, static_cast<rel::SswTechnique>(3), rel::AswTechnique::Checksum, 1},
+       "ssw technique 3 (want 0..2)"},
+      {{rel::HwTechnique::Hardening, rel::SswTechnique::None, static_cast<rel::AswTechnique>(255),
+        0},
+       "asw technique 255 (want 0..3)"},
+  };
+  for (const Case& c : cases) {
+    // The space prepends the unprotected config, so the bad one is config 2.
+    const rel::ClrSpace space(
+        std::vector<rel::ClrConfig>{{rel::HwTechnique::PartialTmr}, c.config});
+    try {
+      (void)Snapshot::from_bytes(serialize_snapshot(dse::DesignDb{}, space));
+      ADD_FAILURE() << c.error << " accepted";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.kind(), SnapshotError::Kind::BadValue);
+      EXPECT_EQ(std::string(e.what()), std::string("snapshot: ClrSpace config 2: ") + c.error);
+    }
+  }
 }
 
 // --- Hostile input ----------------------------------------------------------
@@ -324,7 +343,7 @@ TEST(SnapshotFuzz, MissingRequiredSectionRejected) {
   EXPECT_EQ(kind_of(bytes), SnapshotError::Kind::BadValue);
 }
 
-// --- MdpPolicy section (format version 4) ------------------------------------
+// --- MdpPolicy section ------------------------------------------------------
 
 /// Hand-built table sized to the fixture database: irregular values, every
 /// policy entry exercised, no offline solve needed.
@@ -369,30 +388,6 @@ TEST(SnapshotMdp, FilesWithoutTheSectionLoadWithNoTable) {
   const LoadedSnapshot loaded =
       materialize(Snapshot::from_bytes(serialize_snapshot(f.db, f.space, &f.drc)).view());
   EXPECT_FALSE(loaded.mdp.has_value());
-}
-
-TEST(SnapshotMdp, OlderFormatVersionsStillLoadAndNeverCarryATable) {
-  const Fixture f = make_fixture();
-  for (const std::uint32_t version : {1u, 2u, 3u}) {
-    const std::string bytes =
-        serialize_snapshot_for_version(version, f.db, f.space, version >= 2 ? &f.drc : nullptr);
-    const LoadedSnapshot loaded = materialize(Snapshot::from_bytes(std::string(bytes)).view());
-    expect_equal(f.db, loaded.db);
-    EXPECT_FALSE(loaded.mdp.has_value()) << "version " << version;
-  }
-}
-
-TEST(SnapshotMdp, WriterRefusesTheSectionBelowVersionFour) {
-  const Fixture f = make_fixture();
-  const rt::MdpTable table = make_mdp_table(f.db.size());
-  for (const std::uint32_t version : {1u, 2u, 3u}) {
-    try {
-      (void)serialize_snapshot_for_version(version, f.db, f.space, nullptr, &table);
-      ADD_FAILURE() << "version " << version << " accepted an MdpPolicy section";
-    } catch (const SnapshotError& e) {
-      EXPECT_EQ(e.kind(), SnapshotError::Kind::BadVersion);
-    }
-  }
 }
 
 TEST(SnapshotMdp, WriterRefusesATableSizedForADifferentDatabase) {

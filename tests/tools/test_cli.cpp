@@ -635,9 +635,7 @@ TEST(CliCheckpointFixtures, OlderCheckpointsResumeThroughTheCliToTheUninterrupte
       "--jobs 1";
   const std::string fleet =
       "fleet --devices 40 --tasks 6 --block 16 --cycles 2000 --fault-rate 1e-4 --jobs 1";
-  const Fixture fixtures[] = {{"runner_v3.clrdb", ".a", runner},
-                              {"runner_v4.clrdb", ".a", runner + " --prefetch"},
-                              {"fleet_v3.clrdb", ".b", fleet},
+  const Fixture fixtures[] = {{"runner_v4.clrdb", ".a", runner + " --prefetch"},
                               {"fleet_v4.clrdb", ".b", fleet + " --prefetch"}};
   for (const Fixture& f : fixtures) {
     SCOPED_TRACE(f.file);
@@ -654,6 +652,41 @@ TEST(CliCheckpointFixtures, OlderCheckpointsResumeThroughTheCliToTheUninterrupte
     EXPECT_EQ(fcode, 0) << fout;
     EXPECT_EQ(drop_lines(rout, {"resumed from checkpoint", "throughput:"}),
               drop_lines(fout, {"throughput:"}));
+    std::remove((base + ".a").c_str());
+    std::remove((base + ".b").c_str());
+  }
+}
+
+TEST(CliCheckpointFixtures, V3CheckpointsAreRefusedAndLeftByteIdentical) {
+  // Only format version 4 is readable. A resume onto a v3 slot with no
+  // loadable sibling must fail, not start fresh over the slot.
+  struct Fixture {
+    const char* file;
+    const char* slot;
+    const char* sibling;
+    std::string args;
+  };
+  const Fixture fixtures[] = {
+      {"runner_v3.clrdb", ".a", ".b",
+       "simulate --tasks 6 --pop 16 --gens 4 --replications 3 --cycles 2000 --fault-rate 1e-4 "
+       "--jobs 1"},
+      {"fleet_v3.clrdb", ".b", ".a",
+       "fleet --devices 40 --tasks 6 --block 16 --cycles 2000 --fault-rate 1e-4 --jobs 1"}};
+  for (const Fixture& f : fixtures) {
+    SCOPED_TRACE(f.file);
+    const std::string base = ::testing::TempDir() + "clrtool_fixture_" + f.file;
+    std::remove((base + ".a").c_str());
+    std::remove((base + ".b").c_str());
+    const std::string bytes = read_file(std::string(CLR_TESTS_DIR) + "/io/fixtures/" + f.file);
+    std::ofstream(base + f.slot, std::ios::binary) << bytes;
+
+    const auto [code, out] = run_tool(f.args + " --checkpoint " + base + " --resume");
+    EXPECT_EQ(code, 1) << out;
+    EXPECT_NE(out.find("clrtool: snapshot: format version 3 (this reader supports only version 4)"),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(read_file(base + f.slot), bytes);
+    EXPECT_FALSE(std::ifstream(base + f.sibling).good()) << "a fresh run wrote a checkpoint";
     std::remove((base + ".a").c_str());
     std::remove((base + ".b").c_str());
   }

@@ -665,7 +665,7 @@ int cmd_fleet(const Args& args) {
           {"num_devices", io::Json(sh.num_devices)},
           {"devices_done", io::Json(sh.totals.devices)},
       };
-      fleet::for_each_block_stat([&](const char* name, std::uint32_t, auto member) {
+      fleet::for_each_block_stat([&](const char* name, auto member) {
         row.emplace_back(name, io::Json(sh.totals.*member));
       });
       shard_rows.push_back(io::Json(std::move(row)));
@@ -674,7 +674,7 @@ int cmd_fleet(const Args& args) {
     // mean, in FleetState order.
     io::JsonObject summary;
     for (const rt::Fold group : rt::kFoldOrder) {
-#define CLR_SUMMARY_KEY(stat, fold, since, device, block, mean, replicated)             \
+#define CLR_SUMMARY_KEY(stat, fold, device, block, mean, replicated)                   \
   CLR_STAT_IF(block)(if (group == rt::Fold::fold && group != rt::Fold::Sum)             \
                          summary.emplace_back(#block, io::Json(s.totals.block));)       \
   CLR_STAT_IF(mean)(if (group == rt::Fold::fold) summary.emplace_back(#mean, io::Json(s.mean));)
