@@ -41,6 +41,9 @@ std::size_t DesignDb::add(DesignPoint point) {
     if (points_[i].config == point.config) return i;
   }
   bucket.push_back(points_.size());
+  for (const auto& a : point.config.tasks) {
+    pe_bound_ = std::max(pe_bound_, static_cast<std::size_t>(a.pe) + 1);
+  }
   makespan_.push_back(point.makespan);
   func_rel_.push_back(point.func_rel);
   energy_.push_back(point.energy);

@@ -87,6 +87,10 @@ class DesignDb {
   /// True when point `i` binds at least one task to `pe`.
   bool uses_pe(std::size_t i, plat::PeId pe) const;
 
+  /// One past the largest PE id a stored point binds a task to (0 when none):
+  /// a platform needs at least this many PEs to run every point. add() keeps it.
+  std::size_t pe_bound() const { return pe_bound_; }
+
   /// Metric ranges over all stored points.
   MetricRanges ranges() const;
 
@@ -109,6 +113,7 @@ class DesignDb {
   std::vector<double> makespan_;
   std::vector<double> func_rel_;
   std::vector<double> energy_;
+  std::size_t pe_bound_ = 0;
   /// hash_configuration -> stored indices with that hash. Dedup in add()
   /// probes the bucket with full Configuration equality (a collision degrades
   /// to an extra comparison, never a wrong match), turning the archive-wide

@@ -60,20 +60,14 @@ double recovery_probability(const rel::ClrConfig& cfg) {
 }
 
 PlatformHealth::PlatformHealth(const dse::DesignDb& db, std::size_t num_pes)
-    : pe_alive_(num_pes, true),
+    : db_(&db),
+      pe_alive_(num_pes, true),
       point_alive_(db.size(), true),
-      points_on_pe_(num_pes),
       num_alive_pes_(num_pes),
       num_alive_points_(db.size()) {
-  for (std::size_t i = 0; i < db.size(); ++i) {
-    for (const auto& a : db.point(i).config.tasks) {
-      if (a.pe >= num_pes) {
-        throw std::invalid_argument(
-            "PlatformHealth: stored point binds a task to PE id beyond the platform");
-      }
-      auto& bucket = points_on_pe_[a.pe];
-      if (bucket.empty() || bucket.back() != i) bucket.push_back(i);
-    }
+  if (db.pe_bound() > num_pes) {
+    throw std::invalid_argument(
+        "PlatformHealth: stored point binds a task to PE id beyond the platform");
   }
 }
 
@@ -81,8 +75,8 @@ void PlatformHealth::kill_pe(plat::PeId pe) {
   if (pe >= pe_alive_.size() || !pe_alive_[pe]) return;
   pe_alive_[pe] = false;
   --num_alive_pes_;
-  for (std::size_t point : points_on_pe_[pe]) {
-    if (point_alive_[point]) {
+  for (std::size_t point = 0; point < point_alive_.size(); ++point) {
+    if (point_alive_[point] && db_->uses_pe(point, pe)) {
       point_alive_[point] = false;
       --num_alive_points_;
     }

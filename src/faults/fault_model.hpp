@@ -115,11 +115,13 @@ double recovery_probability(const rel::ClrConfig& cfg);
 
 /// Mutable platform/database health state for one simulation run: which PEs
 /// are still alive, and — derived — which stored design points are still
-/// executable (a point dies with the first of its PEs).
+/// executable (a point dies with the first of its PEs). Holds only alive
+/// flags: a PE's points are looked up in the database when it dies, at most
+/// once per PE and run. The database must outlive it.
 class PlatformHealth {
  public:
   /// Throws std::invalid_argument when a stored point binds a task to a PE
-  /// id >= num_pes.
+  /// id >= num_pes (DesignDb::pe_bound() > num_pes).
   PlatformHealth(const dse::DesignDb& db, std::size_t num_pes);
 
   std::size_t num_pes() const { return pe_alive_.size(); }
@@ -137,10 +139,9 @@ class PlatformHealth {
   void kill_pe(plat::PeId pe);
 
  private:
+  const dse::DesignDb* db_;
   std::vector<bool> pe_alive_;
   std::vector<bool> point_alive_;
-  /// pe -> indices of stored points with at least one task on that PE.
-  std::vector<std::vector<std::size_t>> points_on_pe_;
   std::size_t num_alive_pes_ = 0;
   std::size_t num_alive_points_ = 0;
 };

@@ -1,7 +1,10 @@
 #include "io/serialize.hpp"
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "common/table.hpp"
 #include "io/snapshot.hpp"
@@ -23,6 +26,42 @@ void check_version(const Json& j, const char* kind) {
                         std::to_string(kSchemaVersion) + ")",
                     0);
   }
+}
+
+/// `j` as an integer of type T. A value outside T's range is a JsonError
+/// naming `where`, the field and the value, never a silent wrap-around.
+template <typename T>
+T narrow_int(const Json& j, const std::string& where, const char* field) {
+  const std::int64_t v = j.as_int();
+  const auto lo = static_cast<std::int64_t>(std::numeric_limits<T>::min());
+  const auto hi = static_cast<std::int64_t>(std::numeric_limits<T>::max());
+  if (v < lo || v > hi) {
+    throw JsonError(where + ": " + field + " " + std::to_string(v) + " (want " +
+                        std::to_string(lo) + ".." + std::to_string(hi) + ")",
+                    0);
+  }
+  return static_cast<T>(v);
+}
+
+/// configuration_from_json, its errors prefixed with `where`.
+sched::Configuration read_configuration(const Json& j, const std::string& where) {
+  const auto& pe = j.at("pe").as_array();
+  const auto& impl = j.at("impl").as_array();
+  const auto& clr = j.at("clr").as_array();
+  const auto& prio = j.at("priority").as_array();
+  if (pe.size() != impl.size() || pe.size() != clr.size() || pe.size() != prio.size()) {
+    throw JsonError(where + ": column length mismatch", 0);
+  }
+  sched::Configuration cfg;
+  cfg.tasks.resize(pe.size());
+  for (std::size_t t = 0; t < pe.size(); ++t) {
+    const std::string task = where + " task " + std::to_string(t);
+    cfg.tasks[t].pe = narrow_int<plat::PeId>(pe[t], task, "pe");
+    cfg.tasks[t].impl_index = narrow_int<std::uint32_t>(impl[t], task, "impl");
+    cfg.tasks[t].clr_index = narrow_int<std::uint32_t>(clr[t], task, "clr");
+    cfg.tasks[t].priority = narrow_int<std::int32_t>(prio[t], task, "priority");
+  }
+  return cfg;
 }
 
 const char* kind_name(plat::PeKind kind) {
@@ -171,18 +210,17 @@ rel::ClrSpace clr_space_from_json(const Json& j) {
   check_version(j, "CLR space");
   std::vector<rel::ClrConfig> configs;
   for (const auto& c : j.at("configs").as_array()) {
+    const std::string where = "CLR space config " + std::to_string(configs.size());
     const std::int64_t hw = c.at("hw").as_int();
     const std::int64_t ssw = c.at("ssw").as_int();
     const std::int64_t asw = c.at("asw").as_int();
     const std::string error = rel::technique_code_error(hw, ssw, asw);
-    if (!error.empty()) {
-      throw JsonError("CLR space config " + std::to_string(configs.size()) + ": " + error, 0);
-    }
+    if (!error.empty()) throw JsonError(where + ": " + error, 0);
     rel::ClrConfig config;
     config.hw = static_cast<rel::HwTechnique>(hw);
     config.ssw = static_cast<rel::SswTechnique>(ssw);
     config.asw = static_cast<rel::AswTechnique>(asw);
-    config.ssw_param = static_cast<std::uint8_t>(c.at("ssw_param").as_int());
+    config.ssw_param = narrow_int<std::uint8_t>(c.at("ssw_param"), where, "ssw_param");
     configs.push_back(config);
   }
   return rel::ClrSpace(std::move(configs));
@@ -204,22 +242,7 @@ Json to_json(const sched::Configuration& cfg) {
 }
 
 sched::Configuration configuration_from_json(const Json& j) {
-  const auto& pe = j.at("pe").as_array();
-  const auto& impl = j.at("impl").as_array();
-  const auto& clr = j.at("clr").as_array();
-  const auto& prio = j.at("priority").as_array();
-  if (pe.size() != impl.size() || pe.size() != clr.size() || pe.size() != prio.size()) {
-    throw JsonError("configuration: column length mismatch", 0);
-  }
-  sched::Configuration cfg;
-  cfg.tasks.resize(pe.size());
-  for (std::size_t t = 0; t < pe.size(); ++t) {
-    cfg.tasks[t].pe = static_cast<plat::PeId>(pe[t].as_int());
-    cfg.tasks[t].impl_index = static_cast<std::uint32_t>(impl[t].as_int());
-    cfg.tasks[t].clr_index = static_cast<std::uint32_t>(clr[t].as_int());
-    cfg.tasks[t].priority = static_cast<std::int32_t>(prio[t].as_int());
-  }
-  return cfg;
+  return read_configuration(j, "configuration");
 }
 
 Json to_json(const dse::DesignDb& db, const rel::ClrSpace& space) {
@@ -239,9 +262,11 @@ Json to_json(const dse::DesignDb& db, const rel::ClrSpace& space) {
 LoadedDesignDb design_db_from_json(const Json& j) {
   check_version(j, "design database");
   LoadedDesignDb loaded{dse::DesignDb{}, clr_space_from_json(j.at("clr_space")), std::nullopt};
-  for (const auto& p : j.at("points").as_array()) {
+  const JsonArray& points = j.at("points").as_array();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const Json& p = points[i];
     dse::DesignPoint point;
-    point.config = configuration_from_json(p.at("config"));
+    point.config = read_configuration(p.at("config"), "design point " + std::to_string(i));
     point.energy = p.at("energy").as_number();
     point.makespan = p.at("makespan").as_number();
     point.func_rel = p.at("func_rel").as_number();
@@ -265,8 +290,12 @@ LoadedDesignDb load_design_db(const std::string& path) {
   // Dispatch on content, not extension: a .clrdb snapshot loads through the
   // binary path, keeping its DrcMatrix section (its MDP table is dropped).
   if (has_snapshot_magic(bytes)) {
-    LoadedSnapshot snap = materialize(Snapshot::from_bytes(std::move(bytes)).view());
-    return LoadedDesignDb{std::move(snap.db), std::move(snap.space), std::move(snap.drc)};
+    try {
+      LoadedSnapshot snap = materialize(Snapshot::from_bytes(std::move(bytes)).view());
+      return LoadedDesignDb{std::move(snap.db), std::move(snap.space), std::move(snap.drc)};
+    } catch (const SnapshotError& e) {
+      throw e.in_file(path);
+    }
   }
   return design_db_from_json(Json::parse(bytes));
 }

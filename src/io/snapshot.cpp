@@ -1,6 +1,7 @@
 #include "io/snapshot.hpp"
 
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -371,6 +372,11 @@ SnapshotView SnapshotView::attach(const void* data, std::size_t size) {
                      std::to_string(v.mdp_policy_[i]) + " outside the " + std::to_string(np) +
                      "-point database");
           }
+          if (!std::isfinite(v.mdp_values_[i])) {
+            fail(SnapshotError::Kind::BadValue, "MdpPolicy state " + std::to_string(i) +
+                                                    ": non-finite value " +
+                                                    std::to_string(v.mdp_values_[i]));
+          }
         }
         break;
       }
@@ -681,6 +687,14 @@ Snapshot Snapshot::from_bytes(std::string bytes) {
 }
 
 Snapshot Snapshot::open(const std::string& path) {
+  try {
+    return open_unnamed(path);
+  } catch (const SnapshotError& e) {
+    throw e.in_file(path);
+  }
+}
+
+Snapshot Snapshot::open_unnamed(const std::string& path) {
 #if defined(CLR_SNAPSHOT_HAVE_MMAP)
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd >= 0) {
@@ -705,7 +719,7 @@ Snapshot Snapshot::open(const std::string& path) {
   }
 #endif
   std::ifstream f(path, std::ios::binary);
-  if (!f) fail(SnapshotError::Kind::Io, "cannot open " + path);
+  if (!f) fail(SnapshotError::Kind::Io, "cannot open the file");
   std::ostringstream buffer;
   buffer << f.rdbuf();
   return from_bytes(std::move(buffer).str());
@@ -771,6 +785,7 @@ LoadedSnapshot materialize(const SnapshotView& view) {
     table.ranges.func_rel_max = r[5];
     table.policy.assign(view.mdp_policy().begin(), view.mdp_policy().end());
     table.values.assign(view.mdp_values().begin(), view.mdp_values().end());
+    rt::order_mdp_table(table);  // attach() already checked what it checks
     loaded.mdp = std::move(table);
   }
   return loaded;
@@ -778,7 +793,11 @@ LoadedSnapshot materialize(const SnapshotView& view) {
 
 LoadedSnapshot load_snapshot(const std::string& path) {
   const Snapshot snapshot = Snapshot::open(path);
-  return materialize(snapshot.view());
+  try {
+    return materialize(snapshot.view());
+  } catch (const SnapshotError& e) {
+    throw e.in_file(path);
+  }
 }
 
 bool is_snapshot_path(const std::string& path) {

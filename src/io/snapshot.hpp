@@ -95,6 +95,12 @@ class SnapshotError : public std::runtime_error {
 
   Kind kind() const { return kind_; }
 
+  /// The same error, its message naming the file it came from
+  /// ("snapshot: PATH: ...").
+  SnapshotError in_file(const std::string& path) const {
+    return SnapshotError(kind_, path + ": " + (what() + std::string_view("snapshot: ").size()));
+  }
+
  private:
   Kind kind_;
 };
@@ -196,7 +202,8 @@ class SnapshotView {
 /// aligned heap arena filled by a single read. Movable, not copyable.
 class Snapshot {
  public:
-  /// Open + validate. Throws SnapshotError (Kind::Io on filesystem errors).
+  /// Open + validate. Throws SnapshotError (Kind::Io on filesystem errors),
+  /// its message naming `path`.
   static Snapshot open(const std::string& path);
 
   /// Validate an in-memory image (takes ownership; used by tests/fuzzing).
@@ -216,6 +223,7 @@ class Snapshot {
  private:
   Snapshot() = default;
   void reset() noexcept;
+  static Snapshot open_unnamed(const std::string& path);
 
   SnapshotView view_;
   void* data_ = nullptr;
@@ -259,7 +267,7 @@ void write_file_durable(const std::string& path, std::string_view bytes);
 void save_snapshot(const std::string& path, const dse::DesignDb& db, const rel::ClrSpace& space,
                    const rt::DrcMatrix* drc = nullptr, const rt::MdpTable* mdp = nullptr);
 
-/// open() + materialize() in one call.
+/// open() + materialize() in one call. A SnapshotError names `path`.
 LoadedSnapshot load_snapshot(const std::string& path);
 
 /// True when `path` names a .clrdb artifact by extension: picks the format

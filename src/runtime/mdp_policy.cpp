@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "common/stats.hpp"
 #include "trace/trace.hpp"
@@ -58,6 +60,36 @@ std::size_t MdpTable::bin_of(const dse::QosSpec& spec) const {
   const std::size_t f = bucket(spec.min_func_rel, ranges.func_rel_min, ranges.func_rel_max,
                                func_rel_bins);
   return s * func_rel_bins + f;
+}
+
+void order_mdp_table(MdpTable& table) {
+  const std::size_t points = static_cast<std::size_t>(table.num_points);
+  const std::size_t states = table.num_states();
+  if (table.policy.size() != states || table.values.size() != states) {
+    throw std::invalid_argument("order_mdp_table: malformed table");
+  }
+  for (std::size_t s = 0; s < states; ++s) {
+    if (table.policy[s] >= points) {
+      throw std::invalid_argument("order_mdp_table: state " + std::to_string(s) + ": action " +
+                                  std::to_string(table.policy[s]) + " out of range");
+    }
+    if (!std::isfinite(table.values[s])) {
+      throw std::invalid_argument("order_mdp_table: state " + std::to_string(s) +
+                                  ": non-finite value");
+    }
+  }
+  // Every value is finite, so (value descending, index ascending) is a strict
+  // total order and std::sort's result does not depend on its tie handling.
+  table.value_order.resize(states);
+  for (std::size_t base = 0; base < states; base += points) {
+    const auto first = table.value_order.begin() + static_cast<std::ptrdiff_t>(base);
+    const auto last = first + static_cast<std::ptrdiff_t>(points);
+    std::iota(first, last, std::uint32_t{0});
+    const double* values = table.values.data() + base;
+    std::sort(first, last, [values](std::uint32_t a, std::uint32_t b) {
+      return values[a] > values[b] || (values[a] == values[b] && a < b);
+    });
+  }
 }
 
 Mdp build_selection_mdp(const dse::DesignDb& db, const DrcMatrix& drc,
@@ -211,11 +243,12 @@ MdpTable build_mdp_table(const dse::DesignDb& db, const DrcMatrix& drc,
   table.ranges = ranges;
   table.policy = std::move(sol.policy);
   table.values = std::move(sol.value);
+  order_mdp_table(table);
   return table;
 }
 
 MdpPolicy::MdpPolicy(const dse::DesignDb& db, const DrcMatrix& drc, const MdpTable& table)
-    : db_(&db), drc_(&drc), table_(&table), feas_(db.size()) {
+    : db_(&db), drc_(&drc), table_(&table) {
   if (db.empty()) throw std::invalid_argument("MdpPolicy: empty database");
   if (drc.size() != db.size()) {
     throw std::invalid_argument("MdpPolicy: drc size must match db size");
@@ -226,38 +259,36 @@ MdpPolicy::MdpPolicy(const dse::DesignDb& db, const DrcMatrix& drc, const MdpTab
   if (table.policy.size() != table.num_states() || table.values.size() != table.num_states()) {
     throw std::invalid_argument("MdpPolicy: malformed table");
   }
-  for (std::uint32_t a : table.policy) {
-    if (a >= table.num_points) throw std::invalid_argument("MdpPolicy: action out of range");
+  if (table.value_order.size() != table.num_states()) {
+    throw std::invalid_argument("MdpPolicy: table has no value order (see order_mdp_table)");
   }
 }
 
 Decision MdpPolicy::decide(std::size_t current, const dse::QosSpec& spec) {
   Decision d;
   const auto* mask = alive_mask();
-  std::size_t pick = table_->policy[table_->state_of(spec, current)];
-  const bool usable = (mask == nullptr || (*mask)[pick]) &&
-                      spec.satisfied_by(db_->makespans()[pick], db_->func_rels()[pick]);
-  if (!usable) {
+  const double* makespans = db_->makespans().data();
+  const double* func_rels = db_->func_rels().data();
+  const auto usable = [&](std::size_t k) {
+    return (mask == nullptr || (*mask)[k]) && spec.satisfied_by(makespans[k], func_rels[k]);
+  };
+  const std::size_t base = table_->bin_of(spec) * db_->size();
+  std::size_t pick = table_->policy[base + current];
+  if (!usable(pick)) {
     // The tabular action was optimal for the bin center, not this concrete
-    // requirement (or its PEs died). Fall back to the feasible point the
-    // value function ranks highest in this bin — deterministic tie-break
-    // toward the current point.
-    const std::size_t m = db_->feasible_into(spec, feas_, mask);
-    if (m == 0) {
+    // requirement (or its PEs died). Take the usable point the bin's values
+    // rank highest: the first one in value order is the lowest index of the
+    // best value, and `current` wins a tie with it.
+    const std::uint32_t* order = table_->value_order.data() + base;
+    const std::uint32_t* const end = order + db_->size();
+    while (order != end && !usable(*order)) ++order;
+    if (order == end) {
       d.feasible_set_empty = true;
       pick = db_->least_violating(spec, mask);
     } else {
-      const double* values = table_->values.data() + table_->bin_of(spec) * db_->size();
-      pick = feas_[0];
-      double best_v = values[pick];
-      for (std::size_t j = 1; j < m; ++j) {
-        const std::size_t k = feas_[j];
-        const double v = values[k];
-        if (v > best_v || (v == best_v && k == current)) {
-          best_v = v;
-          pick = k;
-        }
-      }
+      pick = *order;
+      const double* values = table_->values.data() + base;
+      if (values[current] == values[pick] && usable(current)) pick = current;
     }
   }
   d.point = pick;

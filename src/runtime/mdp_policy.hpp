@@ -10,12 +10,13 @@
 // folded into the reward). Solved OFFLINE by in-place value iteration with a
 // policy-iteration fallback (runtime/mdp.hpp, proven optimal by
 // tests/runtime/test_mdp_oracle.cpp); the runtime decision is a pure table
-// lookup — deterministic, allocation-free — with a feasibility-checked
-// fallback scan when the tabular pick misses the concrete requirement.
+// lookup — deterministic, allocation-free — and, when the tabular pick misses
+// the concrete requirement, a walk down the bin's points in value order.
 //
 // The resulting MdpTable is immutable and shareable (the fleet builds one per
 // run and hands it to every device) and serializable as the `.clrdb`
-// MdpPolicy section (io/snapshot.hpp).
+// MdpPolicy section (io/snapshot.hpp). Its value order is derived once per
+// table, by order_mdp_table, and never stored in a file.
 
 #include <cstdint>
 #include <vector>
@@ -53,6 +54,10 @@ struct MdpTable {
   std::vector<std::uint32_t> policy;
   /// Value function per state (same indexing).
   std::vector<double> values;
+  /// Derived from `values` by order_mdp_table, never serialized: per bin, the
+  /// points by decreasing value, ties by increasing index
+  /// (value_order[bin * num_points + rank]).
+  std::vector<std::uint32_t> value_order;
 
   std::size_t num_bins() const {
     return static_cast<std::size_t>(makespan_bins) * func_rel_bins;
@@ -67,6 +72,13 @@ struct MdpTable {
 
   bool operator==(const MdpTable&) const = default;
 };
+
+/// Check `table` — its sizes, every action inside its num_points and every
+/// value finite (the value order needs a strict weak order) — and derive its
+/// value_order. Throws std::invalid_argument naming the first bad entry.
+/// build_mdp_table and io::materialize call it; a hand-built table must pass
+/// through it before an MdpPolicy reads it.
+void order_mdp_table(MdpTable& table);
 
 /// The validated MDP build_mdp_table solves: state = bin * points + current,
 /// action = next point, one transition row per (bin, action) shared by every
@@ -87,14 +99,18 @@ MdpTable build_mdp_table(const dse::DesignDb& db, const DrcMatrix& drc,
                          const MdpPolicyParams& params = {});
 
 /// Tabular adaptation policy over a prebuilt (and possibly shared) table.
-/// The table must outlive the policy and match the database size.
+/// The table must outlive the policy, match the database size and carry its
+/// value order (order_mdp_table): construction checks sizes only, so a fleet
+/// validates its one table once, not once per device. Allocation-free.
 class MdpPolicy : public AdaptationPolicy {
  public:
   MdpPolicy(const dse::DesignDb& db, const DrcMatrix& drc, const MdpTable& table);
 
-  /// Allocation-free: a table lookup, a feasibility check and (only when the
-  /// tabular pick misses the concrete spec or died with a PE) a value-ranked
-  /// fallback over the DesignDb feasibility scan.
+  /// Allocation-free: a table lookup and a feasibility check. Only when the
+  /// tabular pick misses the concrete spec or died with a PE, a walk down the
+  /// bin's value order to the first usable point, which `current` replaces
+  /// when it is usable and of equal value — the value-ranked argmax over FEAS
+  /// with its tie-break toward `current`, without the feasibility scan.
   Decision select(std::size_t current, const dse::QosSpec& spec) override;
   Decision peek(std::size_t current, const dse::QosSpec& spec) override;
 
@@ -106,7 +122,6 @@ class MdpPolicy : public AdaptationPolicy {
   const dse::DesignDb* db_;
   const DrcMatrix* drc_;
   const MdpTable* table_;
-  std::vector<std::size_t> feas_;  ///< fallback FEAS scratch (db size)
 };
 
 }  // namespace clr::rt

@@ -50,13 +50,7 @@ RuntimeStats RuntimeSimulator::run(const dse::DesignDb& db, AdaptationPolicy& po
   std::optional<flt::FaultInjector> injector;
   if (faults_on) {
     std::vector<flt::PeFaultProfile> profiles = scenario->profiles;
-    if (profiles.empty()) {
-      plat::PeId max_pe = 0;
-      for (const auto& p : db.points()) {
-        for (const auto& a : p.config.tasks) max_pe = std::max(max_pe, a.pe);
-      }
-      profiles = flt::uniform_profiles(static_cast<std::size_t>(max_pe) + 1);
-    }
+    if (profiles.empty()) profiles = flt::uniform_profiles(std::max<std::size_t>(db.pe_bound(), 1));
     health.emplace(db, profiles.size());
     injector.emplace(scenario->params, std::move(profiles), scenario->seed);
     policy.set_health(&*health);

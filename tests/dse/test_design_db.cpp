@@ -151,6 +151,26 @@ TEST(DesignDb, ConfigurationsExportsAll) {
   EXPECT_EQ(db.configurations().size(), 2u);
 }
 
+TEST(DesignDb, PeBoundIsOnePastTheLargestBoundPe) {
+  DesignDb db;
+  EXPECT_EQ(db.pe_bound(), 0u);
+  DesignPoint none = make_point(1, 1, 0.5, 1);
+  none.config.tasks.clear();  // binds no PE
+  db.add(none);
+  EXPECT_EQ(db.pe_bound(), 0u);
+  DesignPoint p = make_point(1, 1, 0.5, 2);
+  p.config.tasks.resize(3);
+  p.config.tasks[1].pe = 7;
+  p.config.tasks[2].pe = 3;
+  db.add(p);
+  EXPECT_EQ(db.pe_bound(), 8u);
+  db.add(make_point(2, 2, 0.6, 3));  // PE 0 only: the bound stays
+  EXPECT_EQ(db.pe_bound(), 8u);
+  EXPECT_EQ(db.without_pe(7).pe_bound(), 1u);  // the survivors bind PE 0 only
+  const DesignDb copy = db;
+  EXPECT_EQ(copy.pe_bound(), 8u);
+}
+
 TEST(DesignDb, SummaryMentionsCounts) {
   DesignDb db;
   db.add(make_point(1, 1, 0.5, 1));

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "reliability/techniques.hpp"
 
 namespace clr::flt {
@@ -115,7 +118,50 @@ TEST(PlatformHealth, KillPeRetiresDependentPoints) {
 
 TEST(PlatformHealth, RejectsPointsBeyondThePlatform) {
   const auto db = make_db();  // references PE 1
+  EXPECT_EQ(db.pe_bound(), 2u);
   EXPECT_THROW(PlatformHealth(db, 1), std::invalid_argument);
+  EXPECT_NO_THROW(PlatformHealth(db, 2));
+  EXPECT_NO_THROW(PlatformHealth(dse::DesignDb{}, 0));
+}
+
+TEST(PlatformHealth, RandomKillSequencesMatchTheMaskRecomputedFromTheBindings) {
+  // After every kill, a point is alive exactly when every PE its tasks bind
+  // to is alive, recomputed here from the bindings.
+  util::Rng rng(0x4EA1u);
+  for (std::size_t c = 0; c < 200; ++c) {
+    const std::size_t pes = 1 + rng.index(12);
+    const std::size_t points = 1 + rng.index(40);
+    dse::DesignDb db;
+    for (std::size_t i = 0; i < points; ++i) {
+      std::vector<plat::PeId> bound(1 + rng.index(6));
+      for (auto& pe : bound) pe = static_cast<plat::PeId>(rng.index(pes));
+      db.add(make_point(bound));
+    }
+    const std::size_t platform = pes + rng.index(3);  // spare PEs no point uses
+    ASSERT_LE(db.pe_bound(), platform);
+    PlatformHealth health(db, platform);
+    std::vector<bool> pe_alive(platform, true);
+    // Repeats, spare PEs and ids beyond the platform included.
+    for (std::size_t k = 0; k < 2 * platform; ++k) {
+      const auto pe = static_cast<plat::PeId>(rng.index(platform + 2));
+      health.kill_pe(pe);
+      if (pe < platform) pe_alive[pe] = false;
+      std::vector<bool> want(db.size(), true);
+      for (std::size_t i = 0; i < db.size(); ++i) {
+        for (const auto& a : db.point(i).config.tasks) want[i] = want[i] && pe_alive[a.pe];
+      }
+      const auto alive_points =
+          static_cast<std::size_t>(std::count(want.begin(), want.end(), true));
+      const auto alive_pes =
+          static_cast<std::size_t>(std::count(pe_alive.begin(), pe_alive.end(), true));
+      ASSERT_EQ(health.point_mask(), want) << "case " << c << " kill " << k;
+      ASSERT_EQ(health.num_alive_points(), alive_points) << "case " << c << " kill " << k;
+      ASSERT_EQ(health.num_alive_pes(), alive_pes) << "case " << c << " kill " << k;
+      for (std::size_t pe_id = 0; pe_id < platform; ++pe_id) {
+        ASSERT_EQ(health.pe_alive(static_cast<plat::PeId>(pe_id)), pe_alive[pe_id]);
+      }
+    }
+  }
 }
 
 TEST(FaultInjector, AllRatesZeroMeansNoEvents) {

@@ -176,5 +176,68 @@ TEST(SerializeErrors, OutOfMenuTechniqueNamesConfigAndCode) {
   }
 }
 
+TEST(SerializeErrors, OutOfRangeSswParamNamesConfigAndValue) {
+  // 258 used to load as 2, 300 as 44 and -1 as 255.
+  for (const char* value : {"258", "300", "-1"}) {
+    std::string db = R"({"version":1,"points":[],"clr_space":{"version":1,"configs":[)"
+                     R"({"hw":0,"ssw":0,"asw":0,"ssw_param":0},{"hw":0,"ssw":1,"asw":0,)"
+                     R"("ssw_param":)";
+    db += value;
+    db += "}]}}";
+    try {
+      (void)design_db_from_json(Json::parse(db));
+      ADD_FAILURE() << value << " accepted";
+    } catch (const JsonError& e) {
+      EXPECT_EQ(std::string(e.what()), std::string("CLR space config 1: ssw_param ") + value +
+                                           " (want 0..255) (at offset 0)");
+    }
+  }
+  const auto space = clr_space_from_json(Json::parse(
+      R"({"version":1,"configs":[{"hw":0,"ssw":1,"asw":0,"ssw_param":255}]})"));
+  EXPECT_EQ(space.config(space.size() - 1).ssw_param, 255);
+}
+
+TEST(SerializeErrors, OutOfRangeConfigurationFieldNamesTaskFieldAndValue) {
+  struct Case {
+    const char* field;
+    const char* value;
+    const char* want;
+  };
+  const Case cases[] = {
+      {"pe", "-1", "0..4294967295"},          {"pe", "4294967296", "0..4294967295"},
+      {"impl", "-1", "0..4294967295"},        {"impl", "4294967296", "0..4294967295"},
+      {"clr", "-1", "0..4294967295"},         {"clr", "4294967296", "0..4294967295"},
+      {"priority", "2147483648", "-2147483648..2147483647"},
+      {"priority", "-2147483649", "-2147483648..2147483647"},
+  };
+  for (const Case& c : cases) {
+    std::string cfg = "{";
+    for (const std::string field : {"pe", "impl", "clr", "priority"}) {
+      if (cfg.size() > 1) cfg += ',';
+      cfg += "\"" + field + "\":[0," + (field == c.field ? c.value : "1") + "]";
+    }
+    cfg += '}';
+    const std::string tail = std::string(": ") + c.field + " " + c.value + " (want " + c.want +
+                             ") (at offset 0)";
+    try {
+      (void)configuration_from_json(Json::parse(cfg));
+      ADD_FAILURE() << cfg << " accepted";
+    } catch (const JsonError& e) {
+      EXPECT_EQ(std::string(e.what()), "configuration task 1" + tail);
+    }
+    const std::string db = R"({"version":1,"clr_space":{"version":1,"configs":[]},"points":[)"
+                           R"({"config":{"pe":[0],"impl":[0],"clr":[0],"priority":[0]},)"
+                           R"("energy":1,"makespan":1,"func_rel":0.9,"extra":false},)"
+                           R"({"config":)" +
+                           cfg + R"(,"energy":1,"makespan":1,"func_rel":0.9,"extra":false}]})";
+    try {
+      (void)design_db_from_json(Json::parse(db));
+      ADD_FAILURE() << db << " accepted";
+    } catch (const JsonError& e) {
+      EXPECT_EQ(std::string(e.what()), "design point 1 task 1" + tail);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace clr::io

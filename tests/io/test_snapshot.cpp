@@ -4,9 +4,11 @@
 
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "experiments/app.hpp"
 #include "experiments/flow.hpp"
 #include "experiments/runner.hpp"
@@ -129,6 +131,49 @@ TEST(Snapshot, FileRoundTripUsesTheZeroCopyMapping) {
     expect_equal(materialize(snap.view()).db, f.db);
   }
   std::filesystem::remove(path);
+}
+
+TEST(Snapshot, EveryFileReaderNamesTheFileAndKeepsTheKind) {
+  const Fixture f = make_fixture();
+  const auto dir = std::filesystem::temp_directory_path();
+  const auto flipped = (dir / "clr_snap_flipped.clrdb").string();
+  std::string bytes = serialize_snapshot(f.db, f.space, &f.drc);
+  bytes[bytes.size() - 3] = static_cast<char>(bytes[bytes.size() - 3] ^ 0xFF);
+  write_file_durable(flipped, bytes);
+  const auto missing = (dir / "clr_snap_no_such_file.clrdb").string();
+  std::filesystem::remove(missing);
+  const auto holds_checkpoint = (dir / "clr_snap_checkpoint.clrdb").string();
+  detail::RawSection section;
+  section.kind = static_cast<std::uint32_t>(SnapshotSection::FleetState);
+  section.bytes = std::string(16, '\0');
+  write_file_durable(holds_checkpoint, detail::assemble_snapshot_container({section}));
+
+  const auto expect_named = [](const auto& read, const std::string& path,
+                               SnapshotError::Kind kind, const std::string& detail) {
+    try {
+      read(path);
+      ADD_FAILURE() << path << " read";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.kind(), kind) << e.what();
+      EXPECT_EQ(std::string(e.what()).rfind("snapshot: " + path + ": " + detail, 0), 0u)
+          << e.what();
+    }
+  };
+  const auto open = [](const std::string& p) { (void)Snapshot::open(p); };
+  const auto load = [](const std::string& p) { (void)load_snapshot(p); };
+  const auto load_db = [](const std::string& p) { (void)load_design_db(p); };
+  expect_named(open, flipped, SnapshotError::Kind::Checksum, "stored payload checksum");
+  expect_named(open, missing, SnapshotError::Kind::Io, "cannot open the file");
+  expect_named(load, flipped, SnapshotError::Kind::Checksum, "stored payload checksum");
+  expect_named(load, missing, SnapshotError::Kind::Io, "cannot open the file");
+  expect_named(load, holds_checkpoint, SnapshotError::Kind::BadValue, "file holds a checkpoint");
+  expect_named(load_db, flipped, SnapshotError::Kind::Checksum, "stored payload checksum");
+  expect_named(load_db, holds_checkpoint, SnapshotError::Kind::BadValue,
+               "file holds a checkpoint");
+  // A file that only opens is no error at all.
+  EXPECT_NO_THROW((void)Snapshot::open(holds_checkpoint));
+  std::filesystem::remove(flipped);
+  std::filesystem::remove(holds_checkpoint);
 }
 
 TEST(Snapshot, LoadDesignDbDispatchesOnMagicNotExtension) {
@@ -366,6 +411,7 @@ rt::MdpTable make_mdp_table(std::size_t points) {
     t.policy[s] = static_cast<std::uint32_t>((s * 7 + 1) % points);
     t.values[s] = 0.25 * static_cast<double>(s) - 3.5;
   }
+  rt::order_mdp_table(t);  // as build_mdp_table and materialize do
   return t;
 }
 
@@ -379,8 +425,53 @@ TEST(SnapshotMdp, RoundTripsTheMdpPolicySection) {
   expect_equal(f.db, loaded.db);
   ASSERT_TRUE(loaded.mdp.has_value());
   // Defaulted operator==: every scalar, range bound, policy entry and value
-  // compared bit-for-bit.
+  // compared bit-for-bit, and the value order the loader derived.
   EXPECT_EQ(*loaded.mdp, table);
+}
+
+TEST(SnapshotMdp, NonFiniteValueIsBadValueNamingTheState) {
+  // The value order needs a strict weak order, so a NaN or an infinity must
+  // not load. Patch one value and re-seal the payload checksum, so the
+  // value check, not the checksum, has to catch it.
+  const Fixture f = make_fixture();
+  const rt::MdpTable table = make_mdp_table(f.db.size());
+  const std::string good = serialize_snapshot(f.db, f.space, &f.drc, &table);
+  std::uint32_t sections = 0;
+  std::memcpy(&sections, good.data() + 32, sizeof sections);
+  std::size_t values_at = 0;
+  for (std::uint32_t i = 0; i < sections; ++i) {
+    std::uint32_t kind = 0;
+    std::uint64_t offset = 0;
+    std::memcpy(&kind, good.data() + 40 + 24 * i, sizeof kind);
+    std::memcpy(&offset, good.data() + 40 + 24 * i + 8, sizeof offset);
+    if (kind == static_cast<std::uint32_t>(SnapshotSection::MdpPolicy)) {
+      values_at = static_cast<std::size_t>(offset) + 80 + (table.num_states() * 4 + 7) / 8 * 8;
+    }
+  }
+  ASSERT_NE(values_at, 0u);
+  const std::size_t payload_start = 40 + 24 * std::size_t{sections};
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    std::string bytes = good;
+    patch<double>(bytes, values_at + 8 * 7, bad);
+    patch<std::uint64_t>(bytes, 24,
+                         util::fnv1a(bytes.data() + payload_start, bytes.size() - payload_start));
+    try {
+      (void)Snapshot::from_bytes(std::move(bytes));
+      ADD_FAILURE() << bad << " accepted";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.kind(), SnapshotError::Kind::BadValue);
+      EXPECT_NE(std::string(e.what()).find("snapshot: MdpPolicy state 7: non-finite value "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Re-sealing the intact file reproduces the writer's checksum.
+  std::string resealed = good;
+  const std::size_t payload_size = resealed.size() - payload_start;
+  patch<std::uint64_t>(resealed, 24, util::fnv1a(resealed.data() + payload_start, payload_size));
+  EXPECT_EQ(resealed, good);
 }
 
 TEST(SnapshotMdp, FilesWithoutTheSectionLoadWithNoTable) {

@@ -3,14 +3,18 @@
 // uRA, AuRA (select / peek / select_initial), Baseline and MDP — must equal
 // the reference oracle in reference_policy.cpp, field for field and doubles
 // bitwise, on fuzzed databases and cost tables, with and without an alive
-// mask — and so must uRA and AuRA backed by a DecisionTable.
+// mask — and so must uRA and AuRA backed by a DecisionTable, and the MDP's
+// value-order walk on tables shaped to meet each case it is sensitive to.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -44,6 +48,10 @@ double draw(util::Rng& rng, bool grid, double lo, double hi) {
 }
 
 struct Case {
+  Case() = default;
+  Case(const Case&) = delete;  // `health` points at `db`: never copied or moved
+  Case& operator=(const Case&) = delete;
+
   bool grid = false;  ///< metrics and values on a grid
   dse::DesignDb db;
   std::optional<DrcMatrix> drc;
@@ -53,8 +61,7 @@ struct Case {
   double guard = 0.0;
 };
 
-Case make_case(util::Rng& rng, std::size_t index) {
-  Case c;
+void make_case(Case& c, util::Rng& rng, std::size_t index) {
   const std::size_t n =
       index % 2 == 0 ? kSizes[(index / 2) % std::size(kSizes)] : 1 + rng.index(200);
   c.grid = rng.chance(0.5);
@@ -94,10 +101,9 @@ Case make_case(util::Rng& rng, std::size_t index) {
   c.gamma = g < 3 ? kGammas[g] : rng.uniform(0.0, 0.99);
   c.guard = b < 3 ? kGuards[b] : rng.uniform(0.0, 0.5);
   c.p_rc = r < 3 ? 0.5 * static_cast<double>(r) : rng.uniform(0.0, 1.0);
-  return c;
 }
 
-/// Random (valid) tabular policy over the case's database.
+/// Random (valid) tabular policy over the case's database, in value order.
 MdpTable random_table(util::Rng& rng, const Case& c) {
   MdpTable t;
   t.makespan_bins = static_cast<std::uint32_t>(1 + rng.index(4));
@@ -110,6 +116,7 @@ MdpTable random_table(util::Rng& rng, const Case& c) {
   t.values.resize(t.num_states());
   for (auto& a : t.policy) a = static_cast<std::uint32_t>(rng.index(c.db.size()));
   for (auto& v : t.values) v = draw(rng, c.grid, -1.0, 1.0);
+  order_mdp_table(t);
   return t;
 }
 
@@ -139,7 +146,8 @@ TEST(DecisionDifferential, EveryPolicyMatchesTheReferenceOracle) {
   util::Rng rng(0xDEC1u);
   std::size_t masked = 0, empty = 0, single = 0, several = 0;
   for (std::size_t ci = 0; ci < kCases; ++ci) {
-    const Case c = make_case(rng, ci);
+    Case c;
+    make_case(c, rng, ci);
     const dse::DesignDb& db = c.db;
     const DrcMatrix& drc = *c.drc;
     const std::size_t n = db.size();
@@ -213,6 +221,136 @@ TEST(DecisionDifferential, EveryPolicyMatchesTheReferenceOracle) {
   EXPECT_GE(several, kCases);
 }
 
+TEST(DecisionDifferential, MdpValueOrderWalkMatchesTheReferenceOracle) {
+  // Tables and masks shaped so that the tabular pick misses and the walk down
+  // the bin's value order meets each situation it is sensitive to:
+  //   0 — `current` ties the best usable value on a {0, 0.5, 1} grid, behind
+  //       a lower-index point of that value and an unusable point above both;
+  //   1 — the first point in value order is feasible but dead under the mask;
+  //   2 — the first point is alive but infeasible, and the second is tied
+  //       with it (same value, higher index);
+  //   3 — every feasible point is dead: FEAS is empty under the mask.
+  constexpr std::size_t kCases = 800;
+  util::Rng rng(0x0DE5u);
+  std::size_t reached[4] = {};
+  for (std::size_t ci = 0; ci < kCases; ++ci) {
+    Case c;
+    make_case(c, rng, ci);
+    const dse::DesignDb& db = c.db;
+    const std::size_t n = db.size();
+    const std::size_t kind = ci % 4;
+    // A requirement that two stored points meet (the same point when n = 1).
+    const std::size_t i = rng.index(n);
+    const std::size_t j = rng.index(n);
+    const dse::QosSpec spec{std::max(db.makespans()[i], db.makespans()[j]),
+                            std::min(db.func_rels()[i], db.func_rels()[j])};
+    std::vector<std::size_t> feas, infeas;
+    for (std::size_t k = 0; k < n; ++k) {
+      (db.point(k).feasible_for(spec) ? feas : infeas).push_back(k);
+    }
+
+    MdpTable table = random_table(rng, c);
+    const std::size_t base = table.bin_of(spec) * n;
+    double* values = table.values.data() + base;
+    c.health.emplace(db, n);  // each point owns PE k, so the mask is ours to carve
+    std::size_t current = rng.index(n);
+    std::size_t want_point = n;  // the pick the scenario forces, when it forces one
+    if (kind == 0) {
+      if (feas.size() < 2) continue;
+      for (std::size_t k = 0; k < n; ++k) values[k] = 0.5 * static_cast<double>(rng.index(3));
+      current = feas[1 + rng.index(feas.size() - 1)];
+      values[feas[0]] = values[current] = 1.0;
+      if (!infeas.empty()) values[infeas[rng.index(infeas.size())]] = 2.0;
+      want_point = current;
+    } else if (kind == 1) {
+      if (feas.size() < 2) continue;
+      const std::size_t dead = feas[rng.index(feas.size())];
+      values[dead] = 2.0;
+      c.health->kill_pe(static_cast<plat::PeId>(dead));
+    } else if (kind == 2) {
+      const std::size_t second = feas.empty() ? 0 : feas.back();
+      if (infeas.empty() || infeas.front() > second) continue;
+      const std::size_t first = infeas.front();
+      values[first] = values[second] = 2.0;
+      want_point = second;
+    } else {
+      if (feas.empty() || infeas.empty()) continue;
+      for (std::size_t k : feas) c.health->kill_pe(static_cast<plat::PeId>(k));
+    }
+    const std::vector<bool>& mask = c.health->point_mask();
+    std::vector<std::size_t> unusable;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (!mask[k] || !db.point(k).feasible_for(spec)) unusable.push_back(k);
+    }
+    if (unusable.empty()) continue;
+    const std::size_t miss = unusable[rng.index(unusable.size())];
+    table.policy[base + current] = static_cast<std::uint32_t>(miss);
+    order_mdp_table(table);
+
+    MdpPolicy mdp(db, *c.drc, table);
+    mdp.set_health(&*c.health);
+    const std::string where = "case " + std::to_string(ci) + " (n " + std::to_string(n) +
+                              ", kind " + std::to_string(kind) + ")";
+    const Decision want = reference::mdp_decide(db, *c.drc, table, current, spec, &mask);
+    expect_same(mdp.select(current, spec), want, where + " MDP select");
+    expect_same(mdp.peek(current, spec), want, where + " MDP peek");
+    // The scenario is the one claimed.
+    if (want_point != n) {
+      EXPECT_EQ(want.point, want_point) << where;
+    }
+    EXPECT_EQ(want.feasible_set_empty, kind == 3) << where;
+    ++reached[kind];
+    if (HasFailure()) return;
+  }
+  for (std::size_t kind = 0; kind < 4; ++kind) {
+    EXPECT_GE(reached[kind], kCases / 16) << "kind " << kind;
+  }
+}
+
+TEST(DecisionDifferential, OrderingRejectsNonFiniteValuesAndOutOfRangeActions) {
+  MdpTable t;
+  t.makespan_bins = 1;
+  t.func_rel_bins = 2;
+  t.num_points = 3;
+  t.policy = {0, 1, 2, 2, 1, 0};
+  t.values = {0.5, -1.0, 0.5, 2.0, 0.0, 2.0};
+  order_mdp_table(t);
+  EXPECT_EQ(t.value_order, (std::vector<std::uint32_t>{0, 2, 1, 0, 2, 1}));
+
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    MdpTable u = t;
+    u.values[4] = bad;
+    try {
+      order_mdp_table(u);
+      ADD_FAILURE() << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "order_mdp_table: state 4: non-finite value");
+    }
+  }
+  MdpTable u = t;
+  u.policy[5] = 3;
+  EXPECT_THROW(order_mdp_table(u), std::invalid_argument);
+  u = t;
+  u.values.pop_back();
+  EXPECT_THROW(order_mdp_table(u), std::invalid_argument);
+
+  // A policy reads only tables that carry their order.
+  dse::DesignDb db;
+  for (int k = 0; k < 3; ++k) {
+    dse::DesignPoint p;
+    p.config.tasks.resize(1);
+    p.config.tasks[0].priority = k;
+    db.add(std::move(p));
+  }
+  const DrcMatrix drc(3, std::vector<double>(9, 0.0));
+  u = t;
+  u.value_order.clear();
+  EXPECT_THROW(MdpPolicy(db, drc, u), std::invalid_argument);
+  EXPECT_NO_THROW(MdpPolicy(db, drc, t));
+}
+
 TEST(DecisionDifferential, TableBackedUraAndAuraMatchTheReferenceOracle) {
   // One DecisionTable serves a uRA and an AuRA policy; each case replays its
   // spec sequence three times, so the later passes hit entries the first
@@ -223,19 +361,21 @@ TEST(DecisionDifferential, TableBackedUraAndAuraMatchTheReferenceOracle) {
   util::Rng rng(0x7AB1Eu);
   DecisionTable::Counters total;
   for (std::size_t ci = 0; ci < kCases; ++ci) {
-    Case c = make_case(rng, ci);
+    Case c;
+    make_case(c, rng, ci);
     const dse::DesignDb& db = c.db;
     const DrcMatrix& drc = *c.drc;
     const std::size_t n = db.size();
     // Masks: none, every point alive (the table is used), one dead point
-    // (the table is bypassed; a single point stays alive).
-    c.health.reset();
+    // (the table is bypassed; a single point stays alive). The case's own
+    // random mask is not used.
+    std::optional<flt::PlatformHealth> health;
     const bool one_dead = ci % 3 == 2 && n > 1;
     if (ci % 3 != 0) {
-      c.health.emplace(db, n);
-      if (one_dead) c.health->kill_pe(static_cast<plat::PeId>(rng.index(n)));
+      health.emplace(db, n);
+      if (one_dead) health->kill_pe(static_cast<plat::PeId>(rng.index(n)));
     }
-    const std::vector<bool>* mask = c.health ? &c.health->point_mask() : nullptr;
+    const std::vector<bool>* mask = health ? &health->point_mask() : nullptr;
     constexpr double kGuards[] = {0.0, 1e-3, 0.2};
     c.gamma = ci % 2 == 0 ? 0.0 : 0.5;
     c.guard = kGuards[(ci / 2) % 3];
@@ -249,9 +389,9 @@ TEST(DecisionDifferential, TableBackedUraAndAuraMatchTheReferenceOracle) {
     std::vector<double> values(n);
     for (auto& v : values) v = draw(rng, c.grid, 0.0, 1.0);
     aura.set_values(values);
-    if (c.health) {
-      ura.set_health(&*c.health);
-      aura.set_health(&*c.health);
+    if (health) {
+      ura.set_health(&*health);
+      aura.set_health(&*health);
     }
     const reference::Ura oracle(db, drc, c.p_rc);
 

@@ -3,12 +3,12 @@
 // CompiledGraph evaluation must perform *zero* heap allocations, and the
 // MappingProblem steady-state paths (decode_into + cache-hit
 // evaluate_metrics) must stay allocation-free too. The run-time decision
-// path has the same contract (DESIGN.md §5.16): warm policy decisions and a
-// warm learning AuRA simulation run allocate nothing, also through a
-// DecisionTable once every slab is allocated. The count is enforced
-// by replacing the global operator new/delete with counting versions, which
-// is why this suite lives in its own binary (alloc_tests) — the override is
-// program-wide.
+// path has the same contract (DESIGN.md §5.16): warm policy decisions, the
+// construction of an MdpPolicy and a warm learning AuRA simulation run
+// allocate nothing, also through a DecisionTable once every slab is
+// allocated. The count is enforced by replacing the global operator
+// new/delete with counting versions, which is why this suite lives in its
+// own binary (alloc_tests) — the override is program-wide.
 
 #include <gtest/gtest.h>
 
@@ -256,6 +256,12 @@ TEST(AllocPinning, WarmPolicyDecisionsAreAllocationFree) {
                                                  flt::FaultParams{}, grid);
   flt::PlatformHealth health(f.db, 6);
   health.kill_pe(5);  // retires every point with a task on PE 5
+
+  // A fleet constructs one MdpPolicy per device over its one shared table:
+  // construction allocates nothing (the table carries its value order).
+  const std::uint64_t before = allocs();
+  { const rt::MdpPolicy probe(f.db, f.drc, table); }
+  EXPECT_EQ(allocs() - before, 0u) << "MdpPolicy construction";
 
   for (const bool masked : {false, true}) {
     rt::UraPolicy ura(f.db, f.drc, 0.5);

@@ -232,8 +232,30 @@ TEST(CliSnapshot, CorruptedClrdbFailsWithTypedMessage) {
   const auto [code, out] =
       run_tool("simulate --tasks 6 --seed 5 --cycles 5e3 --db " + good_path);
   EXPECT_NE(code, 0);
-  EXPECT_NE(out.find("snapshot:"), std::string::npos) << out;
+  EXPECT_NE(out.find("clrtool: snapshot: " + good_path + ": "), std::string::npos) << out;
   std::remove(good_path.c_str());
+}
+
+TEST(CliDesignDb, OutOfRangeJsonFieldIsRefusedNamingConfigFieldAndValue) {
+  // A JSON ssw_param of 258 used to load as 2 and run the unedited database.
+  const std::string path = explore_small_db("clrtool_db_ssw_param.json");
+  const std::string bytes = read_file(path);
+  const std::string field = "\"ssw_param\": ";
+  const std::size_t at = bytes.find(field);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t end = bytes.find_first_not_of("0123456789", at + field.size());
+  for (const char* value : {"258", "300", "-1"}) {
+    SCOPED_TRACE(value);
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << bytes.substr(0, at + field.size()) << value << bytes.substr(end);
+    const auto [code, out] = run_tool("simulate --tasks 6 --seed 5 --cycles 3000 --db " + path);
+    EXPECT_EQ(code, 1) << out;
+    EXPECT_NE(out.find(std::string("clrtool: CLR space config 0: ssw_param ") + value +
+                       " (want 0..255)"),
+              std::string::npos)
+        << out;
+  }
+  std::remove(path.c_str());
 }
 
 // --- validate: Monte-Carlo validation of the stored points -------------------
@@ -682,7 +704,9 @@ TEST(CliCheckpointFixtures, V3CheckpointsAreRefusedAndLeftByteIdentical) {
 
     const auto [code, out] = run_tool(f.args + " --checkpoint " + base + " --resume");
     EXPECT_EQ(code, 1) << out;
-    EXPECT_NE(out.find("clrtool: snapshot: format version 3 (this reader supports only version 4)"),
+    // The message names the slot that holds the refused file.
+    EXPECT_NE(out.find("clrtool: snapshot: " + base + f.slot +
+                       ": format version 3 (this reader supports only version 4)"),
               std::string::npos)
         << out;
     EXPECT_EQ(read_file(base + f.slot), bytes);
