@@ -1,8 +1,10 @@
 #include "experiments/runner.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -108,15 +110,17 @@ std::uint64_t Runner::grid_hash() const {
 RunOutcome Runner::run(const RunnerControl& control) {
   const std::size_t reps = std::max<std::size_t>(config_.replications, 1);
   const std::size_t total = cells_.size() * reps;
-  const std::uint64_t identity = grid_hash();
 
-  // Flat per-job state (job = cell·reps + rep). A resume restores the
+  // The restartable state (job = cell·reps + rep). A resume restores the
   // completed jobs' flags and stats; everything else is recomputed.
-  std::vector<std::uint8_t> done(total, 0);
-  std::vector<rt::RuntimeStats> stats(total);
+  RunnerProgress progress;
+  progress.grid_hash = grid_hash();
+  progress.replications = reps;
+  progress.done.assign(total, 0);
+  progress.runs.resize(total);
   if (control.resume != nullptr) {
     const RunnerProgress& p = *control.resume;
-    if (p.grid_hash != identity) {
+    if (p.grid_hash != progress.grid_hash) {
       throw std::invalid_argument(
           "Runner::run: resume progress was recorded for a different grid (hash mismatch)");
     }
@@ -130,8 +134,8 @@ RunOutcome Runner::run(const RunnerControl& control) {
                                   std::to_string(p.done.size()) + " jobs, grid has " +
                                   std::to_string(total));
     }
-    done = p.done;
-    stats = p.runs;
+    progress.done = p.done;
+    progress.runs = p.runs;
   }
 
   util::ThreadPool pool(config_.jobs);
@@ -174,7 +178,7 @@ RunOutcome Runner::run(const RunnerControl& control) {
     for (std::size_t c = 0; c < cells_.size(); ++c) {
       if (cells_[c].params.kind != PolicyKind::Mdp) continue;
       for (std::size_t r = 0; r < reps; ++r) {
-        if (done[c * reps + r] == 0) {
+        if (progress.done[c * reps + r] == 0) {
           to_solve.push_back(c);
           break;
         }
@@ -193,77 +197,69 @@ RunOutcome Runner::run(const RunnerControl& control) {
     stopped = control.stop.stop_requested();
   }
 
-  // Phase 2: fan the pending (cell, replication) jobs out in waves of
-  // `batch_size`. Each job's seed derives only from (cell.seed, rep) and
-  // each writes its own pre-sized slot, so neither the schedule, the wave
-  // boundaries, nor a kill/resume cycle can change any observable result.
+  // Phase 2: every pending (cell, replication) job on the pool at once. Each
+  // job's seed derives only from (cell.seed, rep), and a worker publishes the
+  // job under `publish`, the one lock over `progress`, with on_boundary
+  // called under it. So neither the schedule nor a kill/resume cycle can
+  // change any observable result. Traces stay out of `progress`. When
+  // on_boundary throws, `failed` is set before the lock is released, so no
+  // worker starts a job after it (as run_fleet's workers start no block).
+  std::vector<std::vector<rt::EventRecord>> traces(total);
   std::vector<double> wall(total, 0.0);
   std::vector<std::uint8_t> fresh(total, 0);  ///< executed in THIS run (metrics)
   if (!stopped) {
     std::vector<std::size_t> pending;
     pending.reserve(total);
     for (std::size_t job = 0; job < total; ++job) {
-      if (done[job] == 0) pending.push_back(job);
+      if (progress.done[job] == 0) pending.push_back(job);
     }
-    const std::size_t wave = control.batch_size > 0 ? control.batch_size : std::max<std::size_t>(pending.size(), 1);
     CLR_TRACE_SPAN(grid_span, trace::Category::Exp, "exp.grid",
                    {{"cells", cells_.size()},
                     {"replications", reps},
                     {"jobs", config_.jobs},
                     {"pending", pending.size()}});
-    for (std::size_t begin = 0; begin < pending.size(); begin += wave) {
-      if (control.stop.stop_requested()) {
-        stopped = true;
-        break;
-      }
-      const std::size_t count = std::min(wave, pending.size() - begin);
-      pool.parallel_for(
-          count,
-          [&](std::size_t k) {
-            const std::size_t job = pending[begin + k];
-            const std::size_t c = job / reps;
-            const std::size_t r = job % reps;
-            const RunnerCell& cell = cells_[c];
-            CLR_TRACE_SPAN(cell_span, trace::Category::Exp, "exp.cell",
-                           {{"cell", c},
-                            {"rep", r},
-                            {"label", cell.label},
-                            {"policy", policy_name(cell.params.kind)},
-                            {"p_rc", cell.params.p_rc},
-                            {"fault_rate", cell.params.faults.transient_rate},
-                            {"seed", util::substream_seed(cell.seed, r)}});
-            const rel::ClrSpace* clr_space =
-                cell.app != nullptr ? &cell.app->clr_space() : nullptr;
-            const rt::MdpTable* mdp = mdp_tables[c] ? &*mdp_tables[c] : nullptr;
-            const auto start = std::chrono::steady_clock::now();
-            stats[job] = evaluate_policy_with(*cell.db, *cell_drc(cell), cell.ranges, cell.params,
-                                              util::substream_seed(cell.seed, r), clr_space, mdp);
-            wall[job] = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-            done[job] = 1;
-            fresh[job] = 1;
-            metrics_.counter("runner.jobs").add();
-          },
-          control.stop);
-      if (control.on_batch) {
-        RunnerProgress progress;
-        progress.grid_hash = identity;
-        progress.replications = reps;
-        progress.done = done;
-        progress.runs.reserve(total);
-        for (const auto& s : stats) {
-          rt::RuntimeStats stripped = s;
-          stripped.trace.clear();  // traces are observability, never persisted
-          progress.runs.push_back(std::move(stripped));
-        }
-        control.on_batch(progress);
-      }
-      if (control.stop.stop_requested()) {
-        stopped = true;
-        break;
-      }
-    }
+    std::mutex publish;
+    std::atomic<bool> failed{false};
+    pool.parallel_for(
+        pending.size(),
+        [&](std::size_t k) {
+          if (failed.load(std::memory_order_relaxed)) return;
+          const std::size_t job = pending[k];
+          const std::size_t c = job / reps;
+          const std::size_t r = job % reps;
+          const RunnerCell& cell = cells_[c];
+          CLR_TRACE_SPAN(cell_span, trace::Category::Exp, "exp.cell",
+                         {{"cell", c},
+                          {"rep", r},
+                          {"label", cell.label},
+                          {"policy", policy_name(cell.params.kind)},
+                          {"p_rc", cell.params.p_rc},
+                          {"fault_rate", cell.params.faults.transient_rate},
+                          {"seed", util::substream_seed(cell.seed, r)}});
+          const rel::ClrSpace* clr_space =
+              cell.app != nullptr ? &cell.app->clr_space() : nullptr;
+          const rt::MdpTable* mdp = mdp_tables[c] ? &*mdp_tables[c] : nullptr;
+          const auto start = std::chrono::steady_clock::now();
+          rt::RuntimeStats stats =
+              evaluate_policy_with(*cell.db, *cell_drc(cell), cell.ranges, cell.params,
+                                   util::substream_seed(cell.seed, r), clr_space, mdp);
+          wall[job] = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+          traces[job] = std::exchange(stats.trace, {});
+          fresh[job] = 1;
+          metrics_.counter("runner.jobs").add();
+          const std::lock_guard<std::mutex> lock(publish);
+          progress.runs[job] = std::move(stats);
+          progress.done[job] = 1;
+          try {
+            if (control.on_boundary) control.on_boundary(progress);
+          } catch (...) {
+            failed.store(true, std::memory_order_relaxed);
+            throw;
+          }
+        },
+        control.stop);
   }
 
   // Phase 3: aggregate sequentially in cell/replication order over the
@@ -282,13 +278,14 @@ RunOutcome Runner::run(const RunnerControl& control) {
     cell_runs.reserve(reps);
     for (std::size_t r = 0; r < reps; ++r) {
       const std::size_t job = c * reps + r;
-      if (done[job] == 0) continue;
+      if (progress.done[job] == 0) continue;
       outcome.jobs_done += 1;
-      cell_runs.push_back(stats[job]);
+      cell_runs.push_back(std::move(progress.runs[job]));
+      cell_runs.back().trace = std::move(traces[job]);
       res.wall_ms += wall[job];
       if (fresh[job] != 0) {
-        metrics_.counter("runner.events").add(stats[job].num_events);
-        metrics_.counter("runner.reconfigs").add(stats[job].num_reconfigs);
+        metrics_.counter("runner.events").add(cell_runs.back().num_events);
+        metrics_.counter("runner.reconfigs").add(cell_runs.back().num_reconfigs);
       }
     }
     res.stats = replicate_stats(cell_runs);
@@ -296,7 +293,7 @@ RunOutcome Runner::run(const RunnerControl& control) {
     if (config_.keep_runs) res.runs = std::move(cell_runs);
     outcome.results.push_back(std::move(res));
   }
-  outcome.complete = !stopped && outcome.jobs_done == total;
+  outcome.complete = outcome.jobs_done == total;
   return outcome;
 }
 

@@ -22,6 +22,12 @@
 // builds/cache hits, MDP solves, build and cell timers), and the whole
 // replicated grid exports to JSON via clr_io for machine-readable bench
 // reports.
+//
+// Every pending job goes onto the pool at once. A worker publishes each job
+// it finishes into the RunnerProgress under one lock and calls
+// RunnerControl::on_boundary under it, as fleet::run_fleet does per block;
+// which finished job becomes a checkpoint is the session's decision
+// (exp::Session, DESIGN.md §5.12).
 
 #include <cstdint>
 #include <functional>
@@ -32,6 +38,7 @@
 #include "common/stats.hpp"
 #include "common/stop.hpp"
 #include "experiments/flow.hpp"
+#include "experiments/progress.hpp"
 #include "io/json.hpp"
 #include "runtime/drc_matrix.hpp"
 
@@ -117,43 +124,20 @@ struct RunnerConfig {
   bool keep_runs = false;
 };
 
-/// Restartable grid state, snapshotted between job batches. Jobs are indexed
-/// cell-major (job = cell × replications + rep — the same flat order run()
-/// dispatches), and each job's seed depends only on (cell.seed, rep), so a
-/// resumed grid aggregates restored + fresh runs into ReplicatedStats that
-/// are bit-for-bit the uninterrupted run's. Event traces are NOT carried
-/// (aggregation never reads them); restored jobs re-surface with empty
-/// traces.
-struct RunnerProgress {
-  /// Runner::grid_hash() of the grid this progress belongs to; resuming
-  /// against a different grid is refused.
-  std::uint64_t grid_hash = 0;
-  std::size_t replications = 0;
-  /// One flag per job, 1 = completed.
-  std::vector<std::uint8_t> done;
-  /// One record per job; meaningful only where done[i] != 0.
-  std::vector<rt::RuntimeStats> runs;
-
-  std::size_t jobs_done() const {
-    std::size_t n = 0;
-    for (std::uint8_t d : done) n += (d != 0);
-    return n;
-  }
-};
-
-/// Cooperative-cancellation + checkpoint hooks for Runner::run(). Default
-/// state (no stop, no batching, no resume) reproduces the plain run().
+/// Cooperative-cancellation + checkpoint hooks for Runner::run(), in the
+/// moea::GaRunControl shape. Default state (no stop, no callback, no resume)
+/// reproduces the plain run().
 struct RunnerControl {
-  /// Checked between batches and inside the pool's job-claim loop; a
+  /// Checked between the setup phases and before each job is claimed; a
   /// requested stop finishes the in-flight jobs and returns a partial
-  /// outcome (complete = false).
+  /// outcome (complete = false). A stop requested from on_boundary thus ends
+  /// the run at most jobs − 1 jobs later; at jobs = 1, at exactly that job.
   util::StopToken stop;
-  /// Jobs per dispatch wave (0 = all pending jobs in one wave). The
-  /// checkpoint cadence: on_batch fires after every wave.
-  std::size_t batch_size = 0;
-  /// Called after each wave with the accumulated progress (traces already
-  /// stripped) — the session layer serializes this into a checkpoint.
-  std::function<void(const RunnerProgress&)> on_batch;
+  /// Called after every finished job with the accumulated progress (traces
+  /// stripped), under the lock that publishes the job, so calls never
+  /// overlap. Which boundary becomes a checkpoint is the caller's business.
+  /// An exception from it ends the run the same way and is rethrown by run().
+  std::function<void(const RunnerProgress&)> on_boundary;
   /// Resume from a prior run's progress: completed jobs are never re-run.
   /// Validated against grid_hash()/replications/job count (throws
   /// std::invalid_argument on mismatch).
@@ -181,10 +165,10 @@ class Runner {
   /// indexed by add_cell() order and bit-for-bit independent of `jobs`.
   std::vector<CellResult> run();
 
-  /// Controlled run: stop-aware, batched, resumable (DESIGN.md §5.12). With
-  /// a default RunnerControl this is exactly run(); with `resume` set,
-  /// completed jobs are skipped and the final aggregation is bit-identical
-  /// to the uninterrupted run at any `jobs` count.
+  /// Controlled run: stop-aware, reporting every finished job, resumable
+  /// (DESIGN.md §5.12). With a default RunnerControl this is exactly run();
+  /// with `resume` set, completed jobs are skipped and the final aggregation
+  /// is bit-identical to the uninterrupted run at any `jobs` count.
   RunOutcome run(const RunnerControl& control);
 
   /// FNV-1a over the grid's result-affecting identity: cell labels, seeds,

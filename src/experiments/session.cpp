@@ -5,9 +5,50 @@
 #include <utility>
 
 #include "common/hash.hpp"
-#include "io/checkpoint.hpp"
 
 namespace clr::exp {
+
+Session::Session(const SessionControl& control) : control_(control) {
+  if (control_.checkpoint_every == 0) {
+    throw std::invalid_argument("session: checkpoint_every must be >= 1");
+  }
+  if (control_.resume && control_.checkpoint_path.empty()) {
+    throw std::invalid_argument("session: resume requires a checkpoint path");
+  }
+  if (control_.checkpoint_path.empty()) return;
+  store_.emplace(control_.checkpoint_path);
+  store_->check_writable();
+  // No loadable checkpoint: start fresh, so the first run and every resumed
+  // run share one command line.
+  if (control_.resume) slot_ = store_->load_newest();
+  report_.resumed = slot_.has_value();
+}
+
+void Session::check_identity(std::uint64_t stored, std::uint64_t computed) const {
+  if (stored == computed) return;
+  throw std::runtime_error("resume: the checkpoint " + control_.checkpoint_path +
+                           " was taken under different parameters (hash " +
+                           std::to_string(stored) + ", this run computes " +
+                           std::to_string(computed) + ")");
+}
+
+void Session::boundary(const std::function<std::string(std::uint64_t)>& image) {
+  report_.steps += 1;
+  if (control_.step_budget != 0 && report_.steps >= control_.step_budget) {
+    stop_.request_stop(util::StopReason::Budget);
+  }
+  if (control_.stop.stop_requested()) stop_.request_stop(control_.stop.reason());
+  if (!store_ || (!stop_.stop_requested() && report_.steps % control_.checkpoint_every != 0)) {
+    return;
+  }
+  store_->save(image(store_->next_sequence()));
+  report_.checkpoints_written += 1;
+}
+
+void Session::report(SessionReport& out) const {
+  out = report_;
+  out.stop_reason = stop_.reason();
+}
 
 namespace {
 
@@ -18,15 +59,6 @@ void hash_ga(std::uint64_t& h, const moea::GaParams& ga) {
   util::fnv1a_value<double>(h, ga.mutation_prob);
   util::fnv1a_value<std::uint64_t>(h, ga.tournament_size);
   // ga.threads deliberately excluded: thread count never affects results.
-}
-
-void validate(const SessionControl& control) {
-  if (control.checkpoint_every == 0) {
-    throw std::invalid_argument("session: checkpoint_every must be >= 1");
-  }
-  if (control.resume && control.checkpoint_path.empty()) {
-    throw std::invalid_argument("session: resume requires a checkpoint path");
-  }
 }
 
 }  // namespace
@@ -61,41 +93,15 @@ std::uint64_t explore_param_hash(const AppInstance& app, const FlowParams& param
 }
 
 ExploreOutcome run_explore_session(const AppInstance& app, const FlowParams& params,
-                                   std::uint64_t flow_seed, const SessionControl& control) {
-  validate(control);
+                                   std::uint64_t flow_seed, Session&& session) {
   const std::uint64_t param_hash = explore_param_hash(app, params, flow_seed);
-
-  // The session's own stop source merges every stop signal: the external
-  // token (signals, deadlines) is forwarded at each boundary, the step
-  // budget arms it directly. Engines only ever see this merged token.
-  util::StopSource session_stop;
-  util::RunBudget budget(session_stop, control.step_budget);
-
-  std::optional<io::CheckpointStore> store;
-  if (!control.checkpoint_path.empty()) {
-    store.emplace(control.checkpoint_path);
-    store->check_writable();
-  }
-
   std::optional<io::ExploreCheckpoint> restored;
-  if (control.resume && store) {
-    if (auto snapshot = store->load_newest()) {
-      io::ExploreCheckpoint c = io::decode_explore_checkpoint(snapshot->view());
-      if (c.param_hash != param_hash) {
-        throw std::runtime_error(
-            "explore resume: the checkpoint was taken under different parameters (hash " +
-            std::to_string(c.param_hash) + ", this run computes " + std::to_string(param_hash) +
-            ")");
-      }
-      restored = std::move(c);
-    }
-    // No loadable checkpoint: start fresh, so the first run and every
-    // resumed run share one command line.
+  if (const io::SnapshotView* slot = session.checkpoint()) {
+    restored = io::decode_explore_checkpoint(*slot);
+    session.check_identity(restored->param_hash, param_hash);
   }
 
   ExploreOutcome out;
-  out.resumed = restored.has_value();
-
   util::Rng rng(flow_seed);
   FlowResult flow;
   if (restored) {
@@ -113,22 +119,15 @@ ExploreOutcome run_explore_session(const AppInstance& app, const FlowParams& par
   recfg::ReconfigModel reconfig(app.platform(), app.impls());
   dse::DesignTimeDse dse_flow(problem, reconfig, params.dse);
 
-  // Shared boundary bookkeeping: count the step, fold in external stop and
-  // budget, then decide whether this boundary becomes a durable checkpoint
-  // (every Nth, and always the one we stop on).
-  auto boundary = [&](io::ExploreCheckpoint&& c) {
-    out.steps += 1;
-    budget.step();
-    if (control.stop.stop_requested()) session_stop.request_stop(control.stop.reason());
-    const bool stopping = session_stop.stop_requested();
-    if (store && (stopping || out.steps % control.checkpoint_every == 0)) {
-      c.sequence = store->next_sequence();
-      c.param_hash = param_hash;
-      c.spec_max_makespan = flow.spec.max_makespan;
-      c.spec_min_func_rel = flow.spec.min_func_rel;
-      store->save(io::serialize_explore_checkpoint(c));
-      out.checkpoints_written += 1;
-    }
+  // The fields every explore checkpoint carries. A stage adds its own, and
+  // only at the boundaries the session keeps.
+  const auto checkpoint_at = [&](std::uint64_t sequence) {
+    io::ExploreCheckpoint c;
+    c.sequence = sequence;
+    c.param_hash = param_hash;
+    c.spec_max_makespan = flow.spec.max_makespan;
+    c.spec_min_func_rel = flow.spec.min_func_rel;
+    return c;
   };
 
   // Stage 1: BaseD. Skipped entirely when the checkpoint is already in the
@@ -138,7 +137,7 @@ ExploreOutcome run_explore_session(const AppInstance& app, const FlowParams& par
     flow.based = restored->based;
   } else {
     dse::BaseControl base_control;
-    base_control.stop = session_stop.token();
+    base_control.stop = session.stop();
     dse::BaseProgress base_resume;
     if (restored) {
       base_resume.ref = restored->ref;
@@ -147,12 +146,14 @@ ExploreOutcome run_explore_session(const AppInstance& app, const FlowParams& par
       base_control.resume = &base_resume;
     }
     base_control.on_boundary = [&](const dse::BaseProgress& p) {
-      io::ExploreCheckpoint c;
-      c.stage = 0;
-      c.ref = p.ref;
-      c.scale = p.scale;
-      c.ga = p.ga;
-      boundary(std::move(c));
+      session.boundary([&](std::uint64_t sequence) {
+        io::ExploreCheckpoint c = checkpoint_at(sequence);
+        c.stage = 0;
+        c.ref = p.ref;
+        c.scale = p.scale;
+        c.ga = p.ga;
+        return io::serialize_explore_checkpoint(c);
+      });
     };
     dse::StageOutcome base = dse_flow.run_base_resumable(rng, base_control);
     flow.based = std::move(base.db);
@@ -161,7 +162,7 @@ ExploreOutcome run_explore_session(const AppInstance& app, const FlowParams& par
   if (!base_complete) {
     out.flow = std::move(flow);
     out.complete = false;
-    out.stop_reason = session_stop.reason();
+    session.report(out);
     return out;
   }
   if (flow.based.empty()) {
@@ -170,7 +171,7 @@ ExploreOutcome run_explore_session(const AppInstance& app, const FlowParams& par
 
   // Stage 2: ReD.
   dse::RedControl red_control;
-  red_control.stop = session_stop.token();
+  red_control.stop = session.stop();
   dse::RedProgress red_resume;
   if (restored && restored->stage == 1) {
     red_resume.seed_pos = static_cast<std::size_t>(restored->red_seed_pos);
@@ -179,83 +180,41 @@ ExploreOutcome run_explore_session(const AppInstance& app, const FlowParams& par
     red_control.resume = &red_resume;
   }
   red_control.on_boundary = [&](const dse::RedProgress& p) {
-    io::ExploreCheckpoint c;
-    c.stage = 1;
-    c.ga = p.ga;
-    c.red_seed_pos = p.seed_pos;
-    c.based = flow.based;
-    c.red = p.red;
-    boundary(std::move(c));
+    session.boundary([&](std::uint64_t sequence) {
+      io::ExploreCheckpoint c = checkpoint_at(sequence);
+      c.stage = 1;
+      c.ga = p.ga;
+      c.red_seed_pos = p.seed_pos;
+      c.based = flow.based;
+      c.red = p.red;
+      return io::serialize_explore_checkpoint(c);
+    });
   };
   dse::StageOutcome red = dse_flow.run_red_resumable(flow.based, rng, red_control);
   flow.red = std::move(red.db);
   out.complete = red.complete;
   out.flow = std::move(flow);
-  out.stop_reason = session_stop.reason();
+  session.report(out);
   return out;
 }
 
-RunnerOutcome run_runner_session(Runner& runner, const SessionControl& control) {
-  validate(control);
-  const std::uint64_t grid_hash = runner.grid_hash();
-
-  util::StopSource session_stop;
-  util::RunBudget budget(session_stop, control.step_budget);
-
-  std::optional<io::CheckpointStore> store;
-  if (!control.checkpoint_path.empty()) {
-    store.emplace(control.checkpoint_path);
-    store->check_writable();
+RunnerOutcome run_runner_session(Runner& runner, Session&& session) {
+  RunnerControl control;
+  std::optional<io::RunnerCheckpoint> restored;
+  if (const io::SnapshotView* slot = session.checkpoint()) {
+    restored = io::decode_runner_checkpoint(*slot);
+    session.check_identity(restored->grid_hash, runner.grid_hash());
+    control.resume = &*restored;
   }
-
-  RunnerOutcome out;
-  RunnerProgress restored;
-  RunnerControl runner_control;
-  runner_control.stop = session_stop.token();
-  // One wave of checkpoint_every jobs between boundaries: the runner's
-  // batch size IS the checkpoint cadence.
-  runner_control.batch_size = control.checkpoint_every;
-
-  if (control.resume && store) {
-    if (auto snapshot = store->load_newest()) {
-      io::RunnerCheckpoint c = io::decode_runner_checkpoint(snapshot->view());
-      if (c.grid_hash != grid_hash) {
-        throw std::runtime_error(
-            "runner resume: the checkpoint was taken for a different grid (hash " +
-            std::to_string(c.grid_hash) + ", this grid computes " + std::to_string(grid_hash) +
-            ")");
-      }
-      restored.grid_hash = c.grid_hash;
-      restored.replications = static_cast<std::size_t>(c.replications);
-      restored.done = std::move(c.done);
-      restored.runs = std::move(c.runs);
-      runner_control.resume = &restored;
-      out.resumed = true;
-    }
-  }
-
-  std::size_t checkpointed_jobs = out.resumed ? restored.jobs_done() : 0;
-  runner_control.on_batch = [&](const RunnerProgress& progress) {
-    out.steps += 1;
-    budget.step();
-    if (control.stop.stop_requested()) session_stop.request_stop(control.stop.reason());
-    // Every batch is a checkpoint boundary; skip the write only when no new
-    // job finished (a stop can interrupt a wave before any claim).
-    if (store && progress.jobs_done() != checkpointed_jobs) {
-      io::RunnerCheckpoint c;
-      c.sequence = store->next_sequence();
-      c.grid_hash = progress.grid_hash;
-      c.replications = progress.replications;
-      c.done = progress.done;
-      c.runs = progress.runs;
-      store->save(io::serialize_runner_checkpoint(c));
-      out.checkpoints_written += 1;
-      checkpointed_jobs = progress.jobs_done();
-    }
+  control.stop = session.stop();
+  control.on_boundary = [&](const RunnerProgress& progress) {
+    session.boundary([&](std::uint64_t sequence) {
+      return io::serialize_runner_checkpoint({progress, sequence});
+    });
   };
-
-  out.run = runner.run(runner_control);
-  out.stop_reason = session_stop.reason();
+  RunnerOutcome out;
+  out.run = runner.run(control);
+  session.report(out);
   return out;
 }
 

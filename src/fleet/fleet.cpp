@@ -233,14 +233,13 @@ FleetResult run_fleet(const dse::DesignDb& db, const rt::DrcMatrix& drc,
   }
 
   // Each worker sums a whole block in device order into a local BlockSum and
-  // publishes it under `publish`, the one lock over the shared result; the
-  // callbacks run under it too, so they never overlap.
+  // publishes it under `publish`, the one lock over the shared result;
+  // on_boundary runs under it too, so calls never overlap.
   std::mutex publish;
   std::atomic<bool> failed{false};
   std::uint64_t devices_this_run = 0;
-  std::uint64_t since_checkpoint = 0;
   const auto work = [&](std::size_t w) {
-    // Declared outside the try: when a callback throws, the lock is still held
+    // Declared outside the try: when on_boundary throws, the lock is still held
     // while the handler sets `failed`, so every worker that publishes after
     // the throw sees the flag before its next block.
     std::unique_lock<std::mutex> lock(publish, std::defer_lock);
@@ -273,13 +272,7 @@ FleetResult run_fleet(const dse::DesignDb& db, const rt::DrcMatrix& drc,
           result.progress.done[static_cast<std::size_t>(b)] = 1;
           result.blocks_done_this_run += 1;
           devices_this_run += block_count;
-          since_checkpoint += 1;
-          if (control.on_block) control.on_block(result.blocks_done_this_run, num_blocks);
-          if (control.checkpoint_every != 0 && control.on_checkpoint &&
-              since_checkpoint >= control.checkpoint_every) {
-            control.on_checkpoint(result.progress);
-            since_checkpoint = 0;
-          }
+          if (control.on_boundary) control.on_boundary(result.progress);
           lock.unlock();
         }
       }
@@ -297,10 +290,6 @@ FleetResult run_fleet(const dse::DesignDb& db, const rt::DrcMatrix& drc,
     result.decision_table_bytes += table->bytes();
   }
 
-  if (control.on_checkpoint && since_checkpoint > 0) {
-    control.on_checkpoint(result.progress);
-  }
-
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
@@ -316,66 +305,23 @@ FleetResult run_fleet(const dse::DesignDb& db, const rt::DrcMatrix& drc,
 
 FleetSessionOutcome run_fleet_session(const dse::DesignDb& db, const rt::DrcMatrix& drc,
                                       const rel::ClrSpace* clr_space, const FleetConfig& config,
-                                      const exp::SessionControl& control) {
-  if (control.checkpoint_every == 0) {
-    throw std::invalid_argument("fleet session: checkpoint_every must be >= 1");
+                                      exp::Session&& session) {
+  FleetControl control;
+  std::optional<io::FleetCheckpoint> restored;
+  if (const io::SnapshotView* slot = session.checkpoint()) {
+    restored = io::decode_fleet_checkpoint(*slot);
+    session.check_identity(restored->progress.param_hash, fleet_param_hash(config));
+    control.resume = &restored->progress;
   }
-  if (control.resume && control.checkpoint_path.empty()) {
-    throw std::invalid_argument("fleet session: resume requires a checkpoint path");
-  }
-  const std::uint64_t param_hash = fleet_param_hash(config);
-
-  // The session's own stop source merges every stop signal (the
-  // exp::run_*_session discipline): the external token is forwarded at each
-  // block boundary, the step budget (in blocks) arms it directly.
-  util::StopSource session_stop;
-  util::RunBudget budget(session_stop, control.step_budget);
-
-  std::optional<io::CheckpointStore> store;
-  if (!control.checkpoint_path.empty()) {
-    store.emplace(control.checkpoint_path);
-    store->check_writable();
-  }
-
-  FleetSessionOutcome out;
-  std::optional<FleetProgress> restored;
-  if (control.resume && store) {
-    if (auto snapshot = store->load_newest()) {
-      io::FleetCheckpoint c = io::decode_fleet_checkpoint(snapshot->view());
-      if (c.param_hash != param_hash) {
-        throw std::runtime_error(
-            "fleet resume: the checkpoint was taken under different parameters (hash " +
-            std::to_string(c.param_hash) + ", this run computes " + std::to_string(param_hash) +
-            ")");
-      }
-      restored = std::move(c.progress);
-      out.resumed = true;
-    }
-    // No loadable checkpoint: start fresh, so the first run and every
-    // resumed run share one command line.
-  }
-
-  FleetControl fleet_control;
-  fleet_control.stop = session_stop.token();
-  fleet_control.resume = restored ? &*restored : nullptr;
-  fleet_control.on_block = [&](std::uint64_t, std::uint64_t) {
-    budget.step();
-    if (control.stop.stop_requested()) session_stop.request_stop(control.stop.reason());
+  control.stop = session.stop();
+  control.on_boundary = [&](const FleetProgress& progress) {
+    session.boundary([&](std::uint64_t sequence) {
+      return io::serialize_fleet_checkpoint({sequence, progress});
+    });
   };
-  if (store) {
-    fleet_control.checkpoint_every = control.checkpoint_every;
-    fleet_control.on_checkpoint = [&](const FleetProgress& progress) {
-      io::FleetCheckpoint c;
-      c.sequence = store->next_sequence();
-      c.param_hash = param_hash;
-      c.progress = progress;
-      store->save(io::serialize_fleet_checkpoint(c));
-      out.checkpoints_written += 1;
-    };
-  }
-
-  out.result = run_fleet(db, drc, clr_space, config, fleet_control);
-  out.stop_reason = session_stop.reason();
+  FleetSessionOutcome out;
+  out.result = run_fleet(db, drc, clr_space, config, control);
+  session.report(out);
   return out;
 }
 

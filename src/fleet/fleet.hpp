@@ -24,11 +24,13 @@
 // the block structure pins every floating-point association order (see
 // progress.hpp). Proven by tests/fleet/test_fleet_determinism.cpp.
 //
-// Checkpoint/resume reuses PR 8's machinery: completed BlockSums persist as
-// a FleetState section in a `.clrdb` checkpoint through the A/B
-// io::CheckpointStore; a resumed run recomputes only unfinished blocks and
-// is bit-identical to an uninterrupted one (SIGKILL-proven in
-// tests/robustness/test_kill_resume.cpp).
+// Checkpoint/resume runs on the exp::Session skeleton every session shares
+// (DESIGN.md §5.12): run_fleet reports each completed block to
+// FleetControl::on_boundary, and the session decides which becomes a
+// checkpoint. Completed BlockSums persist as a FleetState section in a
+// `.clrdb` checkpoint through the A/B io::CheckpointStore; a resumed run
+// recomputes only unfinished blocks and is bit-identical to an
+// uninterrupted one (SIGKILL-proven in tests/robustness/test_kill_resume.cpp).
 
 #include <cstdint>
 #include <functional>
@@ -99,28 +101,23 @@ struct ShardSummary {
   BlockSum totals;
 };
 
-/// The callbacks run under the lock that publishes a completed block, on the
-/// worker that completed it (the final checkpoint flush runs on the caller
-/// after every worker ended), so they never overlap. A worker checks the stop
-/// token before each block and finishes a block it started (blocks stay
-/// all-or-nothing), so a stop requested from on_block ends the run at most
-/// jobs − 1 blocks later, at any shard count; at jobs = 1, at exactly that
-/// block. An exception from a callback or a device ends the run the same way
-/// and is rethrown by run_fleet.
+/// Run control in the moea::GaRunControl shape. on_boundary runs under the
+/// lock that publishes a completed block, on the worker that completed it,
+/// so calls never overlap. A worker checks the stop token before each block
+/// and finishes a block it started (blocks stay all-or-nothing), so a stop
+/// requested from on_boundary ends the run at most jobs − 1 blocks later, at
+/// any shard count; at jobs = 1, at exactly that block. An exception from
+/// on_boundary or a device ends the run the same way and is rethrown by
+/// run_fleet.
 struct FleetControl {
   /// Cooperative stop, honored at block boundaries.
   util::StopToken stop;
+  /// Called after every completed block with the current progress table.
+  /// Which block becomes a checkpoint is the caller's business.
+  std::function<void(const FleetProgress&)> on_boundary;
   /// Completed-block table to resume from (validated against the param hash
   /// by the session layer); nullptr = fresh run.
   const FleetProgress* resume = nullptr;
-  /// Invoke on_checkpoint after every N newly completed blocks (and once at
-  /// the end when anything new completed). 0 = never.
-  std::uint64_t checkpoint_every = 0;
-  /// Called with the current progress table.
-  std::function<void(const FleetProgress&)> on_checkpoint;
-  /// Called after every completed block with (blocks newly done this run,
-  /// total blocks) — the budget/progress hook.
-  std::function<void(std::uint64_t, std::uint64_t)> on_block;
 };
 
 struct FleetResult {
@@ -187,21 +184,17 @@ FleetResult run_fleet(const dse::DesignDb& db, const rt::DrcMatrix& drc,
                       const rel::ClrSpace* clr_space, const FleetConfig& config,
                       const FleetControl& control = {});
 
-/// What the session did beyond the fleet result itself (mirrors
-/// exp::ExploreOutcome / exp::RunnerOutcome).
-struct FleetSessionOutcome {
+struct FleetSessionOutcome : exp::SessionReport {
   FleetResult result;
-  bool resumed = false;
-  std::uint64_t checkpoints_written = 0;
-  util::StopReason stop_reason = util::StopReason::None;
 };
 
-/// Run a fleet under session control (checkpoint cadence, A/B store, resume
-/// identity validation, step budget in blocks). Throws std::runtime_error
-/// when resuming against a checkpoint whose param hash mismatches.
+/// Run a fleet under `session` (exp::Session: checkpoint cadence, A/B store,
+/// resume identity, step budget), one boundary per completed block. Throws
+/// std::runtime_error when resuming against a checkpoint whose param hash
+/// mismatches.
 FleetSessionOutcome run_fleet_session(const dse::DesignDb& db, const rt::DrcMatrix& drc,
                                       const rel::ClrSpace* clr_space, const FleetConfig& config,
-                                      const exp::SessionControl& control);
+                                      exp::Session&& session);
 
 /// Fold `progress`'s completed blocks (in block order) into the summary +
 /// per-shard aggregates for `shards` shards. Exposed for tests and the CLI's

@@ -323,7 +323,7 @@ RunnerCheckpoint decode_runner_checkpoint(const SnapshotView& view) {
   RunnerCheckpoint c;
   c.sequence = cursor.take<std::uint64_t>("sequence");
   c.grid_hash = cursor.take<std::uint64_t>("grid hash");
-  c.replications = cursor.take<std::uint64_t>("replication count");
+  c.replications = static_cast<std::size_t>(cursor.take<std::uint64_t>("replication count"));
   const auto jobs = cursor.take_count("job flags", kMaxCkptJobs);
   const std::uint8_t* flags = cursor.take_raw(jobs, "job flags");
   c.done.reserve(static_cast<std::size_t>(jobs));
@@ -361,7 +361,7 @@ std::string serialize_fleet_checkpoint(const FleetCheckpoint& checkpoint) {
   }
   std::string payload;
   append_scalar<std::uint64_t>(payload, checkpoint.sequence);
-  append_scalar<std::uint64_t>(payload, checkpoint.param_hash);
+  append_scalar<std::uint64_t>(payload, p.param_hash);
   append_scalar<std::uint64_t>(payload, p.devices);
   append_scalar<std::uint64_t>(payload, p.block_size);
   append_scalar<std::uint64_t>(payload, p.done.size());
@@ -379,8 +379,7 @@ FleetCheckpoint decode_fleet_checkpoint(const SnapshotView& view) {
   Cursor cursor(checkpoint_payload_of_kind(view, SnapshotSection::FleetState, "fleet"));
   FleetCheckpoint c;
   c.sequence = cursor.take<std::uint64_t>("sequence");
-  c.param_hash = cursor.take<std::uint64_t>("param hash");
-  c.progress.param_hash = c.param_hash;
+  c.progress.param_hash = cursor.take<std::uint64_t>("param hash");
   c.progress.devices = cursor.take_count("fleet devices", kMaxFleetDevices);
   c.progress.block_size = cursor.take<std::uint64_t>("fleet block size");
   if (c.progress.block_size == 0) {

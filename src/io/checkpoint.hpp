@@ -11,10 +11,11 @@
 // so hostile or torn payloads surface as typed SnapshotErrors, never as
 // out-of-bounds reads.
 //
-// Both payloads start with the same 16-byte preamble:
+// All three payloads start with the same 16-byte preamble:
 //   u64 sequence     monotone save counter (the A/B store picks the newest)
-//   u64 identity     param_hash / grid_hash — resuming under different
-//                    parameters is refused instead of silently diverging
+//   u64 identity     explore param_hash / grid_hash / fleet param_hash —
+//                    resuming under different parameters is refused
+//                    instead of silently diverging
 //
 // Atomicity: checkpoints are written through CheckpointStore, an A/B slot
 // pair (`<base>.a` / `<base>.b`) where each save goes durably (tmp + fsync +
@@ -29,10 +30,10 @@
 #include <vector>
 
 #include "dse/design_db.hpp"
+#include "experiments/progress.hpp"
 #include "fleet/progress.hpp"
 #include "io/snapshot.hpp"
 #include "moea/control.hpp"
-#include "runtime/simulator.hpp"
 
 namespace clr::io {
 
@@ -66,32 +67,20 @@ struct ExploreCheckpoint {
   dse::DesignDb red;
 };
 
-/// Restartable exp::Runner grid state: which replication jobs (cell ×
-/// replication) are done, and their stripped RuntimeStats (traces are not
-/// persisted — aggregation never reads them). Job order is the Runner's
-/// deterministic (cell-major, replication-minor) order.
-struct RunnerCheckpoint {
+/// Restartable exp::Runner grid state (experiments/progress.hpp) plus its
+/// save counter. The encoder strips traces; job order is the Runner's
+/// (cell-major, replication-minor).
+struct RunnerCheckpoint : exp::RunnerProgress {
   std::uint64_t sequence = 0;
-  /// Hash of the grid's result-affecting identity (exp::Runner::grid_hash);
-  /// resume refuses a mismatch.
-  std::uint64_t grid_hash = 0;
-  std::uint64_t replications = 0;
-  /// One flag per job, 1 = completed. Size = cells × replications.
-  std::vector<std::uint8_t> done;
-  /// One record per job (same indexing as `done`); meaningful only where
-  /// done[i] != 0.
-  std::vector<rt::RuntimeStats> runs;
 };
 
-/// Restartable fleet state (fleet::run_fleet, DESIGN.md §5.13): the fixed
-/// block partition and every fully-accumulated BlockSum. Blocks in flight at
-/// the stop are simply recomputed on resume (per-device seeding makes the
-/// redo bit-identical), so the done flags + sums are the complete state.
+/// Restartable fleet state (fleet::run_fleet, DESIGN.md §5.13) plus its save
+/// counter: the fixed block partition and every fully-accumulated BlockSum.
+/// Blocks in flight at the stop are simply recomputed on resume (per-device
+/// seeding makes the redo bit-identical), so the done flags + sums are the
+/// complete state.
 struct FleetCheckpoint {
   std::uint64_t sequence = 0;
-  /// Hash of every result-affecting fleet parameter (fleet::fleet_param_hash,
-  /// mirrored in progress.param_hash); resume refuses a mismatch.
-  std::uint64_t param_hash = 0;
   fleet::FleetProgress progress;
 };
 

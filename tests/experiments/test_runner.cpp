@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "common/rng.hpp"
 
@@ -144,6 +145,35 @@ TEST(Runner, BitForBitIdenticalAcrossJobCounts) {
     }
     EXPECT_DOUBLE_EQ(serial[c].stats.avg_energy.mean, parallel4[c].stats.avg_energy.mean);
     EXPECT_DOUBLE_EQ(serial[c].stats.avg_energy.ci95, parallel4[c].stats.avg_energy.ci95);
+  }
+}
+
+TEST(Runner, BoundaryExceptionReachesTheCallerAndStopsEveryWorker) {
+  // on_boundary fails once, as a failed checkpoint write would, at the first
+  // finished job. Each other worker may still publish the job it had
+  // claimed, and claims none after, so on_boundary runs at most `jobs` times
+  // in all.
+  const auto db = make_db();
+  const auto drc = make_drc();
+  for (const std::size_t jobs : {1u, 4u}) {
+    RunnerConfig config;
+    config.replications = 16;
+    config.jobs = jobs;
+    Runner runner(config);
+    runner.add_cell(make_cell(db, drc, PolicyKind::Ura, 0.5, 7));
+    std::size_t boundaries = 0;  // calls never overlap: no atomics needed
+    RunnerControl control;
+    control.on_boundary = [&](const RunnerProgress&) {
+      if (boundaries++ == 0) throw std::runtime_error("cannot write the checkpoint");
+    };
+    try {
+      (void)runner.run(control);
+      ADD_FAILURE() << "jobs " << jobs << ": no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "cannot write the checkpoint") << "jobs " << jobs;
+    }
+    EXPECT_GE(boundaries, 1u) << "jobs " << jobs;
+    EXPECT_LE(boundaries, jobs) << "jobs " << jobs;
   }
 }
 

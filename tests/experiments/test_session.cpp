@@ -1,18 +1,23 @@
 // Session-layer checkpoint/resume tests (DESIGN.md §5.12): interrupted runs
-// resume bit-identically, completed replication jobs never re-run, and
-// mismatched parameters/grids are refused instead of silently diverging.
+// resume bit-identically, completed replication jobs never re-run,
+// mismatched parameters/grids are refused instead of silently diverging, and
+// one cadence rule decides which boundary of any engine is kept: every Nth,
+// and every one after a stop has been seen.
 
 #include "experiments/session.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiments/app.hpp"
 #include "io/checkpoint.hpp"
+#include "io/snapshot.hpp"
 
 namespace clr::exp {
 namespace {
@@ -66,6 +71,73 @@ class SessionTempDir : public ::testing::Test {
 
   fs::path dir_;
 };
+
+/// `units(checkpoint)` for each slot of the A/B pair at `base`, oldest first.
+template <typename Decode, typename Units>
+std::vector<std::uint64_t> slot_units(const std::string& base, Decode decode, Units units) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> slots;  // (sequence, units)
+  for (const char* slot : {".a", ".b"}) {
+    if (!fs::exists(base + slot)) continue;
+    const auto c = decode(io::Snapshot::open(base + slot).view());
+    slots.emplace_back(c.sequence, units(c));
+  }
+  std::sort(slots.begin(), slots.end());
+  std::vector<std::uint64_t> out;
+  for (const auto& slot : slots) out.push_back(slot.second);
+  return out;
+}
+
+// --- The session skeleton ----------------------------------------------------
+
+TEST_F(SessionTempDir, CadenceKeepsEveryNthBoundaryAndEveryOneAfterAStop) {
+  // Boundaries 5 to 7 stand for units that finish after the stop, as the
+  // other workers' units do in a parallel engine.
+  util::StopSource external;
+  SessionControl control;
+  control.stop = external.token();
+  control.checkpoint_path = path("cadence.clrdb");
+  control.checkpoint_every = 2;
+  Session session(control);
+  std::vector<std::uint64_t> kept;
+  for (std::uint64_t boundary = 1; boundary <= 7; ++boundary) {
+    if (boundary == 5) external.request_stop(util::StopReason::Signal);
+    session.boundary([&](std::uint64_t sequence) {
+      kept.push_back(boundary);
+      io::RunnerCheckpoint c;
+      c.sequence = sequence;
+      return io::serialize_runner_checkpoint(c);
+    });
+  }
+  EXPECT_EQ(kept, (std::vector<std::uint64_t>{2, 4, 5, 6, 7}));
+  EXPECT_TRUE(session.stop().stop_requested());
+
+  SessionReport report;
+  session.report(report);
+  EXPECT_FALSE(report.resumed);
+  EXPECT_EQ(report.steps, 7u);
+  EXPECT_EQ(report.checkpoints_written, 5u);
+  EXPECT_EQ(report.stop_reason, util::StopReason::Signal);
+}
+
+TEST(Session, StepBudgetStopsAtItsBoundaryWithoutACheckpointPath) {
+  SessionControl control;
+  control.step_budget = 3;
+  Session session(control);
+  for (int boundary = 1; boundary <= 2; ++boundary) {
+    session.boundary([](std::uint64_t) -> std::string {
+      ADD_FAILURE() << "a session without a checkpoint path wrote a checkpoint";
+      return {};
+    });
+    EXPECT_FALSE(session.stop().stop_requested()) << "boundary " << boundary;
+  }
+  session.boundary([](std::uint64_t) { return std::string(); });
+  EXPECT_TRUE(session.stop().stop_requested());
+  SessionReport report;
+  session.report(report);
+  EXPECT_EQ(report.steps, 3u);
+  EXPECT_EQ(report.checkpoints_written, 0u);
+  EXPECT_EQ(report.stop_reason, util::StopReason::Budget);
+}
 
 // --- Explore sessions --------------------------------------------------------
 
@@ -158,6 +230,35 @@ TEST_F(SessionTempDir, ExploreResumeWithNoCheckpointStartsFresh) {
   const ExploreOutcome out = run_explore_session(*app, small_flow_params(), 77, control);
   EXPECT_TRUE(out.complete);
   EXPECT_FALSE(out.resumed);
+}
+
+TEST_F(SessionTempDir, ExploreKeepsEveryNthGenerationAndTheOneItStopsOn) {
+  const auto app = make_synthetic_app(7, 11);
+  const auto generations = [](const std::string& base) {
+    return slot_units(base, io::decode_explore_checkpoint, [](const io::ExploreCheckpoint& c) {
+      EXPECT_EQ(c.stage, 0u);
+      return c.ga.generations_done;
+    });
+  };
+  SessionControl control;
+  control.checkpoint_every = 2;
+
+  // A budget of 3 stops at the BaseD GA's third boundary (generation 2; the
+  // first is the initial population): the 2nd and the 3rd are kept.
+  control.checkpoint_path = path("cut.clrdb");
+  control.step_budget = 3;
+  const ExploreOutcome cut = run_explore_session(*app, small_flow_params(), 77, control);
+  EXPECT_FALSE(cut.complete);
+  EXPECT_EQ(cut.steps, 3u);
+  EXPECT_EQ(cut.checkpoints_written, 2u);
+  EXPECT_EQ(generations(control.checkpoint_path), (std::vector<std::uint64_t>{1, 2}));
+
+  // A complete run keeps every 2nd boundary and nothing after the last one.
+  control.checkpoint_path = path("full.clrdb");
+  control.step_budget = 0;
+  const ExploreOutcome full = run_explore_session(*app, small_flow_params(), 77, control);
+  EXPECT_TRUE(full.complete);
+  EXPECT_EQ(full.checkpoints_written, full.steps / 2);
 }
 
 TEST(Session, ControlValidation) {
@@ -286,13 +387,14 @@ TEST_F(SessionTempDir, RunnerBudgetStopThenResumeMatchesUninterrupted) {
   const auto drc = make_drc();
 
   RunnerConfig config;
-  config.replications = 4;
+  config.replications = 6;  // 12 jobs
   config.jobs = 1;
   Runner full_runner(config);
   add_grid(full_runner, db, drc);
   const std::vector<CellResult> full = full_runner.run();
 
-  // Interrupt after 3 single-job waves at jobs=8, resume to completion at
+  // Interrupt after a budget of 3 jobs at jobs=8 (the other workers finish at
+  // most 7 more, so at most 10 of the 12 are done), resume to completion at
   // jobs=1: aggregation must be bit-identical to the uninterrupted run.
   SessionControl control;
   control.checkpoint_path = path("grid.clrdb");
@@ -350,6 +452,89 @@ TEST_F(SessionTempDir, RunnerResumeNeverRerunsCompletedJobs) {
   // cells completed before the interrupt are never re-simulated.
   EXPECT_EQ(second.metrics().counter("runner.jobs").value(),
             resumed.run.jobs_total - done_first);
+}
+
+TEST_F(SessionTempDir, RunnerKeepsEveryNthJobAndEveryJobAfterAStop) {
+  const auto db = make_db();
+  const auto drc = make_drc();
+  const auto run = [&](std::size_t replications, std::size_t jobs, std::size_t every,
+                       std::uint64_t budget, const std::string& name) {
+    RunnerConfig config;
+    config.replications = replications;
+    config.jobs = jobs;
+    Runner runner(config);
+    add_grid(runner, db, drc);
+    SessionControl control;
+    control.checkpoint_path = path(name);
+    control.checkpoint_every = every;
+    control.step_budget = budget;
+    return run_runner_session(runner, control);
+  };
+  const auto jobs_done = [&](const std::string& name) {
+    return slot_units(path(name), io::decode_runner_checkpoint,
+                      [](const io::RunnerCheckpoint& c) {
+                        return static_cast<std::uint64_t>(
+                            std::count(c.done.begin(), c.done.end(), 1));
+                      });
+  };
+
+  // One worker finishes the 6 jobs in order: every 2nd is kept.
+  RunnerOutcome out = run(3, 1, 2, 0, "full.clrdb");
+  EXPECT_TRUE(out.run.complete);
+  EXPECT_EQ(out.steps, 6u);
+  EXPECT_EQ(out.checkpoints_written, 3u);
+  EXPECT_EQ(jobs_done("full.clrdb"), (std::vector<std::uint64_t>{4, 6}));
+
+  // A budget of 3 stops at the 3rd job, which is kept too.
+  out = run(3, 1, 2, 3, "cut.clrdb");
+  EXPECT_FALSE(out.run.complete);
+  EXPECT_EQ(out.run.jobs_done, 3u);
+  EXPECT_EQ(out.checkpoints_written, 2u);
+  EXPECT_EQ(jobs_done("cut.clrdb"), (std::vector<std::uint64_t>{2, 3}));
+
+  // Every 4th of 6: a complete run keeps nothing after its last 4th job.
+  out = run(3, 1, 4, 0, "tail.clrdb");
+  EXPECT_TRUE(out.run.complete);
+  EXPECT_EQ(out.checkpoints_written, 1u);
+  EXPECT_EQ(jobs_done("tail.clrdb"), (std::vector<std::uint64_t>{4}));
+
+  // At 4 workers every job finished after the stop is kept too, so the
+  // newest slot holds every finished job: jobs 2, 3, ..., jobs_done.
+  for (int r = 0; r < 10; ++r) {
+    SCOPED_TRACE("run " + std::to_string(r));
+    const std::string name = "wide" + std::to_string(r) + ".clrdb";
+    out = run(8, 4, 2, 3, name);
+    EXPECT_FALSE(out.run.complete);
+    EXPECT_EQ(out.steps, out.run.jobs_done);
+    EXPECT_EQ(out.checkpoints_written, out.run.jobs_done - 1);
+    const std::vector<std::uint64_t> slots = jobs_done(name);
+    ASSERT_FALSE(slots.empty());
+    EXPECT_EQ(slots.back(), out.run.jobs_done);
+  }
+}
+
+TEST(RunnerSession, StepBudgetStopsAtMostJobsMinusOneJobsLate) {
+  // The budget stops the run at the third finished job's boundary; each other
+  // worker may finish the job it had claimed, so 3 + jobs - 1 bounds the cut.
+  const auto db = make_db();
+  const auto drc = make_drc();
+  SessionControl control;
+  control.step_budget = 3;
+  for (const std::size_t jobs : {2u, 4u}) {
+    RunnerConfig config;
+    config.replications = 8;  // 16 jobs
+    config.jobs = jobs;
+    for (int run = 0; run < 20; ++run) {
+      SCOPED_TRACE("jobs " + std::to_string(jobs) + ", run " + std::to_string(run));
+      Runner runner(config);
+      add_grid(runner, db, drc);
+      const RunnerOutcome cut = run_runner_session(runner, control);
+      EXPECT_EQ(cut.stop_reason, util::StopReason::Budget);
+      EXPECT_EQ(cut.steps, cut.run.jobs_done);
+      EXPECT_GE(cut.run.jobs_done, 3u);
+      EXPECT_LE(cut.run.jobs_done, 3 + jobs - 1);
+    }
+  }
 }
 
 TEST_F(SessionTempDir, RunnerGridMismatchIsRefused) {

@@ -1,9 +1,9 @@
 // Fleet pipeline unit tests (DESIGN.md §5.13): partition math, block-sum
 // algebra, the per-device seeding/equality contract against
 // exp::evaluate_policy_with, param-hash sensitivity (block_size in,
-// shards/jobs out), cooperative stop + checkpoint cadence, the stop bound
-// and exceptions reaching the caller, the FleetState checkpoint codec (round
-// trip + hostile bytes), and the session layer's budget/resume discipline.
+// shards/jobs out), cooperative stop, the stop bound and exceptions reaching
+// the caller, the FleetState checkpoint codec (round trip + hostile bytes),
+// and the session layer's cadence and budget/resume discipline.
 // The cross-configuration bit-identity matrix lives in
 // test_fleet_determinism.cpp.
 
@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "io/checkpoint.hpp"
@@ -319,8 +320,8 @@ TEST(FleetRun, StopAtBlockBoundaryThenResumeMatchesUninterruptedBitwise) {
   util::StopSource stop;
   FleetControl control;
   control.stop = stop.token();
-  control.on_block = [&](std::uint64_t done, std::uint64_t) {
-    if (done >= 2) stop.request_stop();
+  control.on_boundary = [&](const FleetProgress& p) {
+    if (p.blocks_done() >= 2) stop.request_stop();
   };
   const FleetResult partial = run_fleet(db, drc, nullptr, config, control);
   EXPECT_FALSE(partial.complete);
@@ -343,27 +344,6 @@ TEST(FleetRun, StopAtBlockBoundaryThenResumeMatchesUninterruptedBitwise) {
   EXPECT_EQ(resumed.summary.totals, reference.summary.totals);
 }
 
-TEST(FleetRun, CheckpointCadenceFiresEveryNBlocksAndFlushesAtTheEnd) {
-  const auto db = make_db();
-  const auto drc = make_drc();
-  FleetConfig config = make_config(96, 16);  // 6 blocks
-  config.jobs = 1;  // in-order completion makes the cadence points exact
-  std::vector<std::uint64_t> checkpoint_blocks;
-  FleetControl control;
-  control.checkpoint_every = 2;
-  control.on_checkpoint = [&](const FleetProgress& p) {
-    checkpoint_blocks.push_back(p.blocks_done());
-  };
-  const FleetResult result = run_fleet(db, drc, nullptr, config, control);
-  ASSERT_TRUE(result.complete);
-  // 6 blocks at a cadence of 2: checkpoints at 2, 4, 6 completed blocks (the
-  // last doubles as the final flush; no extra empty flush after it).
-  ASSERT_EQ(checkpoint_blocks.size(), 3u);
-  EXPECT_EQ(checkpoint_blocks[0], 2u);
-  EXPECT_EQ(checkpoint_blocks[1], 4u);
-  EXPECT_EQ(checkpoint_blocks[2], 6u);
-}
-
 TEST(FleetRun, WorkerExceptionReachesTheCaller) {
   // Each device builds its policy on the worker that simulates it; AuraPolicy
   // rejects gamma = 1 there, and run_fleet rethrows that on the caller.
@@ -384,22 +364,20 @@ TEST(FleetRun, WorkerExceptionReachesTheCaller) {
 }
 
 TEST(FleetRun, CheckpointExceptionReachesTheCallerAndStopsEveryWorker) {
-  // on_checkpoint fails once, at the first completed block. Each other worker
-  // may still publish the block it had started, and starts none after, so
-  // on_block runs at most `jobs` times in all.
+  // on_boundary fails once, as a failed checkpoint write would, at the first
+  // completed block. Each other worker may still publish the block it had
+  // started, and starts none after, so on_boundary runs at most `jobs` times
+  // in all.
   const auto db = make_db();
   const auto drc = make_drc();
   for (const std::size_t jobs : {1u, 4u}) {
     FleetConfig config = make_config(256, 16);  // 16 blocks
     config.shards = 16;
     config.jobs = jobs;
-    std::uint64_t blocks = 0;  // callbacks never overlap: no atomics needed
-    std::uint64_t checkpoints = 0;
+    std::uint64_t blocks = 0;  // calls never overlap: no atomics needed
     FleetControl control;
-    control.checkpoint_every = 1;
-    control.on_block = [&](std::uint64_t, std::uint64_t) { ++blocks; };
-    control.on_checkpoint = [&](const FleetProgress&) {
-      if (checkpoints++ == 0) throw std::runtime_error("cannot write the checkpoint");
+    control.on_boundary = [&](const FleetProgress&) {
+      if (blocks++ == 0) throw std::runtime_error("cannot write the checkpoint");
     };
     try {
       (void)run_fleet(db, drc, nullptr, config, control);
@@ -446,8 +424,7 @@ TEST(FleetSummarize, ShardSummariesTileTheDeviceRangeAndFoldToTheTotal) {
 io::FleetCheckpoint make_checkpoint() {
   io::FleetCheckpoint c;
   c.sequence = 9;
-  c.param_hash = 0xABCDEF0123456789ULL;
-  c.progress.param_hash = c.param_hash;
+  c.progress.param_hash = 0xABCDEF0123456789ULL;
   c.progress.devices = 100;
   c.progress.block_size = 16;
   c.progress.done = {1, 0, 1, 1, 0, 0, 1};
@@ -466,7 +443,6 @@ TEST(FleetCheckpointCodec, RoundTripIsFieldExact) {
   EXPECT_EQ(io::checkpoint_sequence(snap.view()), 9u);
   const io::FleetCheckpoint back = io::decode_fleet_checkpoint(snap.view());
   EXPECT_EQ(back.sequence, c.sequence);
-  EXPECT_EQ(back.param_hash, c.param_hash);
   EXPECT_EQ(back.progress.param_hash, c.progress.param_hash);
   EXPECT_EQ(back.progress.devices, c.progress.devices);
   EXPECT_EQ(back.progress.block_size, c.progress.block_size);
@@ -537,6 +513,70 @@ TEST_F(FleetTempDir, SessionStepBudgetStopsWholeBlocksAndResumeCompletes) {
   EXPECT_EQ(done.result.summary.totals, reference.summary.totals);
 }
 
+/// Blocks done in each checkpoint slot of the A/B pair at `base`, oldest
+/// first.
+std::vector<std::uint64_t> slot_blocks(const std::string& base) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> slots;  // (sequence, blocks)
+  for (const char* slot : {".a", ".b"}) {
+    if (!fs::exists(base + slot)) continue;
+    const io::FleetCheckpoint c =
+        io::decode_fleet_checkpoint(io::Snapshot::open(base + slot).view());
+    slots.emplace_back(c.sequence, c.progress.blocks_done());
+  }
+  std::sort(slots.begin(), slots.end());
+  std::vector<std::uint64_t> blocks;
+  for (const auto& slot : slots) blocks.push_back(slot.second);
+  return blocks;
+}
+
+TEST_F(FleetTempDir, SessionKeepsEveryNthBlockAndEveryBlockAfterAStop) {
+  const auto db = make_db();
+  const auto drc = make_drc();
+  const auto run = [&](std::uint64_t devices, std::size_t jobs, std::uint64_t budget,
+                       const std::string& name) {
+    FleetConfig config = make_config(devices, 16);
+    config.jobs = jobs;
+    exp::SessionControl control;
+    control.checkpoint_path = path(name);
+    control.checkpoint_every = 2;
+    control.step_budget = budget;
+    return run_fleet_session(db, drc, nullptr, config, control);
+  };
+
+  // One worker completes the 6 blocks in order: every 2nd is kept.
+  FleetSessionOutcome out = run(96, 1, 0, "six.clrdb");
+  ASSERT_TRUE(out.result.complete);
+  EXPECT_EQ(out.steps, 6u);
+  EXPECT_EQ(out.checkpoints_written, 3u);
+  EXPECT_EQ(slot_blocks(path("six.clrdb")), (std::vector<std::uint64_t>{4, 6}));
+
+  // 5 blocks: a complete run keeps nothing after its last 2nd block.
+  out = run(80, 1, 0, "five.clrdb");
+  ASSERT_TRUE(out.result.complete);
+  EXPECT_EQ(out.checkpoints_written, 2u);
+  EXPECT_EQ(slot_blocks(path("five.clrdb")), (std::vector<std::uint64_t>{2, 4}));
+
+  // A budget of 3 stops at the 3rd block, which is kept too.
+  out = run(96, 1, 3, "cut.clrdb");
+  EXPECT_FALSE(out.result.complete);
+  EXPECT_EQ(out.checkpoints_written, 2u);
+  EXPECT_EQ(slot_blocks(path("cut.clrdb")), (std::vector<std::uint64_t>{2, 3}));
+
+  // At 4 workers every block finished after the stop is kept too, so the
+  // newest slot holds every finished block: blocks 2, 3, ..., blocks done.
+  for (int r = 0; r < 10; ++r) {
+    SCOPED_TRACE("run " + std::to_string(r));
+    const std::string name = "wide" + std::to_string(r) + ".clrdb";
+    out = run(256, 4, 3, name);  // 16 blocks
+    EXPECT_FALSE(out.result.complete);
+    EXPECT_EQ(out.steps, out.result.blocks_done_this_run);
+    EXPECT_EQ(out.checkpoints_written, out.result.blocks_done_this_run - 1);
+    const std::vector<std::uint64_t> slots = slot_blocks(path(name));
+    ASSERT_FALSE(slots.empty());
+    EXPECT_EQ(slots.back(), out.result.blocks_done_this_run);
+  }
+}
+
 TEST_F(FleetTempDir, SessionResumeRefusesParamHashMismatch) {
   const auto db = make_db();
   const auto drc = make_drc();
@@ -555,7 +595,7 @@ TEST_F(FleetTempDir, SessionResumeRefusesParamHashMismatch) {
 }
 
 TEST(FleetSession, StepBudgetStopsAtMostJobsMinusOneBlocksLate) {
-  // The budget stops the run from on_block at the third completed block; each
+  // The budget stops the run at the third completed block's boundary; each
   // other worker may finish the block it had started, so 3 + jobs - 1 bounds
   // the cut at any shard count.
   const auto db = make_db();
@@ -595,9 +635,9 @@ TEST(FleetSession, BudgetOfThreeOfFiveBlocksNeverCompletesAtTwoJobs) {
 
 TEST(FleetSession, UnwritableCheckpointThrowsBeforeAnyBlock) {
   // The session checks the path before the run, so no block is lost. Its
-  // on_block is the only reader of the external stop token, and an expired
-  // deadline latches on the first read: an unlatched source proves that
-  // on_block never ran.
+  // boundary is the only reader of the external stop token, and an expired
+  // deadline latches on the first read: an unlatched source proves that no
+  // block reached a boundary.
   const auto db = make_db();
   const auto drc = make_drc();
   util::StopSource external;

@@ -716,4 +716,27 @@ TEST(CliCheckpointFixtures, V3CheckpointsAreRefusedAndLeftByteIdentical) {
   }
 }
 
+TEST(CliCheckpointFixtures, UnreadableResumeSlotFailsBeforeTheInlineExplore) {
+  // The session reads the slot to resume from before any work: a slot of
+  // another format version (here a bare version-5 header) fails the command
+  // before its inline explore runs, and is left as it was.
+  const std::string slot = std::string("\x89" "CLRDB\r\n", 8) + '\x05' + std::string(31, '\0');
+  const std::string commands[] = {
+      "simulate --tasks 6 --pop 16 --gens 4 --replications 3 --cycles 2000 --jobs 1",
+      "fleet --tasks 6 --pop 16 --gens 4 --devices 40 --block 16 --cycles 2000 --jobs 1"};
+  const std::string base = ::testing::TempDir() + "clrtool_v5_slot";
+  for (const std::string& command : commands) {
+    SCOPED_TRACE(command);
+    std::remove((base + ".b").c_str());
+    std::ofstream(base + ".a", std::ios::binary) << slot;
+    const auto [code, out] = run_tool(command + " --checkpoint " + base + " --resume");
+    EXPECT_EQ(code, 1) << out;
+    EXPECT_EQ(out, "clrtool: snapshot: " + base +
+                       ".a: format version 5 (this reader supports only version 4)\n");
+    EXPECT_EQ(read_file(base + ".a"), slot);
+    EXPECT_FALSE(std::ifstream(base + ".b").good()) << "a fresh run wrote a checkpoint";
+  }
+  std::remove((base + ".a").c_str());
+}
+
 }  // namespace

@@ -50,7 +50,6 @@
 #include "experiments/session.hpp"
 #include "faults/fault_model.hpp"
 #include "fleet/fleet.hpp"
-#include "io/checkpoint.hpp"
 #include "io/json.hpp"
 #include "io/serialize.hpp"
 #include "io/snapshot.hpp"
@@ -342,10 +341,11 @@ Design load_design(const Args& args) {
 }
 
 /// Parse the shared checkpoint/budget flags into a SessionControl, validate
-/// their dependencies (--resume and --checkpoint-every require --checkpoint),
-/// check that the checkpoint can be written before any work (an inline
-/// explore included) and arm the global stop source's deadline from
-/// --time-budget.
+/// their dependencies (--resume and --checkpoint-every require --checkpoint)
+/// and arm the global stop source's deadline from --time-budget. Each command
+/// opens its exp::Session from it before any work, an inline explore
+/// included: the session probes the checkpoint path and reads the slot to
+/// resume from.
 exp::SessionControl session_control(const Args& args) {
   exp::SessionControl control;
   control.checkpoint_path = args.str("checkpoint");
@@ -364,9 +364,6 @@ exp::SessionControl session_control(const Args& args) {
   }
   control.step_budget = args.integer("step-budget", 0);
   control.stop = global_stop().token();
-  if (!control.checkpoint_path.empty()) {
-    io::CheckpointStore(control.checkpoint_path).check_writable();
-  }
   return control;
 }
 
@@ -440,11 +437,13 @@ int cmd_explore(const Args& args) {
   exp::FlowParams params = flow_params(args);
   if (args.has("csp")) params.mode = dse::ObjectiveMode::CspQos;
   const exp::SessionControl control = session_control(args);
+  exp::Session session(control);
   const std::string trace_path = setup_trace(args);
   const auto app = exp::make_synthetic_app(id.tasks, id.seed);
 
   util::install_stop_signal_handlers(global_stop());
-  const auto outcome = exp::run_explore_session(*app, params, flow_seed(id.seed), control);
+  const auto outcome =
+      exp::run_explore_session(*app, params, flow_seed(id.seed), std::move(session));
   const auto& flow = outcome.flow;
   if (outcome.resumed) {
     std::printf("resumed from checkpoint %s (.a/.b)\n", control.checkpoint_path.c_str());
@@ -495,6 +494,7 @@ int cmd_simulate(const Args& args) {
         "runner — pass --replications > 1 (or --report)");
   }
   const exp::SessionControl control = session_control(args);
+  exp::Session session(control);
   const std::string trace_path = setup_trace(args);
   const Design design = load_design(args);
   const dse::MetricRanges box = exp::db_qos_ranges(design.db);
@@ -535,10 +535,10 @@ int cmd_simulate(const Args& args) {
   cell.label = runtime.policy + " pRC=" + util::TextTable::fmt(params.p_rc, 2);
   runner.add_cell(std::move(cell));
   util::install_stop_signal_handlers(global_stop());
-  const exp::RunnerOutcome session = exp::run_runner_session(runner, control);
-  const auto& results = session.run.results;
+  const exp::RunnerOutcome outcome = exp::run_runner_session(runner, std::move(session));
+  const auto& results = outcome.run.results;
   const auto& s = results.front().stats;
-  if (session.resumed) {
+  if (outcome.resumed) {
     std::printf("resumed from checkpoint %s (.a/.b)\n", control.checkpoint_path.c_str());
   }
 
@@ -556,16 +556,16 @@ int cmd_simulate(const Args& args) {
   std::printf("%s", table.to_string().c_str());
   if (args.has("report")) {
     const auto report = exp::grid_report("clrtool_simulate", config, results, &runner.metrics(),
-                                         !session.run.complete);
+                                         !outcome.run.complete);
     util::write_file(args.str("report"), report.dump(2) + "\n");
     std::printf("report written to %s\n", args.str("report").c_str());
   }
   int code = 0;
-  if (!session.run.complete) {
-    code = interrupted(session.stop_reason,
-                       ": " + std::to_string(session.run.jobs_done) + " of " +
-                           std::to_string(session.run.jobs_total) + " replication jobs done",
-                       control, session.checkpoints_written);
+  if (!outcome.run.complete) {
+    code = interrupted(outcome.stop_reason,
+                       ": " + std::to_string(outcome.run.jobs_done) + " of " +
+                           std::to_string(outcome.run.jobs_total) + " replication jobs done",
+                       control, outcome.checkpoints_written);
   }
   finish_trace(trace_path);
   return code;
@@ -584,6 +584,7 @@ int cmd_fleet(const Args& args) {
   config.params = runtime.params;
   exp::RuntimeEvalParams& params = config.params;
   const exp::SessionControl control = session_control(args);
+  exp::Session session(control);
   Design design = load_design(args);
   if (!design.drc) {
     // No precomputed matrix in the artifact: rebuild it once, up front (the
@@ -602,7 +603,7 @@ int cmd_fleet(const Args& args) {
 
   util::install_stop_signal_handlers(global_stop());
   const fleet::FleetSessionOutcome outcome = fleet::run_fleet_session(
-      design.db, *design.drc, &design.app->clr_space(), config, control);
+      design.db, *design.drc, &design.app->clr_space(), config, std::move(session));
   const fleet::FleetResult& result = outcome.result;
   const fleet::FleetSummary& s = result.summary;
   if (outcome.resumed) {
@@ -801,11 +802,14 @@ int usage() {
       "--trace writes a Chrome trace_event JSON timeline (Perfetto /\n"
       "chrome://tracing) and prints a per-span summary; --trace-categories\n"
       "filters it to a comma list of dse,runtime,exp,drc,bench (default all).\n"
-      "--checkpoint writes crash-safe A/B checkpoints (<F>.a/<F>.b) at generation\n"
-      "or job-batch boundaries; --resume continues from the newest good one with\n"
-      "bit-identical results. SIGINT/SIGTERM, --time-budget (wall-clock seconds)\n"
-      "and --step-budget (boundaries) stop cooperatively: the partial report is\n"
-      "printed, a final checkpoint written, and the exit code is 3.\n";
+      "A boundary is a GA generation (explore), a finished replication job\n"
+      "(simulate) or a finished block (fleet). --checkpoint writes crash-safe A/B\n"
+      "checkpoints (<F>.a/<F>.b) at every Nth boundary (--checkpoint-every N) and\n"
+      "at every boundary after a stop; --resume continues from the newest good one\n"
+      "with bit-identical results. SIGINT/SIGTERM, --time-budget (wall-clock\n"
+      "seconds) and --step-budget N (stop after N boundaries) stop cooperatively:\n"
+      "the partial report is printed, a final checkpoint written, and the exit\n"
+      "code is 3.\n";
   std::fputs(text.c_str(), stderr);
   return 2;
 }
