@@ -1,6 +1,7 @@
 // google-benchmark micro-kernels for the library's hot paths: schedule
 // evaluation, Table 2 metric evaluation, dRC computation, hypervolume,
-// NSGA-II generations, run-time policy selection and util::Rng's draws.
+// NSGA-II generations and the GA operators, run-time policy selection and
+// util::Rng's draws.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 #include "experiments/flow.hpp"
 #include "moea/hypervolume.hpp"
 #include "moea/nsga2.hpp"
+#include "moea/operators.hpp"
 #include "runtime/drc_matrix.hpp"
 #include "runtime/simulator.hpp"
 
@@ -107,6 +109,46 @@ void BM_Nsga2Generation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Nsga2Generation);
+
+// The GA bookkeeping around each kernel run, per operation, on a 90-task
+// (360-gene) genome: one uniform crossover at the paper's pair probability
+// 0.7 and one reset mutation at 0.03 per gene (its Coin built once, as
+// moea::run_generations does), and one non-dominated sort of NSGA-II's 80
+// merged candidates (2 objectives, 30% infeasible) as in ReD.
+void BM_UniformCrossover(benchmark::State& state) {
+  auto& f = fixture_for(90);
+  util::Rng rng(4);
+  std::vector<int> a = f.problem->random_genes(rng);
+  std::vector<int> b = f.problem->random_genes(rng);
+  for (auto _ : state) {
+    moea::uniform_crossover(a, b, 0.7, rng);
+    benchmark::DoNotOptimize(a.data());
+  }
+}
+BENCHMARK(BM_UniformCrossover);
+
+void BM_ResetMutation(benchmark::State& state) {
+  auto& f = fixture_for(90);
+  util::Rng rng(5);
+  std::vector<int> genes = f.problem->random_genes(rng);
+  const util::Coin mutation(0.03);
+  for (auto _ : state) {
+    moea::reset_mutation(*f.problem, genes, mutation, rng);
+    benchmark::DoNotOptimize(genes.data());
+  }
+}
+BENCHMARK(BM_ResetMutation);
+
+void BM_NonDominatedSort(benchmark::State& state) {
+  util::Rng rng(6);
+  std::vector<moea::Individual> pop(80);
+  for (auto& ind : pop) {
+    ind.eval.objectives = {rng.uniform(), rng.uniform()};
+    if (rng.chance(0.3)) ind.eval.violation = rng.uniform();
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(moea::non_dominated_sort(pop));
+}
+BENCHMARK(BM_NonDominatedSort);
 
 void BM_UraSelect(benchmark::State& state) {
   auto& f = fixture_for(20);

@@ -53,8 +53,10 @@ constexpr std::uint64_t substream_seed(std::uint64_t base, std::uint64_t index) 
 
 /// MT19937-64 with std::mt19937_64's output, operator== and stream text,
 /// written out so no stream depends on the standard library's engine. The
-/// twist selects its xor mask without a branch, so the 312-word refill
-/// compiles to straight-line (vectorized) code.
+/// twist selects its xor mask without a branch, and each refill tempers the
+/// 312 new state words into an output buffer in the same straight-line
+/// (vectorized) pass, so a draw is one load. peek() and skip() read that
+/// buffer directly (DESIGN.md §5.5).
 class Mt19937_64 {
  public:
   using result_type = std::uint64_t;
@@ -72,14 +74,28 @@ class Mt19937_64 {
 
   result_type operator()() {
     if (pos_ >= state_size) refill();
-    result_type z = x_[pos_++];
-    z ^= (z >> 29) & 0x5555555555555555ULL;
-    z ^= (z << 17) & 0x71d67fffeda60000ULL;
-    z ^= (z << 37) & 0xfff7eee000000000ULL;
-    return z ^ (z >> 43);
+    return out_[pos_++];
   }
 
-  friend bool operator==(const Mt19937_64&, const Mt19937_64&) = default;
+  /// The words the next calls of operator() return, in order: the rest of
+  /// the buffer, refilled first when it is spent, so never empty. A refill
+  /// here moves text() to the next block at position 0 before any of its
+  /// words is consumed, which continues the same stream from another text;
+  /// callers skip at least one word before the state is saved or compared.
+  std::span<const result_type> peek() {
+    if (pos_ >= state_size) refill();
+    return {out_.data() + pos_, state_size - pos_};
+  }
+
+  /// Consume the next `k` words, as k calls of operator() would. Requires
+  /// k <= peek().size().
+  void skip(std::size_t k) { pos_ += k; }
+
+  /// The state words and the position; the output buffer is derived from
+  /// them.
+  friend bool operator==(const Mt19937_64& a, const Mt19937_64& b) {
+    return a.pos_ == b.pos_ && a.x_ == b.x_;
+  }
 
   /// std::mt19937_64's operator<< text: the 312 state words, then the
   /// position, in decimal and one space apart. Locale-free by construction.
@@ -117,6 +133,7 @@ class Mt19937_64 {
     }
     std::copy_n(fields.begin(), state_size, x_.begin());
     pos_ = fields.back();
+    for (std::size_t i = 0; i < state_size; ++i) out_[i] = temper(x_[i]);
   }
 
  private:
@@ -127,16 +144,88 @@ class Mt19937_64 {
     return far ^ (y >> 1) ^ ((0 - (y & 1)) & 0xb5026f5aa96619e9ULL);
   }
 
+  static result_type temper(result_type z) {
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
   void refill() {
     std::size_t i = 0;
-    for (; i < state_size - kMiddle; ++i) x_[i] = twist(x_[i], x_[i + 1], x_[i + kMiddle]);
-    for (; i < state_size - 1; ++i) x_[i] = twist(x_[i], x_[i + 1], x_[i + kMiddle - state_size]);
+    for (; i < state_size - kMiddle; ++i) {
+      x_[i] = twist(x_[i], x_[i + 1], x_[i + kMiddle]);
+      out_[i] = temper(x_[i]);
+    }
+    for (; i < state_size - 1; ++i) {
+      x_[i] = twist(x_[i], x_[i + 1], x_[i + kMiddle - state_size]);
+      out_[i] = temper(x_[i]);
+    }
     x_[i] = twist(x_[i], x_[0], x_[kMiddle - 1]);
+    out_[i] = temper(x_[i]);
     pos_ = 0;
   }
 
   std::array<result_type, state_size> x_;
+  std::array<result_type, state_size> out_{};  ///< tempered x_; words before pos_ are spent
   std::size_t pos_ = state_size;
+};
+
+/// generate_canonical<double, 53> of one engine word: the word over 2^64,
+/// clamped below 1. The word converts as two exact halves and one rounding
+/// add, which equals double(word) without the sign-test branch of an
+/// unsigned conversion. Never decreases as the word grows.
+constexpr double canonical(std::uint64_t word) {
+  const double w = static_cast<double>(static_cast<std::int64_t>(word >> 32)) * 0x1p32 +
+                   static_cast<double>(static_cast<std::int64_t>(word & 0xffffffffULL));
+  return std::min(w * 0x1p-64, 0x1.fffffffffffffp-1);
+}
+
+/// Rng::chance(p) decided by one integer comparison (DESIGN.md §5.5).
+/// canonical() never decreases as the word grows, so for p in (0, 1) the
+/// words whose canonical value is below p are exactly those below
+/// threshold(), the least word whose value is >= p: chance(p) draws one word
+/// and succeeds iff it lands below. Every other p draws what chance(p)
+/// draws, with its result: p <= 0 and p >= 1 draw nothing (always() is the
+/// result), and NaN draws one word and never succeeds (threshold 0). No
+/// double lies in (1 - 2^-53, 1), and canonical() reaches 1 - 2^-53, so the
+/// threshold always fits in a word. Construct one per probability, not per
+/// toss: the constructor searches all 64 bits.
+class Coin {
+ public:
+  constexpr explicit Coin(double p)
+      : draws_(!(p <= 0.0) && !(p >= 1.0)),
+        always_(p >= 1.0),
+        threshold_(draws_ ? threshold_of(p) : 0) {}
+
+  /// Whether a toss reads an engine word: p in (0, 1), or NaN.
+  constexpr bool draws() const { return draws_; }
+  /// The result of a toss that draws nothing: p >= 1.
+  constexpr bool always() const { return always_; }
+  /// The result of a toss that reads `word`.
+  constexpr bool lands(std::uint64_t word) const { return word < threshold_; }
+  constexpr std::uint64_t threshold() const { return threshold_; }
+
+ private:
+  /// The least word whose canonical value is >= p; 0 for NaN.
+  static constexpr std::uint64_t threshold_of(double p) {
+    if (!(p > 0.0)) return 0;
+    std::uint64_t lo = 0;
+    std::uint64_t hi = ~std::uint64_t{0};  // canonical(hi) = 1 - 2^-53 >= every p < 1
+    while (lo < hi) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (canonical(mid) >= p) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    return lo;
+  }
+
+  bool draws_;
+  bool always_;
+  std::uint64_t threshold_;
 };
 
 /// Seeded pseudo-random generator with convenience samplers.
@@ -236,16 +325,8 @@ class Rng {
     return static_cast<std::uint64_t>(product >> 64);
   }
 
-  /// generate_canonical<double, 53>: one engine word over 2^64, clamped
-  /// below 1. The word converts as two exact halves and one rounding add,
-  /// which equals double(word) without the sign-test branch of an unsigned
-  /// conversion.
-  double canonical() {
-    const std::uint64_t w = engine_();
-    const double word = static_cast<double>(static_cast<std::int64_t>(w >> 32)) * 0x1p32 +
-                        static_cast<double>(static_cast<std::int64_t>(w & 0xffffffffULL));
-    return std::min(word * 0x1p-64, 0x1.fffffffffffffp-1);
-  }
+  /// util::canonical of the next engine word.
+  double canonical() { return util::canonical(engine_()); }
 
   Mt19937_64 engine_;
 };

@@ -32,8 +32,9 @@ moea::Evaluation RedProblem::evaluate(const std::vector<int>& genes) const {
   return evaluation_of(genes, mapping_->evaluate_metrics(genes));
 }
 
-void RedProblem::evaluate_batch(std::span<moea::Individual* const> batch) const {
-  const std::span<const ScheduleMetrics> metrics = mapping_->stage_metrics(batch);
+void RedProblem::evaluate_batch(std::span<moea::Individual* const> batch,
+                                std::span<const std::uint64_t> hashes) const {
+  const std::span<const ScheduleMetrics> metrics = mapping_->stage_metrics(batch, hashes);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     batch[i]->eval = evaluation_of(batch[i]->genes, metrics[i]);
   }
@@ -252,6 +253,7 @@ StageOutcome DesignTimeDse::run_red_resumable(const DesignDb& base, util::Rng& r
   util::ThreadPool pool(cfg_.threads);
 
   moea::Nsga2 nsga(cfg_.red_ga);
+  const util::Coin seed_mutation(0.10);
   for (std::size_t pos = start_pos; pos < seed_idx.size(); ++pos) {
     const std::size_t si = seed_idx[pos];
     CLR_TRACE_SPAN(seed_span, trace::Category::Dse, "dse.red_seed", {{"seed_index", si}});
@@ -279,7 +281,7 @@ StageOutcome DesignTimeDse::run_red_resumable(const DesignDb& base, util::Rng& r
       }
       while (seeds.size() < cfg_.red_ga.population * 3 / 4) {
         auto mutated = seed_genes;
-        moea::reset_mutation(red_problem, mutated, 0.10, rng);
+        moea::reset_mutation(red_problem, mutated, seed_mutation, rng);
         seeds.push_back(std::move(mutated));
       }
     }

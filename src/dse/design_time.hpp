@@ -83,7 +83,8 @@ class RedProblem : public moea::Problem {
   /// (MappingProblem::stage_metrics), then builds each Evaluation from them
   /// with the per-genome tail (dRC table + tolerance constraints) — no second
   /// schedule-memo lookup. Bit-identical to sequential evaluate() calls.
-  void evaluate_batch(std::span<moea::Individual* const> batch) const override;
+  void evaluate_batch(std::span<moea::Individual* const> batch,
+                      std::span<const std::uint64_t> hashes) const override;
 
  private:
   /// Average dRC of a genome, decoded into thread-local scratch.

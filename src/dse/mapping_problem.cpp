@@ -63,25 +63,18 @@ MappingProblem::MappingProblem(const sched::EvalContext& ctx, QosSpec spec, Obje
     if (allowed_pes_[t].empty()) {
       throw std::invalid_argument("MappingProblem: task has no runnable PE");
     }
+    std::size_t max_impls = 1;  // implementation slot, decoded modulo the bound PE's count
+    for (const auto& c : compat_impls_[t]) max_impls = std::max(max_impls, c.size());
+    domain_sizes_.insert(domain_sizes_.end(), {static_cast<int>(allowed_pes_[t].size()),
+                                               static_cast<int>(max_impls),
+                                               static_cast<int>(ctx.clr_space->size()),
+                                               static_cast<int>(num_tasks_)});
   }
 }
 
 int MappingProblem::domain_size(std::size_t locus) const {
-  const std::size_t t = locus / 4;
-  if (t >= num_tasks_) throw std::out_of_range("MappingProblem: locus out of range");
-  switch (locus % 4) {
-    case 0:  // PE slot
-      return static_cast<int>(allowed_pes_[t].size());
-    case 1: {  // implementation slot (decoded modulo the bound PE's count)
-      std::size_t max_c = 1;
-      for (const auto& c : compat_impls_[t]) max_c = std::max(max_c, c.size());
-      return static_cast<int>(max_c);
-    }
-    case 2:  // CLR configuration
-      return static_cast<int>(ctx_->clr_space->size());
-    default:  // priority
-      return static_cast<int>(num_tasks_);
-  }
+  if (locus >= domain_sizes_.size()) throw std::out_of_range("MappingProblem: locus out of range");
+  return domain_sizes_[locus];
 }
 
 sched::Configuration MappingProblem::decode(const std::vector<int>& genes) const {
@@ -161,6 +154,7 @@ std::vector<double> MappingProblem::objectives_of(const ScheduleMetrics& m) cons
 }
 
 void MappingProblem::evaluate_metrics_batch(std::span<const std::vector<int>* const> genes,
+                                            std::span<const std::uint64_t> hashes,
                                             ScheduleMetrics* out) const {
   static_assert(sched::BatchGenomes::kLanes == 8,
                 "BatchEvaluator's chunk size assumes 8-lane blocks");
@@ -172,7 +166,7 @@ void MappingProblem::evaluate_metrics_batch(std::span<const std::vector<int>* co
   // independent of its co-lanes, so partitioning can never change bits.
   state.miss_idx.clear();
   for (std::size_t i = 0; i < genes.size(); ++i) {
-    if (!schedule_cache_.lookup(*genes[i], &out[i])) state.miss_idx.push_back(i);
+    if (!schedule_cache_.lookup(*genes[i], hashes[i], &out[i])) state.miss_idx.push_back(i);
   }
 
   sched::KernelMetrics km[kL];
@@ -188,23 +182,25 @@ void MappingProblem::evaluate_metrics_batch(std::span<const std::vector<int>* co
     for (std::size_t l = 0; l < lanes; ++l) {
       const std::size_t i = state.miss_idx[base + l];
       out[i] = ScheduleMetrics::of(km[l]);
-      schedule_cache_.store(*genes[i], out[i]);
+      schedule_cache_.store(*genes[i], hashes[i], out[i]);
     }
   }
 }
 
 std::span<const ScheduleMetrics> MappingProblem::stage_metrics(
-    std::span<moea::Individual* const> batch) const {
+    std::span<moea::Individual* const> batch, std::span<const std::uint64_t> hashes) const {
   ThreadEvalState& state = thread_eval_state();
   state.gene_ptrs.clear();
   for (const moea::Individual* ind : batch) state.gene_ptrs.push_back(&ind->genes);
   state.metrics.resize(batch.size());
-  evaluate_metrics_batch({state.gene_ptrs.data(), state.gene_ptrs.size()}, state.metrics.data());
+  evaluate_metrics_batch({state.gene_ptrs.data(), state.gene_ptrs.size()}, hashes,
+                         state.metrics.data());
   return {state.metrics.data(), state.metrics.size()};
 }
 
-void MappingProblem::evaluate_batch(std::span<moea::Individual* const> batch) const {
-  const std::span<const ScheduleMetrics> metrics = stage_metrics(batch);
+void MappingProblem::evaluate_batch(std::span<moea::Individual* const> batch,
+                                    std::span<const std::uint64_t> hashes) const {
+  const std::span<const ScheduleMetrics> metrics = stage_metrics(batch, hashes);
   for (std::size_t i = 0; i < batch.size(); ++i) batch[i]->eval = evaluation_of(metrics[i]);
 }
 

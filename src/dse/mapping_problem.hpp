@@ -82,21 +82,25 @@ class MappingProblem : public moea::Problem {
   /// then decodes the misses into SoA blocks and runs them through
   /// CompiledGraph::evaluate_batch. Bit-identical to per-genome evaluate()
   /// at any batch size/partitioning.
-  void evaluate_batch(std::span<moea::Individual* const> batch) const override;
+  void evaluate_batch(std::span<moea::Individual* const> batch,
+                      std::span<const std::uint64_t> hashes) const override;
 
-  /// Schedule metrics of every individual in `batch`, staged through
-  /// evaluate_metrics_batch into the calling thread's scratch: the shared
-  /// head of this evaluate_batch and RedProblem's. The span stays valid until
-  /// the same thread stages again.
-  std::span<const ScheduleMetrics> stage_metrics(std::span<moea::Individual* const> batch) const;
+  /// Schedule metrics of every individual in `batch` (genome hashes in
+  /// `hashes`), staged through evaluate_metrics_batch into the calling
+  /// thread's scratch: the shared head of this evaluate_batch and
+  /// RedProblem's. The span stays valid until the same thread stages again.
+  std::span<const ScheduleMetrics> stage_metrics(std::span<moea::Individual* const> batch,
+                                                 std::span<const std::uint64_t> hashes) const;
 
   /// Batched evaluate_metrics: out[i] receives evaluate_metrics(*genes[i]),
-  /// with cache misses evaluated in SoA blocks through the SIMD kernel.
-  /// Bit-identical to the scalar path; duplicate genomes within one call may
-  /// each count as a schedule run (the scalar sequence would memo-hit the
-  /// second), so callers wanting exact run counts should dedup first.
+  /// with cache misses evaluated in SoA blocks through the SIMD kernel. The
+  /// memo is probed and filled under hashes[i], which must be
+  /// moea::hash_genes(*genes[i]) (a wrong hash only misses). Bit-identical to
+  /// the scalar path; duplicate genomes within one call may each count as a
+  /// schedule run (the scalar sequence would memo-hit the second), so callers
+  /// wanting exact run counts should dedup first.
   void evaluate_metrics_batch(std::span<const std::vector<int>* const> genes,
-                              ScheduleMetrics* out) const;
+                              std::span<const std::uint64_t> hashes, ScheduleMetrics* out) const;
 
   /// Decode a chromosome into a concrete configuration (always valid:
   /// PE/implementation compatibility is guaranteed by construction).
@@ -158,6 +162,8 @@ class MappingProblem : public moea::Problem {
   std::vector<std::vector<plat::PeId>> allowed_pes_;
   /// Per task / per allowed-PE slot: compatible implementation indices.
   std::vector<std::vector<std::vector<std::size_t>>> compat_impls_;
+  /// Per locus: domain_size(), built once from the two tables above.
+  std::vector<int> domain_sizes_;
   mutable moea::GenomeCache<ScheduleMetrics> schedule_cache_{1 << 16};
   mutable std::atomic<std::uint64_t> schedule_runs_{0};
 };

@@ -1,7 +1,7 @@
 #include "moea/eval_cache.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <bit>
 
 #include "common/hash.hpp"
 #include "common/parallel.hpp"
@@ -19,30 +19,30 @@ void BatchEvaluator::evaluate(const std::vector<Individual*>& batch) const {
   // distinct genome is evaluated. This matters even over a memoizing
   // problem: MappingProblem::evaluate_metrics_batch looks every genome of a
   // chunk up before it stores any, so a duplicate would run the kernel again.
+  // Each genome is hashed once, here; the hash keys an open-addressing table
+  // of indices into `unique` and travels with its genome to the problem.
   std::vector<Individual*> unique;
-  std::vector<std::pair<Individual*, Individual*>> copies;  // (dup, source)
+  std::vector<std::uint64_t> hashes;  // hashes[u] = hash_genes(unique[u]->genes)
+  std::vector<std::pair<Individual*, const Individual*>> copies;  // (dup, source)
   unique.reserve(batch.size());
+  hashes.reserve(batch.size());
   {
-    // Keyed by the individuals themselves: hashing and equality read their
-    // genes in place, so no genome is copied.
-    struct GenesHash {
-      std::size_t operator()(const Individual* ind) const {
-        return static_cast<std::size_t>(hash_genes(ind->genes));
-      }
-    };
-    struct GenesEq {
-      bool operator()(const Individual* a, const Individual* b) const {
-        return a->genes == b->genes;
-      }
-    };
-    std::unordered_set<Individual*, GenesHash, GenesEq> seen;
-    seen.reserve(batch.size());
+    constexpr std::size_t kEmpty = ~std::size_t{0};
+    const std::size_t mask = std::bit_ceil(2 * batch.size() + 1) - 1;
+    std::vector<std::size_t> slots(mask + 1, kEmpty);
     for (Individual* ind : batch) {
-      const auto [it, inserted] = seen.insert(ind);
-      if (inserted) {
+      const std::uint64_t hash = hash_genes(ind->genes);
+      std::size_t s = static_cast<std::size_t>(hash) & mask;
+      while (slots[s] != kEmpty &&
+             (hashes[slots[s]] != hash || unique[slots[s]]->genes != ind->genes)) {
+        s = (s + 1) & mask;
+      }
+      if (slots[s] == kEmpty) {
+        slots[s] = unique.size();
         unique.push_back(ind);
+        hashes.push_back(hash);
       } else {
-        copies.emplace_back(ind, *it);
+        copies.emplace_back(ind, unique[slots[s]]);
       }
     }
   }
@@ -56,7 +56,7 @@ void BatchEvaluator::evaluate(const std::vector<Individual*>& batch) const {
   const auto evaluate_chunk = [&](std::size_t c) {
     const std::size_t begin = c * kChunk;
     const std::size_t count = std::min(kChunk, unique.size() - begin);
-    problem_->evaluate_batch({unique.data() + begin, count});
+    problem_->evaluate_batch({unique.data() + begin, count}, {hashes.data() + begin, count});
   };
   if (pool_ != nullptr) {
     pool_->parallel_for(chunks, evaluate_chunk);

@@ -8,7 +8,8 @@
 // turns those repeats into hash lookups. On long chromosomes the repeats are
 // rare (under 3% of schedule requests on the 40- and 90-task perfbench
 // apps), so a memo operation must cost little next to a kernel run: one hash
-// per call and one stored copy of each key (DESIGN.md §5.6).
+// per evaluated genome, which BatchEvaluator computes for its dedup and hands
+// on to the memo, and one stored copy of each key (DESIGN.md §5.6).
 //
 // The cache is sharded (one mutex + map per shard) so parallel evaluation
 // batches do not serialize on a single lock, and bounded: each shard evicts
@@ -44,8 +45,10 @@ std::uint64_t hash_genes(const std::vector<int>& genes);
 /// Bounded, sharded, thread-safe memo table: chromosome -> payload.
 /// dse::MappingProblem keeps the one instance, for schedule metrics.
 ///
-/// Each lookup/store hashes its genome once: the hash picks the shard and is
-/// kept in the key, so neither the map nor an eviction re-hashes. Each key is
+/// Each lookup/store hashes its genome at most once: the hash picks the shard
+/// and is kept in the key, so neither the map nor an eviction re-hashes. The
+/// batch path hands in the hash_genes value BatchEvaluator already computed;
+/// a wrong hash only misses, since keys compare hash and genes. Each key is
 /// stored once, in the map node; the shard's FIFO order holds pointers to the
 /// node-stable keys.
 template <typename Value>
@@ -63,7 +66,12 @@ class GenomeCache {
 
   /// Copy the cached payload for `genes` into *out. Returns false on miss.
   bool lookup(const std::vector<int>& genes, Value* out) const {
-    const Probe probe{hash_genes(genes), &genes};
+    return lookup(genes, hash_genes(genes), out);
+  }
+
+  /// lookup() of a genome whose hash_genes value is `hash`.
+  bool lookup(const std::vector<int>& genes, std::uint64_t hash, Value* out) const {
+    const Probe probe{hash, &genes};
     Shard& shard = shards_[shard_of(probe.hash)];
     std::lock_guard<std::mutex> lock(shard.mu);
     const auto it = shard.map.find(probe);
@@ -79,7 +87,12 @@ class GenomeCache {
   /// Insert (or overwrite) the payload for `genes`, evicting the shard's
   /// oldest entry when it is full.
   void store(const std::vector<int>& genes, const Value& value) {
-    const Probe probe{hash_genes(genes), &genes};
+    store(genes, hash_genes(genes), value);
+  }
+
+  /// store() of a genome whose hash_genes value is `hash`.
+  void store(const std::vector<int>& genes, std::uint64_t hash, const Value& value) {
+    const Probe probe{hash, &genes};
     Shard& shard = shards_[shard_of(probe.hash)];
     std::lock_guard<std::mutex> lock(shard.mu);
     if (const auto it = shard.map.find(probe); it != shard.map.end()) {
@@ -170,12 +183,13 @@ class GenomeCache {
   mutable std::atomic<std::uint64_t> evictions_{0};
 };
 
-/// Evaluates a batch of individuals against a Problem: deduplicates
-/// identical genomes within the batch, hands the distinct ones to
-/// Problem::evaluate_batch in fixed 8-genome chunks (fanned out over the
-/// pool when there is one) and copies the results to the duplicates.
-/// Results are independent of thread count and batch order because
-/// evaluation is deterministic and the chunks are fixed by index arithmetic.
+/// Evaluates a batch of individuals against a Problem: hashes each genome
+/// once, deduplicates identical genomes within the batch on those hashes,
+/// hands the distinct ones with their hashes to Problem::evaluate_batch in
+/// fixed 8-genome chunks (fanned out over the pool when there is one) and
+/// copies the results to the duplicates. Results are independent of thread
+/// count and batch order because evaluation is deterministic and the chunks
+/// are fixed by index arithmetic.
 class BatchEvaluator {
  public:
   explicit BatchEvaluator(const Problem& problem, util::ThreadPool* pool = nullptr)

@@ -83,6 +83,7 @@ MoeaResult run_generations(const Problem& problem, util::Rng& rng, const GaParam
   }
 
   const auto better = [&](std::size_t a, std::size_t b) { return steps.prefer(pop[a], pop[b]); };
+  const util::Coin mutation(params.mutation_prob);
   for (std::size_t gen = gen_start; gen < params.generations; ++gen) {
     if (control != nullptr && control->stop.stop_requested()) {
       result.complete = false;
@@ -101,8 +102,8 @@ MoeaResult run_generations(const Problem& problem, util::Rng& rng, const GaParam
       ca.genes = pop[pa].genes;
       cb.genes = pop[pb].genes;
       uniform_crossover(ca.genes, cb.genes, params.crossover_prob, rng);
-      reset_mutation(problem, ca.genes, params.mutation_prob, rng);
-      reset_mutation(problem, cb.genes, params.mutation_prob, rng);
+      reset_mutation(problem, ca.genes, mutation, rng);
+      reset_mutation(problem, cb.genes, mutation, rng);
       offspring.push_back(std::move(ca));
       // With an odd population the second child of the last pair is surplus:
       // drop it before evaluation (its mutation draws above keep the RNG

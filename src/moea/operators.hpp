@@ -30,9 +30,20 @@ std::size_t tournament(std::size_t population_size, std::size_t size,
                        util::Rng& rng);
 
 /// Uniform crossover: with probability `prob` swap each gene pair with 0.5.
+/// Draws what chance(prob), then chance(0.5) per gene, draw: each gene's coin
+/// is one buffered engine word compared with Coin(0.5)'s threshold.
 void uniform_crossover(std::vector<int>& a, std::vector<int>& b, double prob, util::Rng& rng);
 
-/// Per-gene reset mutation within the problem's domains.
+/// Per-gene reset mutation within the problem's domains: each gene whose
+/// coin lands takes a uniform allele. Draws what chance(p) per gene, then the
+/// allele after each coin that lands, draw; the buffered engine words are
+/// scanned for the next coin that lands, so only a mutated gene costs more
+/// than a comparison.
+void reset_mutation(const Problem& problem, std::vector<int>& genes, const util::Coin& mutation,
+                    util::Rng& rng);
+
+/// reset_mutation with the Coin of `prob` (built per call; a caller that
+/// mutates many genomes at one probability builds it once).
 void reset_mutation(const Problem& problem, std::vector<int>& genes, double prob, util::Rng& rng);
 
 }  // namespace clr::moea

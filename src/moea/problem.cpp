@@ -2,10 +2,20 @@
 
 #include <stdexcept>
 
+#include "moea/eval_cache.hpp"
+
 namespace clr::moea {
 
-void Problem::evaluate_batch(std::span<Individual* const> batch) const {
+void Problem::evaluate_batch(std::span<Individual* const> batch,
+                             std::span<const std::uint64_t> /*hashes*/) const {
   for (Individual* ind : batch) ind->eval = evaluate(ind->genes);
+}
+
+void Problem::evaluate_batch(std::span<Individual* const> batch) const {
+  std::vector<std::uint64_t> hashes;
+  hashes.reserve(batch.size());
+  for (const Individual* ind : batch) hashes.push_back(hash_genes(ind->genes));
+  evaluate_batch(batch, hashes);
 }
 
 std::vector<int> Problem::random_genes(util::Rng& rng) const {

@@ -3,6 +3,7 @@
 // implements this for the CLR-integrated mapping space of Eq. (4).
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -27,12 +28,19 @@ class Problem {
   /// Evaluate a chromosome. Must be deterministic.
   virtual Evaluation evaluate(const std::vector<int>& genes) const = 0;
 
-  /// Evaluate a batch, filling ind->eval for every individual. Semantically
-  /// identical to calling evaluate() per individual — the default does
-  /// exactly that; problems with a vectorized kernel override it
-  /// (dse::MappingProblem routes through CompiledGraph::evaluate_batch).
-  /// Results must not depend on how callers partition work into batches.
-  virtual void evaluate_batch(std::span<Individual* const> batch) const;
+  /// Evaluate a batch, filling ind->eval for every individual. `hashes[i]`
+  /// is hash_genes(batch[i]->genes) (moea/eval_cache.hpp): BatchEvaluator
+  /// computes it once per individual for its dedup, and a genome memo keys
+  /// on it instead of hashing again. Semantically identical to calling
+  /// evaluate() per individual — the default does exactly that; problems
+  /// with a vectorized kernel override it (dse::MappingProblem routes
+  /// through CompiledGraph::evaluate_batch). Results must not depend on how
+  /// callers partition work into batches.
+  virtual void evaluate_batch(std::span<Individual* const> batch,
+                              std::span<const std::uint64_t> hashes) const;
+
+  /// evaluate_batch with every genome hashed here.
+  void evaluate_batch(std::span<Individual* const> batch) const;
 
   /// Uniform-random chromosome within the domains.
   std::vector<int> random_genes(util::Rng& rng) const;

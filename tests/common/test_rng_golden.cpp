@@ -18,6 +18,7 @@
 #include <locale>
 #include <numeric>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -296,6 +297,132 @@ TEST(RngEngine, EdgeWordsBecomeTheCorrectlyRoundedCanonicalDouble) {
     EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << "word " << w;
   }
 #endif
+}
+
+// --- The output buffer: peek() and skip() ---
+
+// `text` (a state text) with its position field replaced by `pos`.
+std::string with_position(const std::string& text, std::size_t pos) {
+  return text.substr(0, text.rfind(' ') + 1) + std::to_string(pos);
+}
+
+TEST(RngEngine, PeekAndSkipReturnTheWordsTheCallsWouldReturn) {
+  // Runs of 1-97 words through the buffer, across 160 refills.
+  Rng buffered(42);
+  Rng calls(42);
+  for (std::size_t run = 0; run < 1000; ++run) {
+    const std::span<const std::uint64_t> words = buffered.engine().peek();
+    ASSERT_FALSE(words.empty());
+    const std::size_t k = std::min<std::size_t>(words.size(), 1 + run % 97);
+    for (std::size_t i = 0; i < k; ++i) ASSERT_EQ(words[i], calls.engine()()) << "run " << run;
+    buffered.engine().skip(k);
+    ASSERT_TRUE(buffered.engine() == calls.engine()) << "run " << run;
+  }
+  EXPECT_EQ(buffered.save_state(), calls.save_state());
+
+  // A restored state serves the rest of its block, or a whole new block at
+  // position 312, and continues identically after it.
+  for (const std::size_t pos : {0u, 1u, 155u, 311u, 312u}) {
+    const std::string text = with_position(Rng(2024).save_state(), pos);
+    Rng a(1);
+    Rng b(1);
+    a.restore_state(text);
+    b.restore_state(text);
+    for (int block = 0; block < 3; ++block) {
+      const std::span<const std::uint64_t> words = a.engine().peek();
+      EXPECT_EQ(words.size(), block == 0 && pos < 312 ? 312 - pos : 312u) << "position " << pos;
+      for (const std::uint64_t w : words) ASSERT_EQ(w, b.engine()()) << "position " << pos;
+      a.engine().skip(words.size());
+      ASSERT_TRUE(a.engine() == b.engine()) << "position " << pos;
+      EXPECT_EQ(a.save_state(), b.save_state()) << "position " << pos;
+    }
+  }
+}
+
+TEST(RngEngine, EnginesWithEqualStateTextCompareEqual) {
+  for (const int draws : {0, 1, 311, 312, 313, 1000}) {
+    Rng drawn(5);
+    for (int i = 0; i < draws; ++i) drawn.engine()();
+    Rng restored(6);
+    restored.restore_state(drawn.save_state());
+    EXPECT_TRUE(drawn.engine() == restored.engine()) << draws << " draws";
+    for (int i = 0; i < 700; ++i) ASSERT_EQ(drawn.engine()(), restored.engine()());
+    EXPECT_TRUE(drawn.engine() == restored.engine()) << draws << " draws";
+  }
+  Rng one(5);
+  one.engine()();
+  EXPECT_FALSE(one.engine() == Rng(5).engine());
+}
+
+// --- Coin: chance(p) as an integer threshold ---
+
+// Round-to-even carries the words [2^63 - 512, 2^63) up to 0.5.
+static_assert(Coin(0.5).threshold() == (1ULL << 63) - 512);
+static_assert(Coin(0.5).draws() && !Coin(0.0).draws() && !Coin(1.0).draws());
+
+// One toss of `coin` on `rng`'s engine, as a caller reads it.
+bool toss(Rng& rng, const Coin& coin) {
+  return coin.draws() ? coin.lands(rng.engine()()) : coin.always();
+}
+
+std::vector<double> coin_probabilities() {
+  return {-0.1, 0.0, std::numeric_limits<double>::quiet_NaN(), 1e-300, 0.03, 0.1, 0.5, 0.7,
+          1.0 - 0x1p-54, 1.0, 1.5};
+}
+
+TEST(RngCoin, ThresholdIsTheLeastWordWhoseCanonicalValueReachesP) {
+  for (const double p : coin_probabilities()) {
+    const Coin coin(p);
+    EXPECT_EQ(coin.draws(), !(p <= 0.0) && !(p >= 1.0)) << p;
+    EXPECT_EQ(coin.always(), p >= 1.0) << p;
+    if (!(p > 0.0 && p < 1.0)) continue;
+    const std::uint64_t t = coin.threshold();
+    ASSERT_GT(t, 0u) << p;
+    EXPECT_GE(canonical(t), p) << p;
+    EXPECT_LT(canonical(t - 1), p) << p;
+  }
+  EXPECT_EQ(Coin(std::numeric_limits<double>::quiet_NaN()).threshold(), 0u);
+  // The largest probability below 1 still fits: the top words clamp to it.
+  EXPECT_EQ(Coin(std::nextafter(1.0, 0.0)).threshold(), ~0ULL - (1ULL << 11) - (1ULL << 10) + 2);
+}
+
+TEST(RngCoin, DrawsWhatChanceDrawsAroundItsThreshold) {
+  for (const double p : coin_probabilities()) {
+    const Coin coin(p);
+    const std::uint64_t t = coin.threshold();
+    const std::vector<std::uint64_t> words = {t - 1, t, t + 1};
+    Rng ours(1);
+    Rng theirs(1);
+    ours.restore_state(emitting(words));
+    theirs.restore_state(emitting(words));
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      const bool got = toss(ours, coin);
+      EXPECT_EQ(got, theirs.chance(p)) << "p " << p << " word " << i;
+      if (coin.draws() && t > 0) {
+        EXPECT_EQ(got, i == 0) << "p " << p << " word " << i;
+      }
+      EXPECT_TRUE(ours.engine() == theirs.engine()) << "p " << p << " word " << i;
+    }
+  }
+}
+
+TEST(RngCoin, DrawsWhatChanceDrawsOverAMillionWordStream) {
+  for (const double p : coin_probabilities()) {
+    const Coin coin(p);
+    Rng ours(kSeedB);
+    Rng theirs(kSeedB);
+    std::size_t successes = 0;
+    for (int i = 0; i < 1000000; ++i) {
+      const bool got = toss(ours, coin);
+      ASSERT_EQ(got, theirs.chance(p)) << "p " << p << " toss " << i;
+      successes += got;
+    }
+    EXPECT_TRUE(ours.engine() == theirs.engine()) << "p " << p;
+    EXPECT_EQ(ours.save_state(), theirs.save_state()) << "p " << p;
+    if (p == 0.5) {
+      EXPECT_NEAR(static_cast<double>(successes), 5e5, 5e3);
+    }
+  }
 }
 
 // --- Each helper against the libstdc++ distribution it reproduces ---

@@ -184,5 +184,43 @@ TEST(BatchEvaluationDifferential, BatchEvaluatorRunsTheKernelOncePerDistinctGeno
   }
 }
 
+TEST(GenomeCacheHashes, MappingProblemProbesAndFillsTheMemoUnderTheHashItIsHanded) {
+  // evaluate_metrics_batch takes each genome's hash from its caller (the
+  // BatchEvaluator's dedup) and hashes nothing itself: under the right
+  // hashes a second pass is all memo hits, under wrong ones it misses and
+  // runs the kernel again, with the same metrics.
+  const auto app = exp::make_synthetic_app(14, 4242);
+  const QosSpec spec = spec_for(*app, ObjectiveMode::EnergyQos, 5);
+  const MappingProblem problem(app->context(), spec, ObjectiveMode::EnergyQos);
+  util::Rng rng(91);
+  std::vector<std::vector<int>> genomes;
+  for (int i = 0; i < 11; ++i) genomes.push_back(problem.random_genes(rng));
+  std::vector<const std::vector<int>*> ptrs;
+  std::vector<std::uint64_t> hashes, wrong;
+  for (const auto& g : genomes) {
+    ptrs.push_back(&g);
+    hashes.push_back(moea::hash_genes(g));
+    wrong.push_back(moea::hash_genes(g) ^ 0x5bd1e995ULL);
+  }
+  std::vector<ScheduleMetrics> first(genomes.size()), again(genomes.size()), missed(genomes.size());
+  problem.evaluate_metrics_batch(ptrs, hashes, first.data());
+  EXPECT_EQ(problem.schedule_runs(), genomes.size());
+  problem.evaluate_metrics_batch(ptrs, hashes, again.data());
+  EXPECT_EQ(problem.schedule_runs(), genomes.size());
+  EXPECT_EQ(problem.schedule_cache().hits(), genomes.size());
+  problem.evaluate_metrics_batch(ptrs, wrong, missed.data());
+  EXPECT_EQ(problem.schedule_runs(), 2 * genomes.size());
+  EXPECT_EQ(problem.schedule_cache().hits(), genomes.size());
+  for (std::size_t i = 0; i < genomes.size(); ++i) {
+    const ScheduleMetrics want = problem.evaluate_metrics(genomes[i]);  // a hit: right hash
+    for (const ScheduleMetrics* got : {&first[i], &again[i], &missed[i]}) {
+      EXPECT_EQ(problem.evaluation_of(*got).objectives, problem.evaluation_of(want).objectives);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got->makespan),
+                std::bit_cast<std::uint64_t>(want.makespan));
+    }
+  }
+  EXPECT_EQ(problem.schedule_runs(), 2 * genomes.size());
+}
+
 }  // namespace
 }  // namespace clr::dse

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <deque>
+#include <mutex>
+#include <span>
 #include <thread>
 
 #include "common/parallel.hpp"
@@ -309,6 +311,103 @@ TEST(BatchEvaluator, ParallelAndSequentialResultsMatch) {
   for (int i = 0; i < 64; ++i) {
     EXPECT_EQ(par[i].eval.objectives, seq[i].eval.objectives) << "individual " << i;
     EXPECT_EQ(par[i].eval.violation, seq[i].eval.violation);
+  }
+}
+
+TEST(GenomeCache, LookupAndStoreUseTheHashTheyAreHanded) {
+  // The batch path hands the memo the hash BatchEvaluator computed. The memo
+  // keys on it as given: under a wrong hash the same genome misses, whether
+  // the hash points at another shard or only at another bucket.
+  GenomeCache<int> cache(64);
+  const std::vector<int> genes{4, 8, 15, 16, 23, 42};
+  const std::uint64_t hash = hash_genes(genes);
+  cache.store(genes, hash, 7);
+  int out = 0;
+  ASSERT_TRUE(cache.lookup(genes, hash, &out));
+  EXPECT_EQ(out, 7);
+  ASSERT_TRUE(cache.lookup(genes, &out));  // the per-genome path hashes the same way
+  for (const std::uint64_t wrong : {hash ^ 1, hash ^ (std::uint64_t{1} << 48)}) {
+    EXPECT_FALSE(cache.lookup(genes, wrong, &out)) << std::hex << wrong;
+  }
+  EXPECT_NE(GenomeCache<int>::shard_of(hash ^ (std::uint64_t{1} << 48)),
+            GenomeCache<int>::shard_of(hash));
+
+  const std::vector<int> other{1, 2, 3};
+  const std::uint64_t wrong = hash_genes(other) ^ 1;
+  cache.store(other, wrong, 9);
+  EXPECT_FALSE(cache.lookup(other, &out));
+  ASSERT_TRUE(cache.lookup(other, wrong, &out));
+  EXPECT_EQ(out, 9);
+  EXPECT_EQ(cache.hits(), 3u);
+  EXPECT_EQ(cache.misses(), 3u);
+}
+
+/// Records, per evaluate_batch call, whether each genome came with its
+/// hash_genes value, and how many genomes the chunk held.
+class HashCheckingProblem : public CountingProblem {
+ public:
+  void evaluate_batch(std::span<Individual* const> batch,
+                      std::span<const std::uint64_t> hashes) const override {
+    std::lock_guard<std::mutex> lock(mu);
+    chunk_sizes.push_back(batch.size());
+    if (hashes.size() != batch.size()) mismatches += batch.size();
+    for (std::size_t i = 0; i < batch.size() && i < hashes.size(); ++i) {
+      if (hashes[i] != hash_genes(batch[i]->genes)) ++mismatches;
+    }
+    for (Individual* ind : batch) ind->eval = evaluate(ind->genes);
+  }
+
+  mutable std::mutex mu;
+  mutable std::vector<std::size_t> chunk_sizes;
+  mutable std::size_t mismatches = 0;
+};
+
+TEST(BatchEvaluator, HandsEachChunkTheHashesOfItsDistinctGenomes) {
+  // The hashes are computed once on the calling thread and read by the
+  // pool's chunk workers: each chunk of at most 8 distinct genomes carries
+  // exactly their hash_genes values.
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    HashCheckingProblem prob;
+    std::vector<Individual> group(75);
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      const int g = static_cast<int>(i % 50);  // the last 25 repeat the first 25
+      group[i].genes = {g, g + 1, 2 * g, 7};
+    }
+    std::vector<Individual*> batch;
+    for (auto& ind : group) batch.push_back(&ind);
+    BatchEvaluator(prob, p).evaluate(batch);
+
+    EXPECT_EQ(prob.mismatches, 0u);
+    EXPECT_EQ(prob.evaluations.load(), 50u);
+    std::size_t total = 0;
+    for (const std::size_t size : prob.chunk_sizes) {
+      EXPECT_LE(size, 8u);
+      total += size;
+    }
+    EXPECT_EQ(total, 50u);
+    EXPECT_EQ(prob.chunk_sizes.size(), 7u);
+    for (std::size_t i = 50; i < group.size(); ++i) {
+      EXPECT_EQ(group[i].eval.objectives, group[i - 50].eval.objectives) << "individual " << i;
+    }
+  }
+}
+
+TEST(BatchEvaluator, DeduplicatesEveryRepeatInALargeBatch) {
+  // 300 individuals, each of 150 genomes twice: the open-addressing dedup
+  // probes past occupied slots and compares genes, so every repeat finds its
+  // first occurrence and no two genomes merge.
+  CountingProblem prob;
+  std::vector<Individual> group(300);
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    group[i].genes = {static_cast<int>(i % 150), 0, 0, 1};
+  }
+  std::vector<Individual*> batch;
+  for (auto& ind : group) batch.push_back(&ind);
+  BatchEvaluator(prob).evaluate(batch);
+  EXPECT_EQ(prob.evaluations.load(), 150u);
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    EXPECT_DOUBLE_EQ(group[i].eval.objectives[0], static_cast<double>(i % 150) + 1.0);
   }
 }
 
